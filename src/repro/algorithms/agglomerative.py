@@ -28,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.instance import CorrelationInstance
+from ..core.kernels import default_dtype
 from ..core.partition import Clustering
 from ..obs.metrics import inc
 from ..obs.profile import phase
@@ -65,8 +66,7 @@ def agglomerative(
         # Working copy: float64 for exactness on small instances, float32 to
         # halve memory at paper scale.  Average linkage mutates the full
         # cluster-distance matrix, so even a lazy instance materializes here.
-        dtype = np.float64 if n <= 4096 else np.float32
-        D = instance.backend.materialize(dtype, copy=True)
+        D = instance.backend.materialize(default_dtype(n), copy=True)
         np.fill_diagonal(D, np.inf)
 
         active = np.ones(n, dtype=bool)

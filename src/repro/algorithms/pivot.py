@@ -13,7 +13,7 @@ remaining object within distance ``threshold`` (1/2 in the analysis),
 repeat.  On instances obeying the probability constraint
 (``X`` entries in [0, 1], which every aggregation instance does) the
 expected cost is at most 3 times the optimum.  Each pivot pass is one
-vectorized :func:`repro.core.backend.label_pair_block` call over the
+vectorized :func:`repro.core.kernels.distance_block` call over the
 remaining objects, so the total work is expected O(n·m·k) for k emitted
 clusters.
 
@@ -44,9 +44,9 @@ from typing import Callable
 
 import numpy as np
 
-from ..core.backend import label_pair_block
 from ..core.distance import weighted_total_disagreement
 from ..core.instance import CorrelationInstance
+from ..core.kernels import check_missing_model, default_dtype, distance_block
 from ..core.labels import validate_label_matrix
 from ..core.partition import Clustering
 from ..obs.metrics import inc
@@ -83,13 +83,14 @@ def _prepare(
     """Normalize the input to a per-pivot row oracle.
 
     Label matrices get the backend-free fast path: each row comes
-    straight out of :func:`label_pair_block` with the same dtype rule as
-    the instance builders (float64 up to 4096 objects, float32 beyond),
-    so the values are bitwise equal to gathering from a built instance.
-    Prebuilt instances go through their backend (dense gathers, lazy
-    recomputes from its stored labels) and carry their own ``p``,
-    ``missing`` and atom weights.
+    straight out of :func:`~repro.core.kernels.distance_block` with the
+    same dtype rule as the instance builders, so the values are bitwise
+    equal to gathering from a built instance.  Prebuilt instances go
+    through their backend (dense gathers, lazy recomputes from its stored
+    labels) and carry their own ``p``, ``missing`` and atom weights; the
+    arguments are validated on both paths.
     """
+    check_missing_model(p, missing)
     if isinstance(data, CorrelationInstance):
         if weights is not None:
             raise ValueError("weights are only supported on the label-matrix path")
@@ -109,10 +110,10 @@ def _prepare(
             raise ValueError("weights must give one multiplicity per row")
         if np.any(weights <= 0.0):
             raise ValueError("weights must be positive multiplicities")
-    dtype = np.float64 if n <= 4096 else np.float32
+    dtype = default_dtype(n)
 
     def matrix_row(u: int, remaining: np.ndarray) -> np.ndarray:
-        return label_pair_block(
+        return distance_block(
             matrix, np.array([u], dtype=np.intp), remaining, p=p, dtype=dtype, missing=missing
         )[0]
 

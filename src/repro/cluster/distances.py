@@ -2,14 +2,18 @@
 
 Blocked, vectorized implementations of the three distances used across the
 library: squared Euclidean (k-means, Ward), Euclidean (hierarchical
-linkages on point data), and Jaccard similarity on categorical rows (the
-ROCK baseline).  Everything returns dense float64/float32 arrays; blocking
-keeps peak temporary memory bounded for large inputs.
+linkages on point data), and Hamming/Jaccard on categorical rows (the
+ROCK baseline), whose per-attribute matches come from the label kernel
+of :mod:`repro.core.kernels`.  Everything returns dense float64/float32
+arrays; blocking keeps peak temporary memory bounded for large inputs.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from ..core.kernels import separation_sums
+from ..core.labels import MISSING
 
 __all__ = [
     "squared_euclidean",
@@ -46,6 +50,14 @@ def euclidean_matrix(points: np.ndarray) -> np.ndarray:
     return np.sqrt(distances)
 
 
+def _categorical(rows: np.ndarray, missing: int) -> np.ndarray:
+    """``rows`` as a 2-D label matrix with missing entries marked ``-1``."""
+    rows = np.asarray(rows)
+    if rows.ndim != 2:
+        raise ValueError("rows must be a 2-D categorical matrix")
+    return rows if missing == MISSING else np.where(rows == missing, MISSING, rows)
+
+
 def hamming_fraction_matrix(rows: np.ndarray, missing: int = -1) -> np.ndarray:
     """Fraction of attributes on which two categorical rows differ.
 
@@ -53,26 +65,17 @@ def hamming_fraction_matrix(rows: np.ndarray, missing: int = -1) -> np.ndarray:
     commonly-present attribute gets distance 1 (nothing supports putting
     them together).
     """
-    rows = np.asarray(rows)
-    if rows.ndim != 2:
-        raise ValueError("rows must be a 2-D categorical matrix")
-    n, m = rows.shape
-    out = np.zeros((n, n), dtype=np.float64)
-    present = rows != missing
+    rows = _categorical(rows, missing)
+    n = rows.shape[0]
+    out = np.empty((n, n), dtype=np.float64)
     for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        block = rows[start:stop]
-        block_present = present[start:stop]
-        differ = np.zeros((stop - start, n), dtype=np.int64)
-        both = np.zeros((stop - start, n), dtype=np.int64)
-        for j in range(m):
-            pair_present = block_present[:, j][:, None] & present[:, j][None, :]
-            differ += pair_present & (block[:, j][:, None] != rows[:, j][None, :])
-            both += pair_present
+        block = slice(start, min(start + _BLOCK, n))
+        # Per pair: attributes concretely differing, attributes concrete on both.
+        differ, both = separation_sums(rows, block, dtype=np.float64, missing="average")
         with np.errstate(invalid="ignore", divide="ignore"):
             frac = differ / both
         frac[both == 0] = 1.0
-        out[start:stop] = frac
+        out[block] = frac
     np.fill_diagonal(out, 0.0)
     return out
 
@@ -85,26 +88,8 @@ def jaccard_similarity_matrix(rows: np.ndarray, missing: int = -1) -> np.ndarray
     |items(u) ∪ items(v)|``.  With all attributes present this reduces to
     ``matches / (2 m - matches)``.
     """
-    rows = np.asarray(rows)
-    if rows.ndim != 2:
-        raise ValueError("rows must be a 2-D categorical matrix")
-    n, m = rows.shape
-    present = rows != missing
-    set_sizes = present.sum(axis=1).astype(np.int64)
-    out = np.zeros((n, n), dtype=np.float64)
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        block = rows[start:stop]
-        block_present = present[start:stop]
-        common = np.zeros((stop - start, n), dtype=np.int64)
-        for j in range(m):
-            pair_present = block_present[:, j][:, None] & present[:, j][None, :]
-            common += pair_present & (block[:, j][:, None] == rows[:, j][None, :])
-        union = set_sizes[start:stop][:, None] + set_sizes[None, :] - common
-        with np.errstate(invalid="ignore", divide="ignore"):
-            sim = common / union
-        sim[union == 0] = 0.0
-        out[start:stop] = sim
+    rows = _categorical(rows, missing)
+    out = _jaccard(rows, rows.shape[0], slice(None))
     np.fill_diagonal(out, 1.0)
     return out
 
@@ -117,21 +102,22 @@ def jaccard_cross_similarity(
     right = np.asarray(right)
     if left.ndim != 2 or right.ndim != 2 or left.shape[1] != right.shape[1]:
         raise ValueError("left and right must be 2-D with the same number of attributes")
-    m = left.shape[1]
-    left_present = left != missing
-    right_present = right != missing
-    left_sizes = left_present.sum(axis=1).astype(np.int64)
-    right_sizes = right_present.sum(axis=1).astype(np.int64)
-    out = np.empty((left.shape[0], right.shape[0]), dtype=np.float64)
-    for start in range(0, left.shape[0], _BLOCK):
-        stop = min(start + _BLOCK, left.shape[0])
-        common = np.zeros((stop - start, right.shape[0]), dtype=np.int64)
-        for j in range(m):
-            pair_present = left_present[start:stop, j][:, None] & right_present[:, j][None, :]
-            common += pair_present & (left[start:stop, j][:, None] == right[:, j][None, :])
-        union = left_sizes[start:stop][:, None] + right_sizes[None, :] - common
+    rows = _categorical(np.concatenate([left, right]), missing)
+    return _jaccard(rows, left.shape[0], slice(left.shape[0], None))
+
+
+def _jaccard(rows: np.ndarray, n_left: int, right: slice) -> np.ndarray:
+    """Jaccard similarities of ``rows[:n_left]`` against ``rows[right]``."""
+    sizes = (rows != MISSING).sum(axis=1)
+    right_sizes = sizes[right]
+    out = np.empty((n_left, right_sizes.size), dtype=np.float64)
+    for start in range(0, n_left, _BLOCK):
+        block = slice(start, min(start + _BLOCK, n_left))
+        differ, both = separation_sums(rows, block, right, dtype=np.float64, missing="average")
+        common = both - differ
+        union = sizes[block][:, None] + right_sizes[None, :] - common
         with np.errstate(invalid="ignore", divide="ignore"):
             sim = common / union
         sim[union == 0] = 0.0
-        out[start:stop] = sim
+        out[block] = sim
     return out

@@ -12,7 +12,7 @@ from .backend import (
     resolve_backend,
 )
 from .distance import clustering_distance, normalized_distance, total_disagreement
-from .instance import CorrelationInstance, disagreement_fractions, pair_separation_block
+from .instance import CorrelationInstance, disagreement_fractions
 from .labels import MISSING, as_label_matrix, columns_as_clusterings, contingency_table
 from .objective import ClusterCountTables, MoveEvaluator
 from .partition import Clustering
@@ -34,7 +34,6 @@ __all__ = [
     "lazy_threshold",
     "resolve_backend",
     "disagreement_fractions",
-    "pair_separation_block",
     "MISSING",
     "as_label_matrix",
     "columns_as_clusterings",

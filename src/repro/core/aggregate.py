@@ -90,8 +90,10 @@ class AggregationResult:
     cost:
         The correlation-clustering cost ``d(C)`` (``disagreements / m``).
     lower_bound:
-        Pairwise lower bound on ``d(C)`` — only computed when the full
-        distance matrix was materialized (``None`` on the sampling path).
+        Pairwise lower bound on ``d(C)`` — computed whenever a
+        :class:`CorrelationInstance` was built or given, dense or lazy
+        (``None`` when ``compute_lower_bound=False`` or the method ran
+        without an instance, as on the sampling and pivot paths).
     disagreement_lower_bound:
         Same bound on the ``D(C)`` scale, when ``m`` is known.
     elapsed_seconds:
@@ -165,8 +167,10 @@ def aggregate(
     p:
         Missing-value coin-flip probability (Section 2 of the paper).
     compute_lower_bound:
-        Whether to evaluate the pairwise lower bound (quadratic; skipped
-        automatically when no distance matrix is materialized).
+        Whether to evaluate the pairwise lower bound.  Quadratic: a lazy
+        instance recomputes every row block for it, an O(n²·m) pass.
+        Skipped only when the method builds no instance (e.g.
+        ``"sampling"``, ``"pivot"``).
     collapse:
         Collapse duplicate label-matrix rows into weighted atoms before
         clustering (exact for the objective — some optimal solution keeps

@@ -14,9 +14,9 @@ demand.  This module provides that seam:
   allocate a full-matrix temporary.
 * :class:`DenseBackend` — wraps a materialized ``X`` (today's behaviour).
 * :class:`LazyLabelBackend` — computes row blocks on demand from the
-  stored label matrix via the same :func:`repro.core.instance.disagreement_block`
-  kernel used by the batch build (same missing-value model, same dtype
-  rules), with a small LRU cache of grid-aligned blocks.
+  stored label matrix via the same :mod:`repro.core.kernels` kernel used
+  by the batch build (same missing-value model, same dtype rules), with a
+  small LRU cache of grid-aligned blocks.
 
 Bit-identity guarantee: the kernel accumulates every element over the
 ``m`` label columns in the same order regardless of row tiling, so lazy
@@ -36,14 +36,14 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 from ..obs.profile import phase
-from .labels import MISSING, validate_label_matrix
+from .kernels import check_missing_model, default_dtype, distance_block
+from .labels import validate_label_matrix
 
 __all__ = [
     "DEFAULT_LAZY_THRESHOLD",
     "DenseBackend",
     "LazyLabelBackend",
     "PairDistanceBackend",
-    "label_pair_block",
     "lazy_threshold",
     "reduction_block_rows",
     "resolve_backend",
@@ -98,54 +98,6 @@ def resolve_backend(backend: str, n: int) -> str:
     if backend == "auto":
         return "lazy" if n > lazy_threshold() else "dense"
     return backend
-
-
-def label_pair_block(
-    matrix: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    p: float = 0.5,
-    dtype: np.dtype | type = np.float64,
-    missing: str = "coin-flip",
-) -> np.ndarray:
-    """``X[np.ix_(rows, cols)]`` computed from the label matrix.
-
-    The generalized (arbitrary row/column subset) form of
-    :func:`repro.core.instance.disagreement_block`: every element is
-    accumulated over the ``m`` label columns in the same order and dtype
-    as the batch build, so the result is bitwise equal to gathering the
-    same entries from a materialized ``X``.  Entries where the row and
-    column index the same object are zeroed (the diagonal rule).
-    """
-    np_dtype = dtype if isinstance(dtype, np.dtype) else np.dtype(dtype)
-    m = matrix.shape[1]
-    one_minus_p = np_dtype.type(1.0 - p)
-    block = np.zeros((rows.size, cols.size), dtype=np_dtype)
-    comparable = (
-        np.zeros((rows.size, cols.size), dtype=np_dtype) if missing == "average" else None
-    )
-    row_labels = matrix[rows]
-    col_labels = matrix[cols]
-    for j in range(m):
-        row_part = row_labels[:, j]
-        col_part = col_labels[:, j]
-        different = row_part[:, None] != col_part[None, :]
-        missing_pair = (row_part == MISSING)[:, None] | (col_part == MISSING)[None, :]
-        if missing == "coin-flip":
-            block += np.where(missing_pair, one_minus_p, different.astype(np_dtype))
-        else:
-            both_present = ~missing_pair
-            block += (different & both_present).astype(np_dtype)
-            if comparable is not None:
-                comparable += both_present.astype(np_dtype)
-    if comparable is None:
-        block /= m
-    else:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            block /= comparable
-        block[comparable == 0] = np_dtype.type(0.5)
-    block[rows[:, None] == cols[None, :]] = np_dtype.type(0.0)
-    return block
 
 
 class PairDistanceBackend:
@@ -386,13 +338,12 @@ class LazyLabelBackend(PairDistanceBackend):
     """Backend computing ``X`` row blocks on demand from the label matrix.
 
     Stores only the ``(n, m)`` label matrix — O(n * m) memory — and
-    computes any requested rows with the same
-    :func:`repro.core.instance.disagreement_block` kernel (same
-    missing-value model, same dtype rules) the batch build uses, so every
-    block is bitwise equal to the corresponding rows of the materialized
-    matrix.  Grid-aligned blocks (the :func:`reduction_block_rows` grid by
-    default) are held in a small LRU cache so repeated scans and nearby
-    row fetches amortize the kernel cost.
+    computes any requested rows with the same :mod:`repro.core.kernels`
+    kernel (same missing-value model, same dtype rules) the batch build
+    uses, so every block is bitwise equal to the corresponding rows of the
+    materialized matrix.  Grid-aligned blocks (the
+    :func:`reduction_block_rows` grid by default) are held in a small LRU
+    cache so repeated scans and nearby row fetches amortize the kernel cost.
     """
 
     __slots__ = (
@@ -420,16 +371,11 @@ class LazyLabelBackend(PairDistanceBackend):
         matrix = np.asarray(matrix)
         if validate:
             validate_label_matrix(matrix)
-        if missing not in ("coin-flip", "average"):
-            raise ValueError(f"missing must be 'coin-flip' or 'average', got {missing!r}")
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must be a probability, got {p}")
+        check_missing_model(p, missing)
         self._matrix = matrix
         self._n = int(matrix.shape[0])
         self._m = int(matrix.shape[1])
-        if dtype is None:
-            dtype = np.float64 if self._n <= 4096 else np.float32
-        self._dtype: np.dtype = np.dtype(dtype)
+        self._dtype: np.dtype = default_dtype(self._n) if dtype is None else np.dtype(dtype)
         self._p = float(p)
         self._missing = missing
         self._block_rows = reduction_block_rows(self._n) if block_rows is None else int(block_rows)
@@ -494,18 +440,14 @@ class LazyLabelBackend(PairDistanceBackend):
     # Storage primitives
     # ------------------------------------------------------------------
 
-    def _compute(self, start: int, stop: int) -> np.ndarray:
-        # Function-level import: repro.core.instance imports this module
-        # for the backend classes, so the kernel import cannot be at the top.
-        from .instance import disagreement_block
+    def _kernel(self, rows: slice | np.ndarray, cols: slice | np.ndarray) -> np.ndarray:
+        return distance_block(
+            self._matrix, rows, cols, p=self._p, dtype=self._dtype, missing=self._missing
+        )
 
+    def _compute(self, start: int, stop: int) -> np.ndarray:
         with phase("instance.block", start=int(start), rows=int(stop - start)):
-            block = disagreement_block(
-                self._matrix, start, stop, p=self._p, dtype=self._dtype, missing=self._missing
-            )
-        diagonal = np.arange(start, stop)
-        block[diagonal - start, diagonal] = self._dtype.type(0.0)
-        return block
+            return self._kernel(slice(start, stop), slice(None))
 
     def _grid_block(self, index: int) -> np.ndarray:
         cached = self._cache.get(index)
@@ -536,20 +478,12 @@ class LazyLabelBackend(PairDistanceBackend):
     def gather_block(
         self, rows: np.ndarray | Sequence[int], cols: np.ndarray | Sequence[int]
     ) -> np.ndarray:
-        return label_pair_block(
-            self._matrix,
-            np.asarray(rows),
-            np.asarray(cols),
-            p=self._p,
-            dtype=self._dtype,
-            missing=self._missing,
-        )
+        return self._kernel(np.asarray(rows), np.asarray(cols))
 
     def columns(self, idx: np.ndarray | Sequence[int]) -> np.ndarray:
         # X is bitwise symmetric (every kernel term is), so columns are
         # transposed row gathers.
-        index = np.asarray(idx)
-        return self.gather_block(index, np.arange(self._n, dtype=np.intp)).T
+        return self._kernel(np.asarray(idx), slice(None)).T
 
     def take(self, idx: np.ndarray | Sequence[int]) -> "LazyLabelBackend":
         index = np.asarray(idx)

@@ -27,6 +27,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from .kernels import check_missing_model
 from .labels import MISSING, as_label_matrix, contingency_table
 from .partition import Clustering
 
@@ -76,8 +77,7 @@ def expected_column_distance(
     reported co-clustered with probability ``p``.  With no missing entries
     this equals :func:`clustering_distance` exactly.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be a probability, got {p}")
+    check_missing_model(p)
     column = np.asarray(column)
     if column.shape != (clustering.n,):
         raise ValueError("column length must match the clustering size")
@@ -157,8 +157,7 @@ def weighted_total_disagreement(
     coin-flip model at probability ``p``.  Runs in ``O(n * m)`` — one
     contingency pass per column, never enumerating pairs.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be a probability, got {p}")
+    check_missing_model(p)
     matrix = np.asarray(matrix)
     n, m = matrix.shape
     if n != clustering.n:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .instance import CorrelationInstance
+from .kernels import check_missing_model, label_histogram
 from .labels import MISSING, validate_label_matrix
 from .partition import Clustering
 
@@ -395,9 +396,7 @@ class MoveEvaluator:
         contrib = np.empty((self.n, k), dtype=np.float64)
         if present.any():
             values = column[present]
-            arity = int(values.max()) + 1
-            counts = np.zeros((k, arity), dtype=np.float64)
-            np.add.at(counts, (labels[present], values), 1.0)
+            counts = label_histogram(labels, column, k, int(values.max()) + 1)
             concrete = counts.sum(axis=1)
             # Concrete v vs cluster c: one per concretely-differing member,
             # a coin flip per member missing at this clustering.
@@ -450,8 +449,7 @@ class ClusterCountTables:
             raise ValueError("member_rows and member_labels must be 1-D and aligned")
         if member_rows.size == 0:
             raise ValueError("cluster tables need at least one member row")
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must be a probability, got {p}")
+        check_missing_model(p)
         if member_weights is None:
             weights = np.ones(member_rows.size, dtype=np.float64)
         else:
@@ -475,13 +473,8 @@ class ClusterCountTables:
         self._concrete = np.zeros((self._m, self._k), dtype=np.float64)
         sub = matrix[member_rows]
         for j in range(self._m):
-            column = sub[:, j]
-            present = column != MISSING
-            arity = int(matrix[:, j].max()) + 1 if matrix[:, j].max() >= 0 else 1
-            table = np.zeros((self._k, arity), dtype=np.float64)
-            if present.any():
-                flat = member_labels[present] * arity + column[present]
-                np.add.at(table.ravel(), flat, weights[present])
+            arity = max(int(matrix[:, j].max()) + 1, 1)
+            table = label_histogram(member_labels, sub[:, j], self._k, arity, weights)
             self._counts.append(table)
             self._concrete[j] = table.sum(axis=1)
 

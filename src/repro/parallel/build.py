@@ -2,12 +2,12 @@
 
 The ``O(m n²)`` build of the pairwise separation fractions (§3 of the
 paper) is embarrassingly parallel across row blocks: every block of
-:func:`~repro.core.instance.disagreement_block` depends only on the label
+:func:`~repro.core.kernels.distance_block` depends only on the label
 matrix, and every matrix element is accumulated in the same column order
 regardless of how the rows are tiled.  :func:`parallel_disagreement_fractions`
 exploits exactly that — the label matrix and the output ``X`` live in
 shared memory (:class:`~repro.parallel.shm.SharedNDArray`; nothing
-quadratic is ever pickled), the ``_BLOCK_ROWS`` row blocks of the serial
+quadratic is ever pickled), the ``BLOCK_ROWS`` row blocks of the serial
 build are fanned out over a worker pool, and each worker writes its
 normalized block straight into the shared ``X`` buffer.  The result is
 bit-identical to the serial path for any worker count.
@@ -34,12 +34,8 @@ from typing import Any
 import numpy as np
 
 from ..core.backend import LazyLabelBackend
-from ..core.instance import (
-    _BLOCK_ROWS,
-    CorrelationInstance,
-    disagreement_block,
-    disagreement_fractions,
-)
+from ..core.instance import CorrelationInstance, disagreement_fractions
+from ..core.kernels import BLOCK_ROWS, check_missing_model, default_dtype, distance_block
 from ..core.labels import validate_label_matrix
 from ..core.objective import ClusterCountTables
 from ..obs.metrics import observe
@@ -181,8 +177,8 @@ def _build_block(bounds: tuple[int, int]) -> tuple[int, float]:
     matrix = _WORKER["matrix"].array
     out = _WORKER["out"].array
     with span("build.block", start=start, stop=stop) as block_span:
-        out[start:stop] = disagreement_block(
-            matrix, start, stop, p=_WORKER["p"], dtype=out.dtype, missing=_WORKER["missing"]
+        out[start:stop] = distance_block(
+            matrix, slice(start, stop), p=_WORKER["p"], dtype=out.dtype, missing=_WORKER["missing"]
         )
     return start, block_span.seconds
 
@@ -193,7 +189,7 @@ def parallel_disagreement_fractions(
     dtype: np.dtype | type | None = None,
     missing: str = "coin-flip",
     n_jobs: int | None = None,
-    block_rows: int = _BLOCK_ROWS,
+    block_rows: int = BLOCK_ROWS,
 ) -> np.ndarray:
     """The ``X`` matrix of a label matrix, built by a shared-memory pool.
 
@@ -204,23 +200,18 @@ def parallel_disagreement_fractions(
     element is accumulated in the same column order either way).
 
     ``block_rows`` is the fan-out granularity; the default matches the
-    serial build's ``_BLOCK_ROWS`` and exists as a parameter so the
+    serial build's ``BLOCK_ROWS`` and exists as a parameter so the
     equivalence tests can force multi-block schedules on small inputs.
     Falls back to the serial code when one worker (or one block) would do
     all the work anyway.
     """
     matrix = np.asarray(matrix)
     validate_label_matrix(matrix)
-    if missing not in ("coin-flip", "average"):
-        raise ValueError(f"missing must be 'coin-flip' or 'average', got {missing!r}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be a probability, got {p}")
+    check_missing_model(p, missing)
     if block_rows < 1:
         raise ValueError(f"block_rows must be positive, got {block_rows}")
     n = matrix.shape[0]
-    if dtype is None:
-        dtype = np.float64 if n <= 4096 else np.float32
-    np_dtype = dtype if isinstance(dtype, np.dtype) else np.dtype(dtype)
+    np_dtype = default_dtype(n) if dtype is None else np.dtype(dtype)
 
     blocks = [(start, min(start + block_rows, n)) for start in range(0, n, block_rows)]
     jobs = min(resolve_jobs(n_jobs), len(blocks))
@@ -247,7 +238,6 @@ def parallel_disagreement_fractions(
         for seconds in block_seconds:
             observe("parallel.build.block_seconds", seconds)
         build_span.set(busy_seconds=sum(block_seconds))
-    np.fill_diagonal(X, 0.0)
     return X
 
 

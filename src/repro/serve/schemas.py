@@ -21,6 +21,7 @@ from typing import Any
 import numpy as np
 
 from ..core.aggregate import available_methods
+from ..core.kernels import check_missing_model
 from ..core.labels import MISSING
 from .http import HTTPError
 
@@ -62,6 +63,13 @@ def _number(payload: dict[str, Any], key: str, default: float) -> float:
     return float(value)
 
 
+def _check_missing_model(p: float, missing: Any = "coin-flip") -> None:
+    try:
+        check_missing_model(p, missing)
+    except ValueError as exc:
+        raise HTTPError(400, str(exc)) from None
+
+
 def _reject_unknown(payload: dict[str, Any], allowed: frozenset[str], what: str) -> None:
     unknown = sorted(set(payload) - allowed)
     if unknown:
@@ -89,11 +97,8 @@ def session_config(payload: Any, *, max_n: int) -> dict[str, Any]:
     if n > max_n:
         raise HTTPError(413, f"n={n} exceeds the server limit max_n={max_n}")
     p = _number(payload, "p", 0.5)
-    if not 0.0 <= p <= 1.0:
-        raise HTTPError(400, "`p` must lie in [0, 1]")
     missing = payload.get("missing", "coin-flip")
-    if missing not in ("coin-flip", "average"):
-        raise HTTPError(400, "`missing` must be 'coin-flip' or 'average'")
+    _check_missing_model(p, missing)
     decay = _number(payload, "decay", 1.0)
     if not 0.0 < decay <= 1.0:
         raise HTTPError(400, "`decay` must lie in (0, 1]")
@@ -168,8 +173,7 @@ def aggregate_request(payload: Any, *, max_n: int) -> dict[str, Any]:
             400, f"unknown method {method!r}; one of {', '.join(available_methods())}"
         )
     p = _number(payload, "p", 0.5)
-    if not 0.0 <= p <= 1.0:
-        raise HTTPError(400, "`p` must lie in [0, 1]")
+    _check_missing_model(p)
     rng_seed = _integer(payload, "seed", 0)
     n_shards = _integer(payload, "n_shards", None)
     if n_shards is not None:

@@ -44,6 +44,7 @@ from ..algorithms.agglomerative import agglomerative
 from ..algorithms.exact import _MAX_EXACT_N, exact_optimum
 from ..algorithms.local_search import local_search
 from ..core.instance import CorrelationInstance
+from ..core.kernels import check_missing_model, label_histogram
 from ..core.labels import MISSING, validate_label_matrix
 from ..core.partition import Clustering
 
@@ -109,6 +110,7 @@ def atom_distances(
     atom weights.
     """
     validate_label_matrix(matrix)
+    check_missing_model(p)
     n, m = matrix.shape
     atom_of = np.asarray(atom_of, dtype=np.int64)
     if atom_of.shape != (n,):
@@ -138,11 +140,7 @@ def atom_distances(
         # Weighted per-atom histogram over the column's compacted labels.
         uniq, inverse = np.unique(column[concrete], return_inverse=True)
         inverse = inverse.reshape(-1)  # numpy 2.0.x returns (c, 1)
-        counts = np.bincount(
-            atom_of[concrete] * uniq.size + inverse,
-            weights=w[concrete],
-            minlength=n_atoms * uniq.size,
-        ).reshape(n_atoms, uniq.size)
+        counts = label_histogram(atom_of[concrete], inverse, n_atoms, uniq.size, w[concrete])
         concrete_w = counts.sum(axis=1)
         concrete_mass = np.outer(concrete_w, concrete_w)
         agree = counts @ counts.T

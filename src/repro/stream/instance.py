@@ -6,10 +6,10 @@ input clusterings arrive one at a time and the ``X`` matrix must follow
 along without replaying history: :class:`IncrementalCorrelationInstance`
 keeps the *running separation counts* — the un-normalized sum of per-pair
 separation terms — and folds each arriving clustering in with one blocked
-O(n²) vectorized update, using the exact same
-:func:`~repro.core.instance.pair_separation_block` kernel as the batch
-build.  After ``k`` calls to :meth:`observe` (with no decay) the matrix is
-bitwise-reproducible against a batch build from the same ``k`` columns.
+O(n²) vectorized update, using the exact same :mod:`repro.core.kernels`
+kernel as the batch build.  After ``k`` calls to :meth:`observe` (with no
+decay) the matrix is bitwise-reproducible against a batch build from the
+same ``k`` columns.
 
 Drifting streams are handled by *exponential decay*: with
 ``decay = γ < 1``, observing a clustering first scales every accumulator by
@@ -29,7 +29,14 @@ from typing import Any
 import numpy as np
 
 from ..analysis.contracts import check_distance_matrix, contracts_enabled
-from ..core.instance import _BLOCK_ROWS, CorrelationInstance, pair_separation_block
+from ..core.instance import CorrelationInstance
+from ..core.kernels import (
+    BLOCK_ROWS,
+    check_missing_model,
+    default_dtype,
+    normalize,
+    separation_sums,
+)
 from ..core.labels import MISSING
 
 __all__ = ["IncrementalCorrelationInstance"]
@@ -90,19 +97,14 @@ class IncrementalCorrelationInstance:
         """
         if n < 1:
             raise ValueError("an instance needs at least one object")
-        if missing not in ("coin-flip", "average"):
-            raise ValueError(f"missing must be 'coin-flip' or 'average', got {missing!r}")
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must be a probability, got {p}")
+        check_missing_model(p, missing)
         if not 0.0 < decay <= 1.0:
             raise ValueError(f"decay must lie in (0, 1], got {decay}")
-        if dtype is None:
-            dtype = np.float64 if n <= 4096 else np.float32
         self._n = int(n)
         self._p = float(p)
         self._missing = missing
         self._decay = float(decay)
-        self._dtype = np.dtype(dtype)
+        self._dtype = default_dtype(n) if dtype is None else np.dtype(dtype)
 
     # ------------------------------------------------------------------
     # Accessors
@@ -166,14 +168,17 @@ class IncrementalCorrelationInstance:
             self._separation *= self._dtype.type(self._decay)
             if self._comparable is not None:
                 self._comparable *= self._dtype.type(self._decay)
-        for start in range(0, self._n, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, self._n)
-            separation, both_present = pair_separation_block(
-                column, start, stop, p=self._p, dtype=self._dtype, missing=self._missing
+        for start in range(0, self._n, BLOCK_ROWS):
+            rows = slice(start, min(start + BLOCK_ROWS, self._n))
+            comparable = None if self._comparable is None else self._comparable[rows]
+            separation_sums(
+                column[:, None],
+                rows,
+                p=self._p,
+                dtype=self._dtype,
+                missing=self._missing,
+                out=(self._separation[rows], comparable),
             )
-            self._separation[start:stop] += separation
-            if both_present is not None and self._comparable is not None:
-                self._comparable[start:stop] += both_present
         self._weight = self._decay * self._weight + 1.0
         self._count += 1
 
@@ -195,12 +200,8 @@ class IncrementalCorrelationInstance:
             out = np.empty((self._n, self._n), dtype=self._dtype)
         elif out.shape != (self._n, self._n):
             raise ValueError(f"out must have shape ({self._n}, {self._n}), got {out.shape}")
-        if self._comparable is None:
-            np.divide(self._separation, self._dtype.type(self._weight), out=out)
-        else:
-            with np.errstate(invalid="ignore", divide="ignore"):
-                np.divide(self._separation, self._comparable, out=out)
-            out[self._comparable == 0] = self._dtype.type(0.5)
+        denominator = self._weight if self._comparable is None else self._comparable
+        normalize(self._separation, denominator, out=out)
         np.fill_diagonal(out, 0.0)
         if contracts_enabled():
             check_distance_matrix(out, context="IncrementalCorrelationInstance.distances")

@@ -17,11 +17,11 @@ from repro.core.aggregate import aggregate
 from repro.core.backend import (
     DEFAULT_LAZY_THRESHOLD,
     LAZY_THRESHOLD_ENV_VAR,
-    label_pair_block,
     lazy_threshold,
     reduction_block_rows,
     resolve_backend,
 )
+from repro.core.kernels import distance_block
 from repro.core.objective import MoveEvaluator
 from repro.parallel.build import attach_instance, share_instance
 from repro.parallel.portfolio import portfolio
@@ -90,19 +90,28 @@ def test_take_is_bitwise_equal_and_keeps_parent_dtype() -> None:
     assert lazy.take(idx).dtype == np.float32
 
 
-def test_label_pair_block_matches_dense_gather_average() -> None:
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("p", [0.5, 0.3])
+@pytest.mark.parametrize("missing", ["coin-flip", "average"])
+def test_distance_block_matches_dense_gather(missing, p, dtype) -> None:
     matrix = label_matrix(30, missing_frac=0.5, seed=4)
-    X = CorrelationInstance.from_label_matrix(matrix, missing="average").X
+    X = CorrelationInstance.from_label_matrix(matrix, p=p, dtype=dtype, missing=missing).X
     rows = np.array([0, 9, 9, 29])
     cols = np.array([29, 0, 3])
-    block = label_pair_block(matrix, rows, cols, missing="average")
+    kernel = {"p": p, "dtype": dtype, "missing": missing}
+    block = distance_block(matrix, rows, cols, **kernel)
+    assert block.dtype == np.dtype(dtype)
     assert np.array_equal(block, X[np.ix_(rows, cols)])
+    # Slices and index arrays select the same entries bit for bit.
+    assert np.array_equal(distance_block(matrix, slice(5, 12), **kernel), X[5:12])
+    assert np.array_equal(distance_block(matrix, rows, slice(None), **kernel), X[rows])
+    assert np.array_equal(distance_block(matrix, slice(None), cols, **kernel), X[:, cols])
 
 
-def test_label_pair_block_zeroes_the_diagonal_rule() -> None:
-    matrix = label_matrix(12, seed=5)
+def test_distance_block_zeroes_the_diagonal_rule() -> None:
+    matrix = label_matrix(12, missing_frac=0.5, seed=5)
     rows = np.array([4, 7])
-    block = label_pair_block(matrix, rows, rows)
+    block = distance_block(matrix, rows, rows)
     assert block[0, 0] == 0.0 and block[1, 1] == 0.0
 
 

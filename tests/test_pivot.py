@@ -210,6 +210,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="lp_threshold must be >= 0"):
             cmsy(matrix, lp_threshold=-1)
 
+    @pytest.mark.parametrize("method", [pivot, cmsy])
+    def test_missing_model_and_p_domain(self, method):
+        # Both used to run the "average" model for any unknown `missing`
+        # and return a clustering for any p.
+        matrix = grid_matrix(5, 3, 2, seed=0)
+        with pytest.raises(ValueError, match="missing must be"):
+            aggregate(matrix, method=method.__name__, missing="drop")
+        with pytest.raises(ValueError, match="missing must be"):
+            method(CorrelationInstance.from_label_matrix(matrix), missing="drop")
+        for bad in (1.7, -0.5):
+            with pytest.raises(ValueError, match="p must be a probability"):
+                method(matrix, p=bad)
+
 
 class TestCmsy:
     def test_rounding_function_knees(self):

@@ -148,6 +148,9 @@ class TestAtomDistances:
             atom_distances(matrix, np.full(10, -1, dtype=np.int64))
         with pytest.raises(ValueError, match="contiguous"):
             atom_distances(matrix, np.full(10, 2, dtype=np.int64))  # atoms 0,1 empty
+        # p outside [0, 1] used to be clipped into distances silently.
+        with pytest.raises(ValueError, match="p must be a probability"):
+            atom_distances(matrix, np.arange(10) % 3, p=2.0)
 
 
 class TestMergeShards:
@@ -209,6 +212,8 @@ class TestMergeShards:
         _, wide = planted_instance(n=30, m=3, groups=2, flip=0.1, seed=7)
         with pytest.raises(ValueError, match="at most"):
             merge_shards(wide, np.arange(30), merge="exact")
+        with pytest.raises(ValueError, match="p must be a probability"):
+            merge_shards(matrix, atom_of, p=-0.5)
         assert set(MERGE_METHODS) == {"auto", "exact", "local-search"}
 
     def test_auto_switches_to_local_search_above_cap(self):
