@@ -9,14 +9,37 @@ nodes is at most 1/2 — "the opinion of the majority is respected on
 average" — and for ``m = 3`` input clusterings the result is a
 2-approximation.
 
-The implementation keeps the full cluster-to-cluster average-distance
-matrix and a nearest-neighbour cache per cluster.  Average linkage obeys
-the Lance–Williams recurrence
+The implementation keeps the cluster-to-cluster average-distance matrix
+and a nearest-neighbour cache per cluster.  Average linkage obeys the
+Lance–Williams recurrence
 
     d(A ∪ B, C) = (|A| d(A,C) + |B| d(B,C)) / (|A| + |B|)
 
-so each merge costs one vectorized row update plus cache repair, giving
-``O(n^2)`` time in practice (and ``O(n^2)`` memory for the matrix copy).
+so each merge costs one vectorized row (and column) update plus cache
+repair, over the *slots* of the matrix still in use:
+
+* A retired cluster's row and column are never overwritten.  A per-slot
+  ``penalty`` (0 for active slots, +inf for retired ones) is added to every
+  row before its ``argmin``; ``x + 0 == x`` exactly, so the distances and
+  the first-index tie-breaking are those of a matrix whose retired entries
+  were set to infinity.
+* The rows whose cached neighbour was one of the merged pair are
+  recomputed together, in one ``argmin`` over the gathered block — except
+  those whose distance to the merged cluster still equals their cached
+  minimum (ties, mostly duplicates at distance 0): their neighbour simply
+  becomes the merged cluster, as a full ``argmin`` would find.
+* When the active clusters fall to half the slots, their submatrix is
+  gathered row by row into the leading block of the same buffer, and the
+  cache, sizes and slot ids follow.  Compaction keeps the relative order of
+  the slots, so ties still break towards the same cluster, and every later
+  step works on at most twice as many slots as there are clusters.
+* Membership is a parent array over the objects, written once per merge
+  and resolved to labels at the end.
+
+The merges, their order and the output are those of the textbook loop over
+an ``n x n`` matrix.  Time is ``O(n^2)`` in practice; memory is one working
+copy of ``X`` (float64 up to 4096 objects, float32 above) plus ``O(n)``
+vectors, with no second matrix-sized buffer.
 
 If the user insists on a fixed number of clusters (as the paper notes in
 §2), pass ``force_k``: merging then continues past the 1/2 threshold until
@@ -24,6 +47,9 @@ If the user insists on a fixed number of clusters (as the paper notes in
 """
 
 from __future__ import annotations
+
+import math
+import numbers
 
 import numpy as np
 
@@ -35,6 +61,10 @@ from ..obs.profile import phase
 from ..registry import register_method
 
 __all__ = ["agglomerative"]
+
+# Below this many slots the matrix is small enough that compacting it again
+# costs more than it saves.
+_COMPACT_MIN_SLOTS = 64
 
 
 @register_method("agglomerative", kind="instance", supports_weights=True)
@@ -51,14 +81,24 @@ def agglomerative(
         Pairwise distances in [0, 1].
     threshold:
         Merge while the closest pair's average distance is strictly below
-        this value (1/2 in the paper).
+        this value (1/2 in the paper).  Must be a finite real number.
     force_k:
         If given, ignore the threshold-based stop and merge (in the same
         closest-first order) until exactly ``force_k`` clusters remain.
+        Must be an integer (not a bool) in ``1..n``.
     """
     n = instance.n
-    if force_k is not None and not 1 <= force_k <= n:
-        raise ValueError(f"force_k must be in 1..{n}, got {force_k}")
+    if (
+        isinstance(threshold, bool)
+        or not isinstance(threshold, numbers.Real)
+        or not math.isfinite(threshold)
+    ):
+        raise ValueError(f"threshold must be a finite real number, got {threshold!r}")
+    if force_k is not None:
+        if isinstance(force_k, bool) or not isinstance(force_k, numbers.Integral):
+            raise ValueError(f"force_k must be an integer or None, got {force_k!r}")
+        if not 1 <= force_k <= n:
+            raise ValueError(f"force_k must be in 1..{n}, got {force_k}")
     if n == 1:
         return Clustering.single_cluster(1)
 
@@ -66,26 +106,34 @@ def agglomerative(
         # Working copy: float64 for exactness on small instances, float32 to
         # halve memory at paper scale.  Average linkage mutates the full
         # cluster-distance matrix, so even a lazy instance materializes here.
-        D = instance.backend.materialize(default_dtype(n), copy=True)
+        # D is always a C-ordered view of the front of ``buffer``.
+        buffer = instance.backend.materialize(default_dtype(n), copy=True).reshape(-1)
+        D = buffer.reshape(n, n)
         np.fill_diagonal(D, np.inf)
 
-        active = np.ones(n, dtype=bool)
+        penalty = np.zeros(n, dtype=D.dtype)
         # On weighted (atom) instances each node starts as a cluster of its
         # duplicate multiplicity; average linkage then matches the expanded
         # instance (whose duplicates would merge first at height 0).
         sizes = instance.effective_weights().copy()
-        labels = np.arange(n, dtype=np.int64)
-        # Nearest-neighbour cache: nn_val[i] = min_j D[i, j], nn_idx[i] = argmin.
+        # slot_obj[s] is an object of the cluster in slot s; parent[obj] is
+        # the object whose cluster absorbed obj's (itself while a root).
+        slot_obj = np.arange(n, dtype=np.int64)
+        parent = np.arange(n, dtype=np.int64)
+        # Nearest-neighbour cache: nn_val[s] = min_t D[s, t], nn_idx[s] =
+        # argmin.  A retired slot has nn_val inf and nn_idx -1.
         nn_idx = np.argmin(D, axis=1)
         nn_val = D[np.arange(n), nn_idx]
 
     remaining = n
+    repairs = 0
+    compactions = 0
     target = 1 if force_k is None else force_k
     with phase("agglomerative.merge", n=n) as merge_span:
         while remaining > target:
-            candidates = np.flatnonzero(active)
-            pos = int(np.argmin(nn_val[candidates]))
-            i = int(candidates[pos])
+            # i is the first slot with the smallest cached distance; its
+            # neighbour j has that distance too, so j comes after i.
+            i = int(np.argmin(nn_val))
             j = int(nn_idx[i])
             value = float(nn_val[i])
             if force_k is None and value >= threshold:
@@ -93,40 +141,66 @@ def agglomerative(
 
             # Merge j into i with the average-linkage Lance-Williams update.
             si, sj = sizes[i], sizes[j]
-            merged_row = (si * D[i] + sj * D[j]) / (si + sj)
-            D[i] = merged_row
-            D[:, i] = merged_row
+            D[i] = (si * D[i] + sj * D[j]) / (si + sj)
             D[i, i] = np.inf
-            D[j, :] = np.inf
-            D[:, j] = np.inf
+            # Column i mirrors the stored (possibly float32) row.
+            D[:, i] = D[i]
             sizes[i] = si + sj
-            active[j] = False
-            labels[labels == j] = i
+            penalty[j] = np.inf
+            nn_val[j] = np.inf
+            nn_idx[j] = -1
+            parent[slot_obj[j]] = slot_obj[i]
             remaining -= 1
             if remaining == 1:
                 break
 
-            # Repair the nearest-neighbour cache.  Row i changed entirely; any
-            # row whose cached neighbour was i or j may now be stale; all other
-            # rows can only have *improved* towards i.
-            row_i = D[i]
-            nn_idx[i] = int(np.argmin(row_i))
-            nn_val[i] = row_i[nn_idx[i]]
+            # Repair the nearest-neighbour cache.  Only rows whose cached
+            # neighbour was i or j can have lost it (row i among them, as its
+            # neighbour was j); every other row can only have *improved*
+            # towards i.  A stale row whose distance to the merged cluster
+            # equals its cached minimum keeps that minimum, now first reached
+            # at i: every slot before its old neighbour (i or j, and i < j)
+            # was farther.  The other stale rows are recomputed in one batch.
+            stale = np.flatnonzero((nn_idx == i) | (nn_idx == j))
+            same = D[i, stale] == nn_val[stale]
+            nn_idx[stale[same]] = i
+            stale = stale[~same]
+            block = D[stale] + penalty
+            best = np.argmin(block, axis=1)
+            nn_idx[stale] = best
+            nn_val[stale] = block[np.arange(stale.size), best]
+            repairs += stale.size
 
-            stale = np.flatnonzero(active & ((nn_idx == i) | (nn_idx == j)))
-            for r in stale:
-                if r == i:
-                    continue
-                row = D[r]
-                nn_idx[r] = int(np.argmin(row))
-                nn_val[r] = row[nn_idx[r]]
-
-            better = active.copy()
-            better[i] = False
-            improved = np.flatnonzero(better & (D[:, i] < nn_val))
+            row_i = D[i] + penalty
+            improved = np.flatnonzero(row_i < nn_val)
             nn_idx[improved] = i
-            nn_val[improved] = D[improved, i]
+            nn_val[improved] = row_i[improved]
+
+            slots = penalty.size
+            if remaining <= slots // 2 and slots > _COMPACT_MIN_SLOTS:
+                # Gather the active submatrix, row by row in slot order, into
+                # the front of the buffer.  Row ``new`` of the result ends
+                # before any row ``old >= new + 1`` still to be read starts.
+                keep = np.flatnonzero(penalty == 0)
+                for new, old in enumerate(keep):
+                    buffer[new * remaining : (new + 1) * remaining] = D[old, keep]
+                D = buffer[: remaining * remaining].reshape(remaining, remaining)
+                # Active rows' neighbours are active, so all are found in keep.
+                nn_idx = np.searchsorted(keep, nn_idx[keep])
+                nn_val = nn_val[keep]
+                sizes = sizes[keep]
+                slot_obj = slot_obj[keep]
+                penalty = np.zeros(remaining, dtype=D.dtype)
+                compactions += 1
         merges = n - remaining
-        merge_span.set(merges=merges, clusters=remaining)
+        merge_span.set(
+            merges=merges, clusters=remaining, repairs=repairs, compactions=compactions
+        )
     inc("agglomerative.merges", merges)
-    return Clustering(labels)
+    # Pointer jumping: every object ends at the root of its merge tree.
+    while True:
+        grand = parent[parent]
+        if np.array_equal(grand, parent):
+            break
+        parent = grand
+    return Clustering(parent)

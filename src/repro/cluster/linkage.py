@@ -161,8 +161,8 @@ def linkage(
                 )
                 D[idx, a] = D[a, idx]
                 D[a, a] = np.inf
-                D[b, :] = np.inf
-                D[:, b] = np.inf
+                # b's row and column stay as they are: every read masks
+                # with ``active`` or indexes active clusters only.
                 sizes[a] += sizes[b]
                 active[b] = False
                 chain.pop()

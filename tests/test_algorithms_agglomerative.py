@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
-from repro import Clustering
+from repro import Clustering, aggregate
 from repro.core import CorrelationInstance
+from repro.core.atoms import collapse_duplicates
+from repro.core.kernels import default_dtype
 from repro.algorithms import agglomerative
+from repro.datasets import generate_mushrooms
+from repro.obs import tracing
 
-from conftest import random_aggregation_instance
+from conftest import planted_instance, random_aggregation_instance
 
 
 def reference_agglomerative(instance, threshold=0.5, force_k=None):
@@ -127,3 +131,170 @@ class TestAgainstReference:
         # Threshold 0 forbids all merging; threshold 1.01 merges everything.
         assert agglomerative(figure1_instance, threshold=0.0).k == 6
         assert agglomerative(figure1_instance, threshold=1.01).k == 1
+
+
+class TestArgumentValidation:
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf"), "0.5", None])
+    def test_bad_threshold(self, figure1_instance, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            agglomerative(figure1_instance, threshold=threshold)
+
+    @pytest.mark.parametrize("force_k", [2.5, 2.0, True, False, "2"])
+    def test_bad_force_k(self, figure1_instance, force_k):
+        with pytest.raises(ValueError, match="force_k"):
+            agglomerative(figure1_instance, force_k=force_k)
+
+    def test_numpy_scalars_accepted(self, figure1_instance):
+        expected = agglomerative(figure1_instance, threshold=0.5, force_k=3)
+        ours = agglomerative(figure1_instance, threshold=np.float32(0.5), force_k=np.int64(3))
+        assert ours == expected
+
+    def test_through_aggregate(self, figure1_clusterings):
+        with pytest.raises(ValueError, match="threshold"):
+            aggregate(figure1_clusterings, threshold=float("nan"))
+        with pytest.raises(ValueError, match="force_k"):
+            aggregate(figure1_clusterings, force_k=2.5)
+        with pytest.raises(ValueError, match="force_k"):
+            aggregate(figure1_clusterings, force_k=True)
+        assert aggregate(figure1_clusterings, threshold=0.5, force_k=2).clustering.k == 2
+
+
+def previous_agglomerative(instance, threshold=0.5, force_k=None):
+    """The merge loop over the full ``n x n`` matrix that writes infinity
+    into every retired row and column (test-only oracle, kept verbatim).
+
+    Unlike :func:`reference_agglomerative` it shares the production code's
+    float arithmetic and first-index tie-breaking, so it is exact on
+    tie-heavy and float32 instances too.
+    """
+    n = instance.n
+    if n == 1:
+        return Clustering.single_cluster(1)
+    D = instance.backend.materialize(default_dtype(n), copy=True)
+    np.fill_diagonal(D, np.inf)
+    active = np.ones(n, dtype=bool)
+    sizes = instance.effective_weights().copy()
+    labels = np.arange(n, dtype=np.int64)
+    nn_idx = np.argmin(D, axis=1)
+    nn_val = D[np.arange(n), nn_idx]
+    remaining = n
+    target = 1 if force_k is None else force_k
+    while remaining > target:
+        candidates = np.flatnonzero(active)
+        pos = int(np.argmin(nn_val[candidates]))
+        i = int(candidates[pos])
+        j = int(nn_idx[i])
+        value = float(nn_val[i])
+        if force_k is None and value >= threshold:
+            break
+
+        si, sj = sizes[i], sizes[j]
+        merged_row = (si * D[i] + sj * D[j]) / (si + sj)
+        D[i] = merged_row
+        D[:, i] = merged_row
+        D[i, i] = np.inf
+        D[j, :] = np.inf
+        D[:, j] = np.inf
+        sizes[i] = si + sj
+        active[j] = False
+        labels[labels == j] = i
+        remaining -= 1
+        if remaining == 1:
+            break
+
+        row_i = D[i]
+        nn_idx[i] = int(np.argmin(row_i))
+        nn_val[i] = row_i[nn_idx[i]]
+
+        stale = np.flatnonzero(active & ((nn_idx == i) | (nn_idx == j)))
+        for r in stale:
+            if r == i:
+                continue
+            row = D[r]
+            nn_idx[r] = int(np.argmin(row))
+            nn_val[r] = row[nn_idx[r]]
+
+        better = active.copy()
+        better[i] = False
+        improved = np.flatnonzero(better & (D[:, i] < nn_val))
+        nn_idx[improved] = i
+        nn_val[improved] = D[improved, i]
+    return Clustering(labels)
+
+
+def traced_agglomerative(instance, **params):
+    """Run agglomerative() and return its result and merge-span attributes."""
+    with tracing() as trace:
+        result = agglomerative(instance, **params)
+    (merge,) = trace.find("agglomerative.merge")
+    return result, merge.attrs
+
+
+def mushrooms_rows(n: int, seed: int) -> np.ndarray:
+    rows = np.random.default_rng(seed).choice(8124, size=n, replace=False)
+    return generate_mushrooms(rng=0).data[rows]
+
+
+def planted_matrix(n: int, m: int, seed: int) -> np.ndarray:
+    return planted_instance(n=n, m=m, groups=6, flip=0.2, seed=seed)[1]
+
+
+class TestAgainstPreviousLoop:
+    """Retired-slot masking, compaction, batched repair and the parent
+    array reproduce the previous loop's merges exactly."""
+
+    @pytest.mark.parametrize("n, seed", [(300, 0), (450, 1), (600, 2)])
+    def test_generic_instances_compact_several_times(self, n, seed):
+        _, instance = random_aggregation_instance(n=n, m=7, k=12, seed=seed)
+        ours, attrs = traced_agglomerative(instance, force_k=3)
+        assert attrs["compactions"] >= 2
+        assert ours == previous_agglomerative(instance, force_k=3)
+        assert agglomerative(instance) == previous_agglomerative(instance)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_tie_heavy_planted(self, m, seed):
+        instance = CorrelationInstance.from_label_matrix(planted_matrix(500, m, seed))
+        for force_k in (None, 2, 40):
+            expected = previous_agglomerative(instance, force_k=force_k)
+            assert agglomerative(instance, force_k=force_k) == expected
+
+    def test_mushrooms_with_missing_labels(self):
+        matrix = mushrooms_rows(500, seed=3)
+        assert (matrix < 0).any()
+        instance = CorrelationInstance.from_label_matrix(matrix)
+        assert agglomerative(instance) == previous_agglomerative(instance)
+        assert agglomerative(instance, force_k=5) == previous_agglomerative(instance, force_k=5)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_weighted_atoms(self, m):
+        atoms = collapse_duplicates(planted_matrix(2000, m, seed=m))
+        assert atoms.n_atoms > 2 * 64
+        instance = CorrelationInstance.from_label_matrix(atoms.matrix, weights=atoms.weights)
+        for force_k in (None, 2):
+            expected = previous_agglomerative(instance, force_k=force_k)
+            assert agglomerative(instance, force_k=force_k) == expected
+
+    def test_force_k_around_a_compaction_point(self):
+        # 400 slots compact to 200 on the merge that leaves 200 clusters.
+        _, instance = random_aggregation_instance(n=400, m=5, k=10, seed=4)
+        for force_k, compactions in ((201, 0), (200, 1), (199, 1)):
+            ours, attrs = traced_agglomerative(instance, force_k=force_k)
+            assert attrs["compactions"] == compactions
+            assert ours == previous_agglomerative(instance, force_k=force_k)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.01])
+    def test_threshold_extremes(self, threshold):
+        _, instance = random_aggregation_instance(n=300, m=5, k=8, seed=5)
+        ours = agglomerative(instance, threshold=threshold)
+        assert ours == previous_agglomerative(instance, threshold=threshold)
+        assert ours.k == (300 if threshold == 0.0 else 1)
+
+    @pytest.mark.no_contracts
+    def test_float32_working_matrix(self):
+        # Above 4096 objects the working matrix is float32; the merged row
+        # must be compared after it is stored at that precision.
+        matrix = mushrooms_rows(4200, seed=0)
+        instance = CorrelationInstance.from_label_matrix(matrix)
+        assert default_dtype(instance.n) == np.float32
+        assert agglomerative(instance) == previous_agglomerative(instance)

@@ -6,6 +6,9 @@ import scipy.cluster.hierarchy as sch
 
 from repro.core.labels import contingency_table
 from repro.cluster import hierarchical, linkage
+from repro.cluster.distances import euclidean_matrix, squared_euclidean
+from repro.cluster.linkage import _lance_williams_row
+from repro.datasets import seven_groups
 
 METHODS = ("single", "complete", "average", "ward")
 
@@ -108,3 +111,63 @@ class TestApi:
             result = linkage(random_points(7, n=25), method=method)
             heights = result.heights()
             assert np.all(np.diff(heights) >= -1e-9), method
+
+
+def reference_merges(points: np.ndarray, method: str) -> np.ndarray:
+    """The NN-chain loop as it was when it set a merged-away cluster's row
+    and column to infinity after every merge (test-only oracle)."""
+    pts = np.asarray(points, dtype=np.float64)
+    if method == "ward":
+        D = squared_euclidean(pts, pts)
+        np.fill_diagonal(D, 0.0)
+    else:
+        D = euclidean_matrix(pts)
+    n = D.shape[0]
+    np.fill_diagonal(D, np.inf)
+    active = np.ones(n, dtype=bool)
+    sizes = np.ones(n, dtype=np.int64)
+    merges = np.empty((n - 1, 3), dtype=np.float64)
+    chain: list[int] = []
+    merged = 0
+    while merged < n - 1:
+        if not chain:
+            chain.append(int(np.flatnonzero(active)[0]))
+        while True:
+            a = chain[-1]
+            row = np.where(active, D[a], np.inf)
+            row[a] = np.inf
+            b = int(np.argmin(row))
+            if len(chain) >= 2 and row[chain[-2]] <= row[b]:
+                b = chain[-2]
+            if len(chain) >= 2 and b == chain[-2]:
+                height = float(D[a, b])
+                merges[merged] = (a, b, height)
+                merged += 1
+                other = active.copy()
+                other[a] = other[b] = False
+                idx = np.flatnonzero(other)
+                D[a, idx] = _lance_williams_row(
+                    method, D[a, idx], D[b, idx], height, int(sizes[a]), int(sizes[b]), sizes[idx]
+                )
+                D[idx, a] = D[a, idx]
+                D[a, a] = np.inf
+                D[b, :] = np.inf
+                D[:, b] = np.inf
+                sizes[a] += sizes[b]
+                active[b] = False
+                chain.pop()
+                chain.pop()
+                break
+            chain.append(b)
+    return merges
+
+
+class TestMaskedRetiredClusters:
+    """Leaving a merged-away cluster's row and column unwritten changes no
+    merge: every read masks with ``active`` or indexes active clusters."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_figure3_merges_bitwise_unchanged(self, method):
+        points = seven_groups(rng=0).points
+        ours = linkage(points, method=method).merges
+        assert ours.tobytes() == reference_merges(points, method).tobytes()
