@@ -44,7 +44,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..core.distance import weighted_total_disagreement
+from ..core.distance import total_disagreement
 from ..core.instance import CorrelationInstance
 from ..core.kernels import check_missing_model, default_dtype, distance_block
 from ..core.labels import validate_label_matrix
@@ -129,7 +129,7 @@ def _scorer(
 
     Instances score with their own :meth:`~repro.core.instance.CorrelationInstance.cost`;
     label matrices score with the O(n * m) contingency objective
-    :func:`~repro.core.distance.weighted_total_disagreement`, keeping the
+    :func:`~repro.core.distance.total_disagreement` (``weights=``), keeping the
     fast path free of pair enumeration.  (The label scorer uses the
     coin-flip missing model; under ``missing="average"`` that makes
     candidate *selection* an approximation, never the candidates
@@ -141,7 +141,7 @@ def _scorer(
     matrix = np.asarray(data)
 
     def label_score(clustering: Clustering) -> float:
-        return weighted_total_disagreement(matrix, clustering, weights=weights, p=p)
+        return total_disagreement(matrix, clustering, p=p, weights=weights)
 
     return label_score
 

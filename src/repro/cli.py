@@ -38,12 +38,14 @@ Subcommands
     the consensus baselines or base clusterers; ``--verbose`` adds each
     method's parameter documentation, straight from the registry.
 
-``--json`` (on ``aggregate`` and ``stream``) switches the report to a
-single machine-readable JSON object for service integration.
+``--json`` (on ``aggregate``, ``portfolio``, ``shard``, ``stream`` and
+``pipeline run``) switches the report to a single machine-readable JSON
+object for service integration.
 
-``--trace`` (on ``aggregate``, ``portfolio`` and ``stream``) prints an
-indented span tree of the run from :mod:`repro.obs` — on stderr when
-combined with ``--json`` so stdout stays machine-readable.
+``--trace`` (on ``aggregate``, ``portfolio``, ``shard``, ``stream`` and
+``pipeline run``) prints an indented span tree of the run from
+:mod:`repro.obs` — on stderr when combined with ``--json`` so stdout
+stays machine-readable.
 ``--metrics-out PATH`` enables the metrics registry for the run and
 writes its snapshot JSON to ``PATH``.
 
@@ -428,14 +430,11 @@ def _command_aggregate(args: argparse.Namespace) -> int:
             params["sample_size"] = args.sample_size
     if args.method in STOCHASTIC_METHODS:
         params["rng"] = args.seed
-    # Methods that never materialize pair distances have no (cheap) lower
-    # bound to report — pivot/cmsy run straight off the label matrix.
-    compute_lb = args.method not in ("sampling", "best", "cmsy", "pivot", "sharded", "streaming")
+    # aggregate() skips the lower bound for methods that build no instance.
     result = aggregate(
         dataset.label_matrix(),
         method=args.method,
         p=args.p,
-        compute_lower_bound=compute_lb,
         collapse=args.collapse,
         n_jobs=args.jobs,
         backend=args.backend,

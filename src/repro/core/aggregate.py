@@ -24,14 +24,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
 from ..obs.trace import span
-from ..registry import SolveContext, aggregate_method_names, get_method
-from ..registry import resolve_instance_method as _resolve_instance_method
-from ..registry import stochastic_method_names
+from ..registry import SolveContext, aggregate_method_names, get_method, stochastic_method_names
 from .distance import total_disagreement
 from .instance import CorrelationInstance
 from .labels import as_label_matrix, validate_label_matrix
@@ -41,7 +39,6 @@ __all__ = [
     "aggregate",
     "AggregationResult",
     "available_methods",
-    "resolve_inner",
     "STOCHASTIC_METHODS",
 ]
 
@@ -54,14 +51,6 @@ def available_methods() -> tuple[str, ...]:
     so a new registration can never drift out of any of them.
     """
     return aggregate_method_names()
-
-
-def resolve_inner(inner: str | Callable[..., Clustering]) -> Callable[[CorrelationInstance], Clustering]:
-    """Resolve SAMPLING's inner algorithm from a name or callable.
-
-    Back-compat alias for :func:`repro.registry.resolve_instance_method`.
-    """
-    return _resolve_instance_method(inner)
 
 
 def __getattr__(name: str) -> Any:

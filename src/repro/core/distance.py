@@ -27,8 +27,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .kernels import check_missing_model
-from .labels import MISSING, as_label_matrix, contingency_table
+from .kernels import MISSING, check_missing_model, label_codes, label_histogram
+from .labels import as_label_matrix, check_label_entries, contingency_table
 from .partition import Clustering
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "clustering_distance",
     "expected_column_distance",
     "total_disagreement",
-    "weighted_total_disagreement",
     "normalized_distance",
     "distance_matrix",
 ]
@@ -46,14 +45,6 @@ def pairs_within(sizes: np.ndarray) -> int:
     """Number of unordered object pairs that fall inside the same cluster."""
     s = np.asarray(sizes, dtype=np.int64)
     return int((s * (s - 1) // 2).sum())
-
-
-def _co_clustered_pairs(labels: np.ndarray) -> int:
-    """Co-clustered pair count of a label vector (missing entries excluded)."""
-    present = labels[labels != MISSING]
-    if present.size == 0:
-        return 0
-    return pairs_within(np.bincount(present))
 
 
 def clustering_distance(first: Clustering, second: Clustering) -> int:
@@ -72,130 +63,94 @@ def expected_column_distance(
 ) -> float:
     """Expected disagreements between one (possibly partial) input column and a clustering.
 
-    ``column`` is one column of a label matrix and may contain ``-1``
-    (missing) entries.  Under the coin-flip model a missing-involved pair is
-    reported co-clustered with probability ``p``.  With no missing entries
-    this equals :func:`clustering_distance` exactly.
+    The one-column case of :func:`total_disagreement`: ``column`` may
+    contain ``-1`` (missing) entries, and under the coin-flip model a
+    missing-involved pair is reported co-clustered with probability
+    ``p``.  With no missing entries this equals
+    :func:`clustering_distance` exactly.
     """
-    check_missing_model(p)
     column = np.asarray(column)
     if column.shape != (clustering.n,):
         raise ValueError("column length must match the clustering size")
-    n = clustering.n
-    total_pairs = n * (n - 1) // 2
-
-    present = column != MISSING
-    concrete = int(present.sum())
-    concrete_pairs = concrete * (concrete - 1) // 2
-    missing_pairs = total_pairs - concrete_pairs
-
-    # Disagreements on fully-concrete pairs: the exact Mirkin count on the
-    # restriction to the objects the column labels.
-    table = contingency_table(column, clustering.labels)
-    same_col = pairs_within(table.sum(axis=1))
-    same_clu_concrete = pairs_within(table.sum(axis=0))
-    same_both = pairs_within(table.ravel())
-    concrete_disagreements = same_col + same_clu_concrete - 2 * same_both
-
-    # Expected disagreements on missing-involved pairs: (1-p) per pair the
-    # clustering joins, p per pair it splits.
-    same_clu_total = pairs_within(clustering.sizes())
-    same_clu_missing = same_clu_total - same_clu_concrete
-    diff_clu_missing = missing_pairs - same_clu_missing
-    expected_missing = (1.0 - p) * same_clu_missing + p * diff_clu_missing
-
-    return float(concrete_disagreements) + expected_missing
+    return total_disagreement(column[:, None], clustering, p=p)
 
 
 def total_disagreement(
     inputs: np.ndarray | Sequence[Clustering],
     clustering: Clustering,
     p: float = 0.5,
+    weights: np.ndarray | None = None,
 ) -> float:
     """The aggregation objective ``D(C) = sum_i d_V(C_i, C)``.
 
     ``inputs`` is either a label matrix (columns may contain missing
-    entries) or a sequence of :class:`Clustering` objects.  The result is an
-    exact integer-valued float when no entries are missing, and an expected
-    value under the coin-flip model otherwise.
-    """
-    matrix = inputs if isinstance(inputs, np.ndarray) else as_label_matrix(inputs)
-    if matrix.shape[0] != clustering.n:
-        raise ValueError("label matrix rows must match the clustering size")
-    return float(
-        sum(expected_column_distance(matrix[:, j], clustering, p=p) for j in range(matrix.shape[1]))
-    )
-
-
-def _weighted_pairs_within(groups: np.ndarray, weights: np.ndarray) -> float:
-    """Weighted unordered-pair mass inside each group: ``sum_g (S_g² - Q_g) / 2``.
-
-    With unit weights this is :func:`pairs_within`; in general each pair
-    ``(u, v)`` with ``u != v`` in the same group contributes ``w_u * w_v``
-    (self-pairs contribute nothing — on atom matrices those are the
-    intra-atom pairs, which the objective defines as zero).
-    """
-    sums = np.bincount(groups, weights=weights)
-    squares = np.bincount(groups, weights=weights * weights)
-    return float((sums * sums - squares).sum() / 2.0)
-
-
-def weighted_total_disagreement(
-    matrix: np.ndarray,
-    clustering: Clustering,
-    weights: np.ndarray | None = None,
-    p: float = 0.5,
-) -> float:
-    """``D(C)`` of a label matrix whose rows carry multiplicities.
-
-    The weighted aggregation objective: every unordered row pair
-    ``(u, v)`` counts ``w_u * w_v`` times, so on a duplicate-collapsed
-    (atom) matrix this equals :func:`total_disagreement` of the expanded
-    clustering over the expanded matrix.  ``weights=None`` means unit
-    multiplicities, where the value coincides with
-    :func:`total_disagreement` exactly.  Missing entries follow the
-    coin-flip model at probability ``p``.  Runs in ``O(n * m)`` — one
-    contingency pass per column, never enumerating pairs.
+    entries, or be entirely missing) or a sequence of :class:`Clustering`
+    objects.  Missing entries follow the coin-flip model: a
+    missing-involved pair costs ``1 - p`` where ``clustering`` joins it
+    and ``p`` where it splits it.  ``weights`` gives the rows
+    multiplicities: every unordered row pair ``(u, v)`` counts
+    ``w_u * w_v`` times, so on a duplicate-collapsed (atom) matrix this
+    is the objective of the expanded clustering over the expanded matrix
+    (``None`` means unit weights).  The result is an exact integer-valued
+    float with no missing entries and integer weights.  One weighted
+    contingency pass per column, ``O(n * m)`` in all, never enumerating
+    pairs.
     """
     check_missing_model(p)
-    matrix = np.asarray(matrix)
-    n, m = matrix.shape
-    if n != clustering.n:
-        raise ValueError("label matrix rows must match the clustering size")
-    if weights is None:
-        w = np.ones(n, dtype=np.float64)
-    else:
+    matrix = inputs if isinstance(inputs, np.ndarray) else as_label_matrix(inputs)
+    check_label_entries(matrix, "inputs")
+    n = clustering.n
+    if matrix.shape[0] != n:
+        raise ValueError("inputs rows must match the clustering size")
+    w: np.ndarray | None = None
+    squares: np.ndarray | None = None
+    if weights is not None:
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != (n,):
             raise ValueError("weights must give one multiplicity per row")
-    total_w = float(w.sum())
-    total_sq = float((w * w).sum())
-    total_pairs = (total_w * total_w - total_sq) / 2.0
+        if not np.all(np.isfinite(w) & (w >= 0.0)):
+            raise ValueError("weights must be finite and non-negative")
+        squares = w * w
     member = clustering.labels
-    same_clu_total = _weighted_pairs_within(member, w)
+    k = clustering.k
+    cluster_mass = np.bincount(member, weights=w, minlength=k)
+    total_mass = float(cluster_mass.sum())
+    # Unit weights are their own squares.
+    total_square = total_mass if squares is None else float(squares.sum())
+    all_pairs = (total_mass * total_mass - total_square) / 2.0
+    joined = _pair_mass(cluster_mass, total_square)
 
     total = 0.0
-    for j in range(m):
-        column = matrix[:, j]
-        present = column != MISSING
-        wc = w[present]
-        present_w = float(wc.sum())
-        present_sq = float((wc * wc).sum())
-        concrete_pairs = (present_w * present_w - present_sq) / 2.0
-        missing_pairs = total_pairs - concrete_pairs
-
-        _, codes = np.unique(column[present], return_inverse=True)
-        concrete_member = member[present]
-        joint = codes * (int(member.max()) + 1) + concrete_member
-        same_col = _weighted_pairs_within(codes, wc)
-        same_clu_concrete = _weighted_pairs_within(concrete_member, wc)
-        same_both = _weighted_pairs_within(joint, wc)
-        concrete_disagreements = same_col + same_clu_concrete - 2.0 * same_both
-
-        same_clu_missing = same_clu_total - same_clu_concrete
-        diff_clu_missing = missing_pairs - same_clu_missing
-        total += concrete_disagreements + (1.0 - p) * same_clu_missing + p * diff_clu_missing
+    for column in matrix.T:
+        codes, arity = label_codes(column)
+        table = label_histogram(member, codes, k, arity, w)  # cluster x label mass
+        by_cluster = table.sum(axis=1)
+        concrete_mass = float(by_cluster.sum())
+        if squares is None:
+            concrete_square = concrete_mass
+        else:
+            concrete_square = float(squares[codes != MISSING].sum())
+        concrete_pairs = (concrete_mass * concrete_mass - concrete_square) / 2.0
+        joined_concrete = _pair_mass(by_cluster, concrete_square)
+        # Concrete pairs joined by exactly one of the column and the clustering.
+        concrete_disagreements = (
+            _pair_mass(table.sum(axis=0), concrete_square)
+            + joined_concrete
+            - 2.0 * _pair_mass(table, concrete_square)
+        )
+        # Missing-involved pairs: 1 - p per pair the clustering joins, p per
+        # pair it splits.
+        joined_missing = joined - joined_concrete
+        split_missing = (all_pairs - concrete_pairs) - joined_missing
+        total += concrete_disagreements + ((1.0 - p) * joined_missing + p * split_missing)
     return total
+
+
+def _pair_mass(masses: np.ndarray, square_sum: float) -> float:
+    """``(sum(masses²) - square_sum) / 2``: the weighted unordered-pair mass
+    inside each group, given the groups' masses and their members' summed
+    squared weights (unit weights: ``pairs_within`` of the group sizes)."""
+    return (float((masses * masses).sum()) - square_sum) / 2.0
 
 
 def normalized_distance(first: Clustering, second: Clustering) -> float:

@@ -11,23 +11,33 @@ This is the one module that compares label columns pairwise.  Every
 entry is accumulated over the label columns in column order, whatever
 the row and column sets, so any tiling of ``X`` — row blocks, gathers,
 worker fan-outs, one streamed column at a time — is bitwise identical.
+
+It is also the one module that turns a label column into a count table:
+:func:`label_codes` is the single indexing rule, :func:`label_histogram`
+the weighted group-by-label table, and :func:`separation_mass` the
+coin-flip mass of rows against groups read off such a table — behind
+D(C), SAMPLING's assignment phase and the streaming mass updates.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .labels import MISSING
-
 __all__ = [
     "BLOCK_ROWS",
+    "MISSING",
     "check_missing_model",
     "default_dtype",
     "distance_block",
+    "label_codes",
     "label_histogram",
     "normalize",
+    "separation_mass",
     "separation_sums",
 ]
+
+#: Sentinel used in label matrices for "this clustering has no opinion".
+MISSING = -1
 
 #: Row-block height of the full-matrix builds (bounds the kernel temporaries).
 BLOCK_ROWS = 2048
@@ -140,6 +150,25 @@ def _object_ids(index: slice | np.ndarray, n: int) -> np.ndarray:
     return np.arange(*index.indices(n)) if isinstance(index, slice) else index
 
 
+def label_codes(column: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(codes, arity)``: count-table indices of one label column and the table width.
+
+    The one indexing rule of every count table: the raw labels when the
+    column's largest label is below its length, ``np.unique`` inverse
+    codes of the concrete labels otherwise (``MISSING`` stays in place).
+    Either way ``arity`` is at most the column length, so no table grows
+    with the label values; an all-missing column has arity 0.
+    """
+    top = int(column.max()) if column.size else MISSING
+    if top < column.size:
+        return column, top + 1
+    present = column != MISSING
+    uniq, inverse = np.unique(column[present], return_inverse=True)
+    codes = np.full(column.shape, MISSING, dtype=np.int64)
+    codes[present] = inverse.reshape(-1)  # numpy 2.0.x returns (c, 1)
+    return codes, int(uniq.size)
+
+
 def label_histogram(
     groups: np.ndarray,
     values: np.ndarray,
@@ -150,8 +179,39 @@ def label_histogram(
     """Float64 ``(k, arity)`` table: summed ``weights`` (default 1) of the
     objects in group ``g`` with concrete label ``v``, in object order."""
     present = values != MISSING
-    flat = groups[present] * arity + values[present]
+    flat = groups[present].astype(np.int64, copy=False) * arity + values[present]
     counts = np.bincount(
         flat, weights=None if weights is None else weights[present], minlength=k * arity
     )
     return counts.astype(np.float64, copy=False).reshape(k, arity)
+
+
+def separation_mass(
+    codes: np.ndarray,
+    counts: np.ndarray,
+    concrete: np.ndarray,
+    sizes: np.ndarray,
+    p: float,
+) -> np.ndarray:
+    """Float64 ``(rows, k)`` coin-flip separation mass of each row against each group.
+
+    One label column under the §2 coin-flip model: ``codes`` are the
+    rows' :func:`label_codes`, ``counts`` the groups' :func:`label_histogram`
+    over the same codes, ``concrete`` its row sums and ``sizes`` the
+    groups' total weights, missing members included.  Entry ``[v, g]``
+    sums, over the members ``u`` of ``g``, ``w_u`` when both labels are
+    concrete and differ and ``(1 - p) * w_u`` when either is missing.  A
+    missing row also pays the coin flip against itself when it belongs
+    to ``g``; callers that pin ``X[v, v] = 0`` subtract that term.
+    """
+    one_minus_p = 1.0 - p
+    present = codes != MISSING
+    mass = np.empty((codes.size, sizes.size), dtype=np.float64)
+    mass[~present] = one_minus_p * sizes
+    if present.any():
+        # Concrete v: one per concretely-differing member, a coin flip per
+        # member missing at this column.
+        mass[present] = (concrete - counts[:, codes[present]].T) + one_minus_p * (
+            sizes - concrete
+        )
+    return mass

@@ -18,59 +18,69 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from .kernels import MISSING, label_histogram
 from .partition import Clustering
 
 __all__ = [
     "MISSING",
     "as_label_matrix",
     "validate_label_matrix",
+    "check_label_entries",
     "columns_as_clusterings",
     "contingency_table",
     "compact_columns",
 ]
 
-#: Sentinel used in label matrices for "this clustering has no opinion".
-MISSING = -1
-
 
 def as_label_matrix(clusterings: Sequence[Clustering | Sequence[int] | np.ndarray]) -> np.ndarray:
-    """Stack clusterings into an ``(n, m)`` int32 label matrix.
+    """Stack clusterings into an ``(n, m)`` label matrix.
 
     Accepts :class:`Clustering` objects, label sequences, or 1-D arrays
     (which may already contain ``-1`` missing markers).  All inputs must
-    have the same length.
+    have the same length.  The matrix is int32, or int64 when a label
+    does not fit in int32 (a cast would merge distinct labels).
     """
     if len(clusterings) == 0:
         raise ValueError("need at least one clustering")
     columns = []
     for item in clusterings:
         if isinstance(item, Clustering):
-            columns.append(item.labels.astype(np.int32))
+            columns.append(item.labels.astype(np.int64))
         else:
             arr = np.asarray(item)
             if arr.ndim != 1:
                 raise ValueError("each clustering must be one-dimensional")
             if not np.issubdtype(arr.dtype, np.integer):
                 raise TypeError(f"labels must be integers, got dtype {arr.dtype}")
-            columns.append(arr.astype(np.int32))
+            columns.append(arr.astype(np.int64))
     n = columns[0].size
     if any(col.size != n for col in columns):
         raise ValueError("all clusterings must cover the same number of objects")
     matrix = np.column_stack(columns)
     validate_label_matrix(matrix)
+    if matrix.max() <= np.iinfo(np.int32).max:
+        matrix = matrix.astype(np.int32)
     return matrix
+
+
+def check_label_entries(matrix: np.ndarray, name: str = "label matrix") -> None:
+    """Shape, dtype and range checks of :func:`validate_label_matrix`.
+
+    Entirely missing columns pass; ``name`` leads the error messages.
+    """
+    if matrix.ndim != 2:
+        raise ValueError(f"{name} must be 2-D, got shape {matrix.shape}")
+    if matrix.shape[0] == 0 or matrix.shape[1] == 0:
+        raise ValueError(f"{name} must have at least one row and one column")
+    if not np.issubdtype(matrix.dtype, np.integer):
+        raise TypeError(f"{name} must be integer, got dtype {matrix.dtype}")
+    if np.any(matrix < MISSING):
+        raise ValueError(f"{name} labels must be >= -1 (-1 denotes a missing entry)")
 
 
 def validate_label_matrix(matrix: np.ndarray) -> None:
     """Raise ``ValueError`` unless ``matrix`` is a well-formed label matrix."""
-    if matrix.ndim != 2:
-        raise ValueError(f"label matrix must be 2-D, got shape {matrix.shape}")
-    if matrix.shape[0] == 0 or matrix.shape[1] == 0:
-        raise ValueError("label matrix must have at least one row and one column")
-    if not np.issubdtype(matrix.dtype, np.integer):
-        raise TypeError(f"label matrix must be integer, got dtype {matrix.dtype}")
-    if np.any(matrix < MISSING):
-        raise ValueError("labels must be >= -1 (-1 denotes a missing entry)")
+    check_label_entries(matrix)
     all_missing = np.all(matrix == MISSING, axis=0)
     if np.any(all_missing):
         bad = np.flatnonzero(all_missing).tolist()
@@ -91,24 +101,21 @@ def columns_as_clusterings(matrix: np.ndarray) -> list[Clustering]:
 def contingency_table(labels_a: np.ndarray, labels_b: np.ndarray) -> np.ndarray:
     """Joint count table of two label vectors, ignoring missing entries.
 
-    Returns a ``(ka, kb)`` array whose ``(i, j)`` entry counts the objects
-    labelled ``i`` by ``labels_a`` and ``j`` by ``labels_b``.  Pairs where
-    either side is missing (``-1``) are excluded.
+    Returns a ``(ka, kb)`` int64 array whose ``(i, j)`` entry counts the
+    objects labelled ``i`` by ``labels_a`` and ``j`` by ``labels_b`` (the
+    labels index the table).  Pairs where either side is missing (``-1``)
+    are excluded.
     """
     a = np.asarray(labels_a)
     b = np.asarray(labels_b)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("label vectors must be 1-D and of equal length")
     present = (a != MISSING) & (b != MISSING)
-    a = a[present]
-    b = b[present]
-    if a.size == 0:
+    if not present.any():
         return np.zeros((0, 0), dtype=np.int64)
-    ka = int(a.max()) + 1
-    kb = int(b.max()) + 1
-    table = np.zeros(ka * kb, dtype=np.int64)
-    np.add.at(table, a.astype(np.int64) * kb + b.astype(np.int64), 1)
-    return table.reshape(ka, kb)
+    a = a[present].astype(np.int64)
+    b = b[present].astype(np.int64)
+    return label_histogram(a, b, int(a.max()) + 1, int(b.max()) + 1).astype(np.int64)
 
 
 def compact_columns(matrix: np.ndarray) -> np.ndarray:

@@ -24,8 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from .instance import CorrelationInstance
-from .kernels import check_missing_model, label_histogram
-from .labels import MISSING, validate_label_matrix
+from .kernels import MISSING, check_missing_model, label_codes, label_histogram, separation_mass
+from .labels import validate_label_matrix
 from .partition import Clustering
 
 __all__ = ["MoveEvaluator", "ClusterCountTables"]
@@ -60,8 +60,7 @@ class MoveEvaluator:
         self._labels = labels.astype(np.int64).copy()
         # "Sizes" are total multiplicities; masses are weighted column sums,
         # so all score formulas below hold verbatim on atom instances.
-        self._sizes = np.zeros(k, dtype=np.float64)
-        np.add.at(self._sizes, self._labels, self._node_weights)
+        self._sizes = np.bincount(self._labels, weights=self._node_weights, minlength=k)
         self._mass = np.zeros((n, k), dtype=np.float64)
         singleton_start = k == n and np.array_equal(self._labels, np.arange(n))
         if self._X is not None:
@@ -390,25 +389,15 @@ class MoveEvaluator:
             raise RuntimeError("streaming mass updates require every object attached")
         labels = self._labels
         k = self._sizes.size
-        present = column != MISSING
-        one_minus_p = 1.0 - p
+        codes, arity = label_codes(column)
+        counts = label_histogram(labels, codes, k, arity)
         sizes = np.bincount(labels, minlength=k).astype(np.float64)
-        contrib = np.empty((self.n, k), dtype=np.float64)
-        if present.any():
-            values = column[present]
-            counts = label_histogram(labels, column, k, int(values.max()) + 1)
-            concrete = counts.sum(axis=1)
-            # Concrete v vs cluster c: one per concretely-differing member,
-            # a coin flip per member missing at this clustering.
-            contrib[present] = (concrete[None, :] - counts[:, values].T) + one_minus_p * (
-                sizes - concrete
-            )[None, :]
-        contrib[~present] = one_minus_p * sizes
+        contrib = separation_mass(codes, counts, counts.sum(axis=1), sizes, p)
         # X's diagonal is pinned to 0, so v contributes nothing to its own
         # cluster's mass; the concrete case already counts sep(v, v) = 0,
         # but a missing v must not pay the coin flip against itself.
-        missing_rows = np.flatnonzero(~present)
-        contrib[missing_rows, labels[missing_rows]] -= one_minus_p
+        missing_rows = np.flatnonzero(codes == MISSING)
+        contrib[missing_rows, labels[missing_rows]] -= 1.0 - p
         self._mass *= scale
         self._mass += factor * contrib
 
@@ -458,23 +447,23 @@ class ClusterCountTables:
                 raise ValueError("member_weights must align with member_rows")
             if np.any(weights < 1):
                 raise ValueError("member_weights must be >= 1")
-        self._matrix = matrix
+        k = int(member_labels.max()) + 1
+        if member_labels.min() < 0 or np.unique(member_labels).size != k:
+            raise ValueError("member_labels must use every label in 0..k-1")
         self._m = matrix.shape[1]
         self._p = p
-        self._k = int(member_labels.max()) + 1
-        self._sizes = np.zeros(self._k, dtype=np.float64)
-        np.add.at(self._sizes, member_labels, weights)
-        if np.any(self._sizes == 0):
-            raise ValueError("member_labels must use every label in 0..k-1")
-        # counts[j][l, val] = total multiplicity of cluster l's members with
-        # concrete value `val` in column j; concrete[j][l] = multiplicity of
-        # cluster l's members concrete at j.
+        self._k = k
+        self._sizes = np.bincount(member_labels, weights=weights, minlength=k)
+        # Per column j: the rows' label codes, counts[j][l, code] = total
+        # multiplicity of cluster l's members with that concrete label, and
+        # concrete[j][l] = multiplicity of cluster l's members concrete at j.
+        self._codes: list[np.ndarray] = []
         self._counts: list[np.ndarray] = []
-        self._concrete = np.zeros((self._m, self._k), dtype=np.float64)
-        sub = matrix[member_rows]
+        self._concrete = np.zeros((self._m, k), dtype=np.float64)
         for j in range(self._m):
-            arity = max(int(matrix[:, j].max()) + 1, 1)
-            table = label_histogram(member_labels, sub[:, j], self._k, arity, weights)
+            codes, arity = label_codes(matrix[:, j])
+            table = label_histogram(member_labels, codes[member_rows], k, arity, weights)
+            self._codes.append(codes)
             self._counts.append(table)
             self._concrete[j] = table.sum(axis=1)
 
@@ -489,26 +478,9 @@ class ClusterCountTables:
     def masses(self, rows: np.ndarray) -> np.ndarray:
         """``M(v, C_l)`` for each row ``v`` in ``rows``: an ``(len(rows), k)`` array."""
         rows = np.asarray(rows, dtype=np.int64)
-        block = self._matrix[rows]  # (b, m)
-        b = rows.size
-        one_minus_p = 1.0 - self._p
-        total = np.zeros((b, self._k), dtype=np.float64)
-        for j in range(self._m):
-            values = block[:, j]
-            present = values != MISSING
-            table = self._counts[j]
-            concrete = self._concrete[j]  # (k,)
-            # Missing-involved contribution: every member pair is a coin flip
-            # when v is missing; otherwise only the members missing at j are.
-            contribution = np.empty((b, self._k), dtype=np.float64)
-            contribution[~present] = one_minus_p * self._sizes
-            if present.any():
-                vals = values[present]
-                matches = table[:, vals].T  # (b_present, k)
-                contribution[present] = (concrete - matches) + one_minus_p * (
-                    self._sizes - concrete
-                )
-            total += contribution
+        total = np.zeros((rows.size, self._k), dtype=np.float64)
+        for codes, counts, concrete in zip(self._codes, self._counts, self._concrete):
+            total += separation_mass(codes[rows], counts, concrete, self._sizes, self._p)
         total /= self._m
         return total
 

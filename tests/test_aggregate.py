@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro import Clustering, aggregate, available_methods
-from repro.core.aggregate import resolve_inner
 from repro.core.labels import MISSING, as_label_matrix
+from repro.registry import resolve_instance_method
 
 from conftest import planted_instance
 
@@ -99,10 +99,10 @@ class TestApi:
 
     def test_resolve_inner_rejects_unknown(self):
         with pytest.raises(ValueError):
-            resolve_inner("nope")
+            resolve_instance_method("nope")
 
     def test_resolve_inner_accepts_callable(self):
-        fn = resolve_inner(lambda instance: Clustering.singletons(instance.n))
+        fn = resolve_instance_method(lambda instance: Clustering.singletons(instance.n))
         assert callable(fn)
 
 

@@ -119,6 +119,17 @@ class TestCli:
         assert 0.0 <= report["class_error"] <= 1.0
         assert report["seed"] is None  # agglomerative is deterministic
 
+    @pytest.mark.parametrize(
+        "method, has_bound", [("sampling", False), ("pivot", False), ("agglomerative", True)]
+    )
+    def test_json_lower_bound_only_with_an_instance(self, votes_csv, capsys, method, has_bound):
+        assert main(["aggregate", votes_csv, "--method", method, "--seed", "1", "--json"]) == 0
+        bound = json.loads(capsys.readouterr().out)["lower_bound"]
+        if has_bound:
+            assert isinstance(bound, float) and bound > 0.0
+        else:
+            assert bound is None
+
 
 class TestStreamCli:
     def test_stream_replays_and_reports(self, votes_csv, capsys):

@@ -169,6 +169,52 @@ class TestTotalDisagreement:
         alone = total_disagreement([c], c)
         assert alone == 0.0
 
+    def test_all_missing_column_is_pure_coin_flip(self):
+        # Shard sub-matrices and column prefixes may hold such columns.
+        matrix = np.array([[0, MISSING], [0, MISSING], [1, MISSING]])
+        together = Clustering([0, 0, 1])
+        assert total_disagreement(matrix, together, p=0.25) == 0.75 * 1 + 0.25 * 2
+
+    def test_unit_weights_equal_no_weights(self):
+        matrix = np.array([[0, 1], [0, MISSING], [1, 1], [2, 0]])
+        clustering = Clustering([0, 0, 1, 1])
+        for p in (0.0, 0.3, 0.5, 1.0):
+            assert total_disagreement(matrix, clustering, p=p, weights=np.ones(4)) == (
+                total_disagreement(matrix, clustering, p=p)
+            )
+
+    def test_weights_count_pairs_by_product(self):
+        # Row 0 twice over equals duplicating it: the expanded objective.
+        matrix = np.array([[0, 1], [0, 0], [1, 0]])
+        clustering = Clustering([0, 0, 1])
+        expanded = np.array([[0, 1], [0, 1], [0, 0], [1, 0]])
+        assert total_disagreement(
+            matrix, clustering, weights=np.array([2.0, 1.0, 1.0])
+        ) == total_disagreement(expanded, Clustering([0, 0, 0, 1]))
+
+    @pytest.mark.parametrize(
+        "inputs, error",
+        [
+            (np.array([[0.0, 1.0], [1.0, 0.0]]), TypeError),
+            (np.array([[0, 1], [-2, 0]]), ValueError),
+            (np.array([0, 1]), ValueError),
+            (np.zeros((2, 0), dtype=np.int64), ValueError),
+        ],
+        ids=["float", "below-missing", "one-dimensional", "no-columns"],
+    )
+    def test_rejects_malformed_inputs(self, inputs, error):
+        with pytest.raises(error, match="inputs"):
+            total_disagreement(inputs, Clustering([0, 1]))
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[1.0, np.nan], [1.0, -0.5], [1.0, np.inf], [1.0, 1.0, 1.0]],
+        ids=["nan", "negative", "inf", "wrong-length"],
+    )
+    def test_rejects_bad_weights(self, weights):
+        with pytest.raises(ValueError, match="weights"):
+            total_disagreement(np.array([[0], [1]]), Clustering([0, 1]), weights=weights)
+
 
 class TestNormalizedAndMatrix:
     def test_normalized_range(self):

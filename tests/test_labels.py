@@ -42,6 +42,12 @@ class TestAsLabelMatrix:
         with pytest.raises(TypeError):
             as_label_matrix([np.array([0.5, 1.0])])
 
+    def test_labels_beyond_int32_stay_distinct(self):
+        # An int32 cast would wrap 2**32 onto 0 and merge the two labels.
+        matrix = as_label_matrix([np.array([0, 2**32, 0, 2**32]), np.array([0, 1, 0, 1])])
+        assert matrix.dtype == np.int64
+        assert matrix[:, 0].tolist() == [0, 2**32, 0, 2**32]
+
 
 class TestValidate:
     def test_accepts_well_formed(self):

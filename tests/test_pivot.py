@@ -28,7 +28,6 @@ import pytest
 from repro import Clustering, aggregate
 from repro.cli import main
 from repro.core import CorrelationInstance, total_disagreement
-from repro.core.distance import weighted_total_disagreement
 from repro.core.aggregate import STOCHASTIC_METHODS, available_methods
 from repro.core.atoms import collapse_duplicates
 from repro.core.instance import disagreement_fractions
@@ -416,8 +415,8 @@ class TestRepeats:
         )
         clustering = Clustering(np.random.default_rng(4).integers(0, 3, size=12))
         for p in (0.3, 0.5):
-            assert weighted_total_disagreement(
-                matrix, clustering, p=p
+            assert total_disagreement(
+                matrix, clustering, p=p, weights=np.ones(12)
             ) == pytest.approx(total_disagreement(matrix, clustering, p=p))
 
     def test_weighted_scoring_matches_the_expanded_objective(self):
@@ -429,7 +428,7 @@ class TestRepeats:
         rng = np.random.default_rng(9)
         for _ in range(5):
             candidate = Clustering(rng.integers(0, 3, size=atoms.n_atoms))
-            weighted = weighted_total_disagreement(
+            weighted = total_disagreement(
                 atoms.matrix, candidate, weights=atoms.weights.astype(np.float64)
             )
             assert weighted == pytest.approx(instance.disagreements(candidate))
