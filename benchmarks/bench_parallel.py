@@ -2,7 +2,9 @@
 
 Times the serial vs process-parallel paths of the two repro.parallel
 entry points — the O(m n²) instance build and the algorithm portfolio —
-and verifies bit-identity between them while at it.  Speedup is
+and verifies bit-identity between them while at it.  The build fans out
+only when the row grid has more than one block, so sizes up to 2048
+report the serial build on both sides, as the library runs it.  Speedup is
 *reported, not asserted*: the ratio is a property of the host (worker
 count, cores, memory bandwidth), and CI containers are routinely
 single-core, where the honest ratio is ≤ 1.
@@ -25,7 +27,7 @@ import numpy as np
 
 from repro.core.instance import disagreement_fractions
 from repro.experiments import banner, render_table
-from repro.parallel import parallel_disagreement_fractions, portfolio, resolve_jobs
+from repro.parallel import portfolio, resolve_jobs
 
 from conftest import once
 
@@ -34,7 +36,6 @@ _PORTFOLIO_SIZE = 2000
 _QUICK_BUILD_SIZES = (600, 1200)
 _QUICK_PORTFOLIO_SIZE = 400
 _M = 8
-_BLOCK_ROWS = 256  # fan-out granularity: enough blocks to feed every worker
 
 
 def _label_matrix(n: int, seed: int) -> np.ndarray:
@@ -49,9 +50,7 @@ def _time_build(n: int, jobs: int) -> tuple[float, float, bool]:
     serial = disagreement_fractions(matrix, n_jobs=1)
     serial_seconds = time.perf_counter() - start
     start = time.perf_counter()
-    fanned = parallel_disagreement_fractions(
-        matrix, n_jobs=jobs, block_rows=_BLOCK_ROWS
-    )
+    fanned = disagreement_fractions(matrix, n_jobs=jobs)
     parallel_seconds = time.perf_counter() - start
     return serial_seconds, parallel_seconds, bool(np.array_equal(serial, fanned))
 

@@ -47,7 +47,7 @@ import numpy as np
 from ..core.distance import total_disagreement
 from ..core.instance import CorrelationInstance
 from ..core.kernels import check_missing_model, default_dtype, distance_block
-from ..core.labels import validate_label_matrix
+from ..core.labels import check_weights, validate_label_matrix
 from ..core.partition import Clustering
 from ..obs.metrics import inc
 from ..obs.profile import phase
@@ -105,9 +105,7 @@ def _prepare(
     validate_label_matrix(matrix)
     n = int(matrix.shape[0])
     if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (n,):
-            raise ValueError("weights must give one multiplicity per row")
+        weights = check_weights(weights, n)
         if np.any(weights <= 0.0):
             raise ValueError("weights must be positive multiplicities")
     dtype = default_dtype(n)

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from ..core.instance import CorrelationInstance
-from ..core.labels import validate_label_matrix
+from ..core.labels import check_weights, validate_label_matrix
 from ..core.objective import ClusterCountTables
 from ..core.partition import Clustering
 from ..obs.metrics import inc
@@ -169,9 +169,7 @@ def sampling(
         instance = None
         n = matrix.shape[0]
         if weights is not None:
-            weights = np.asarray(weights, dtype=np.float64)
-            if weights.shape != (n,):
-                raise ValueError("weights must give one multiplicity per row")
+            weights = check_weights(weights, n)
             if np.any(weights < 0.0):
                 raise ValueError("weights must be non-negative multiplicities")
     generator = np.random.default_rng(rng)

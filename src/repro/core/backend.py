@@ -40,10 +40,12 @@ from .kernels import check_missing_model, default_dtype, distance_block
 from .labels import validate_label_matrix
 
 __all__ = [
+    "CACHE_BLOCKS",
     "DEFAULT_LAZY_THRESHOLD",
     "DenseBackend",
     "LazyLabelBackend",
     "PairDistanceBackend",
+    "grid_blocks",
     "lazy_threshold",
     "reduction_block_rows",
     "resolve_backend",
@@ -58,6 +60,9 @@ LAZY_THRESHOLD_ENV_VAR = "REPRO_LAZY_THRESHOLD"
 #: Cap on the per-block temporary: blocks hold about this many entries.
 _BLOCK_ENTRIES = 1 << 22
 
+#: Capacity of the lazy backend's LRU cache, in grid blocks.
+CACHE_BLOCKS = 8
+
 
 def reduction_block_rows(n: int) -> int:
     """The deterministic row-block height used by every blocked reduction.
@@ -69,6 +74,17 @@ def reduction_block_rows(n: int) -> int:
     roughly 32 MB.
     """
     return max(64, min(2048, _BLOCK_ENTRIES // max(1, n)))
+
+
+def grid_blocks(n: int) -> Iterator[tuple[int, int]]:
+    """The ``(start, stop)`` row blocks of the :func:`reduction_block_rows` grid.
+
+    The one row tiling of ``X``: the dense build, its pooled fan-out, the
+    streaming update, the lazy cache and every blocked reduction walk it.
+    """
+    step = reduction_block_rows(n)
+    for start in range(0, n, step):
+        yield start, min(start + step, n)
 
 
 def lazy_threshold() -> int:
@@ -170,9 +186,7 @@ class PairDistanceBackend:
     # ------------------------------------------------------------------
 
     def blocks(self) -> Iterator[tuple[int, int]]:
-        step = reduction_block_rows(self.n)
-        for start in range(0, self.n, step):
-            yield start, min(start + step, self.n)
+        return grid_blocks(self.n)
 
     def materialize(self, dtype: np.dtype | type | None = None, copy: bool = False) -> np.ndarray:
         """The full ``(n, n)`` matrix, assembled block by block.
@@ -341,9 +355,9 @@ class LazyLabelBackend(PairDistanceBackend):
     computes any requested rows with the same :mod:`repro.core.kernels`
     kernel (same missing-value model, same dtype rules) the batch build
     uses, so every block is bitwise equal to the corresponding rows of the
-    materialized matrix.  Grid-aligned blocks (the
-    :func:`reduction_block_rows` grid by default) are held in a small LRU
-    cache so repeated scans and nearby row fetches amortize the kernel cost.
+    materialized matrix.  Blocks of the :func:`grid_blocks` grid are held
+    in an LRU cache of :data:`CACHE_BLOCKS` blocks so repeated scans and
+    nearby row fetches amortize the kernel cost.
     """
 
     __slots__ = (
@@ -354,7 +368,6 @@ class LazyLabelBackend(PairDistanceBackend):
         "_missing",
         "_dtype",
         "_block_rows",
-        "_cache_blocks",
         "_cache",
     )
 
@@ -364,8 +377,6 @@ class LazyLabelBackend(PairDistanceBackend):
         p: float = 0.5,
         dtype: np.dtype | type | None = None,
         missing: str = "coin-flip",
-        block_rows: int | None = None,
-        cache_blocks: int = 8,
         validate: bool = True,
     ) -> None:
         matrix = np.asarray(matrix)
@@ -378,12 +389,7 @@ class LazyLabelBackend(PairDistanceBackend):
         self._dtype: np.dtype = default_dtype(self._n) if dtype is None else np.dtype(dtype)
         self._p = float(p)
         self._missing = missing
-        self._block_rows = reduction_block_rows(self._n) if block_rows is None else int(block_rows)
-        if self._block_rows < 1:
-            raise ValueError("block_rows must be positive")
-        if cache_blocks < 0:
-            raise ValueError("cache_blocks must be >= 0")
-        self._cache_blocks = int(cache_blocks)
+        self._block_rows = reduction_block_rows(self._n)
         self._cache: OrderedDict[int, np.ndarray] = OrderedDict()
 
     # ------------------------------------------------------------------
@@ -422,16 +428,6 @@ class LazyLabelBackend(PairDistanceBackend):
         """Missing-value strategy: ``"coin-flip"`` or ``"average"``."""
         return self._missing
 
-    @property
-    def cache_blocks(self) -> int:
-        """Capacity of the LRU block cache (number of grid blocks)."""
-        return self._cache_blocks
-
-    @property
-    def block_rows(self) -> int:
-        """Cache granularity: rows per grid block."""
-        return self._block_rows
-
     def cached_block_indices(self) -> tuple[int, ...]:
         """Grid-block indices currently held in the LRU cache (LRU first)."""
         return tuple(self._cache)
@@ -456,10 +452,9 @@ class LazyLabelBackend(PairDistanceBackend):
             return cached
         start = index * self._block_rows
         block = self._compute(start, min(start + self._block_rows, self._n))
-        if self._cache_blocks > 0:
-            self._cache[index] = block
-            while len(self._cache) > self._cache_blocks:
-                self._cache.popitem(last=False)
+        self._cache[index] = block
+        while len(self._cache) > CACHE_BLOCKS:
+            self._cache.popitem(last=False)
         return block
 
     def row_block(self, start: int, stop: int) -> np.ndarray:
@@ -494,6 +489,5 @@ class LazyLabelBackend(PairDistanceBackend):
             p=self._p,
             dtype=self._dtype,
             missing=self._missing,
-            cache_blocks=self._cache_blocks,
             validate=False,
         )

@@ -28,7 +28,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .kernels import MISSING, check_missing_model, label_codes, label_histogram
-from .labels import as_label_matrix, check_label_entries, contingency_table
+from .labels import as_label_matrix, check_label_entries, check_weights, contingency_table
 from .partition import Clustering
 
 __all__ = [
@@ -105,11 +105,9 @@ def total_disagreement(
     w: np.ndarray | None = None
     squares: np.ndarray | None = None
     if weights is not None:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (n,):
-            raise ValueError("weights must give one multiplicity per row")
-        if not np.all(np.isfinite(w) & (w >= 0.0)):
-            raise ValueError("weights must be finite and non-negative")
+        w = check_weights(weights, n)
+        if np.any(w < 0.0):
+            raise ValueError("weights must be non-negative")
         squares = w * w
     member = clustering.labels
     k = clustering.k

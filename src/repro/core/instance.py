@@ -28,9 +28,15 @@ import numpy as np
 from ..analysis.contracts import check_distance_matrix, contracts_enabled
 from ..obs.metrics import inc
 from ..obs.profile import phase
-from .backend import DenseBackend, LazyLabelBackend, PairDistanceBackend, resolve_backend
-from .kernels import BLOCK_ROWS, check_missing_model, default_dtype, distance_block
-from .labels import MISSING, as_label_matrix, validate_label_matrix
+from .backend import (
+    DenseBackend,
+    LazyLabelBackend,
+    PairDistanceBackend,
+    grid_blocks,
+    resolve_backend,
+)
+from .kernels import check_missing_model, default_dtype, distance_block
+from .labels import MISSING, as_label_matrix, check_weights, validate_label_matrix
 from .partition import Clustering
 
 __all__ = ["CorrelationInstance", "disagreement_fractions"]
@@ -58,31 +64,32 @@ def disagreement_fractions(
       taken over those; a pair with no commonly-concrete column gets the
       uninformative 0.5.
 
-    Computed in row blocks to bound temporary memory; defaults to float64
-    up to 4096 objects and float32 beyond.  ``n_jobs`` selects the
-    process-parallel row-block build of :mod:`repro.parallel.build`
-    (``None`` consults the ``REPRO_JOBS`` environment variable, see
-    :func:`repro.parallel.resolve_jobs`); any worker count produces a
-    bit-identical matrix, and small instances stay on the serial path
-    regardless.
+    Computed on the :func:`~repro.core.backend.grid_blocks` row grid to
+    bound temporary memory; defaults to float64 up to 4096 objects and
+    float32 beyond.  ``n_jobs`` fills the blocks from a shared-memory
+    worker pool (:mod:`repro.parallel.build`) when the grid has more than
+    one block (``None`` consults the ``REPRO_JOBS`` environment variable,
+    see :func:`repro.parallel.resolve_jobs`); any worker count produces a
+    bit-identical matrix.
     """
+    matrix = np.asarray(matrix)
     validate_label_matrix(matrix)
     check_missing_model(p, missing)
     n = matrix.shape[0]
-    if dtype is None:
-        dtype = default_dtype(n)
-    if n_jobs is None or n_jobs != 1:
-        from ..parallel.build import MIN_PARALLEL_ROWS, parallel_disagreement_fractions
+    np_dtype = default_dtype(n) if dtype is None else np.dtype(dtype)
+    blocks = list(grid_blocks(n))
+    if n_jobs != 1:
         from ..parallel.shm import resolve_jobs
 
-        if resolve_jobs(n_jobs) > 1 and n >= MIN_PARALLEL_ROWS:
-            return parallel_disagreement_fractions(
-                matrix, p=p, dtype=dtype, missing=missing, n_jobs=n_jobs
-            )
-    X = np.empty((n, n), dtype=dtype)
-    for start in range(0, n, BLOCK_ROWS):
-        rows = slice(start, min(start + BLOCK_ROWS, n))
-        X[rows] = distance_block(matrix, rows, p=p, dtype=dtype, missing=missing)
+        jobs = min(resolve_jobs(n_jobs), len(blocks))
+        if jobs > 1:
+            from ..parallel.build import _pooled_fill
+
+            return _pooled_fill(matrix, blocks, p, np_dtype, missing, jobs)
+    X = np.empty((n, n), dtype=np_dtype)
+    for start, stop in blocks:
+        rows = slice(start, stop)
+        X[rows] = distance_block(matrix, rows, p=p, dtype=np_dtype, missing=missing)
     return X
 
 
@@ -136,9 +143,7 @@ class CorrelationInstance:
             raise ValueError("m must be a positive count of input clusterings")
         self._m = m
         if weights is not None:
-            weights = np.asarray(weights, dtype=np.float64)
-            if weights.shape != (backend.n,):
-                raise ValueError("weights must give one multiplicity per object")
+            weights = check_weights(weights, backend.n)
             if np.any(weights < 1):
                 raise ValueError("weights must be >= 1 (duplicate multiplicities)")
         self._weights = weights
@@ -190,6 +195,8 @@ class CorrelationInstance:
         ``"auto"`` picks lazy above :func:`repro.core.backend.lazy_threshold`
         objects.
         """
+        matrix = np.asarray(matrix)
+        validate_label_matrix(matrix)
         if resolve_backend(backend, int(matrix.shape[0])) == "lazy":
             return cls.lazy_from_label_matrix(
                 matrix, p=p, dtype=dtype, missing=missing, weights=weights
@@ -221,8 +228,6 @@ class CorrelationInstance:
         dtype: np.dtype | type | None = None,
         missing: str = "coin-flip",
         weights: np.ndarray | None = None,
-        block_rows: int | None = None,
-        cache_blocks: int = 8,
     ) -> "CorrelationInstance":
         """Build a label-backed instance that never materializes ``X``.
 
@@ -230,21 +235,13 @@ class CorrelationInstance:
         blocks on demand through a :class:`~repro.core.backend.LazyLabelBackend`
         (same missing-value model and dtype rules as the dense build, and
         bitwise-identical entries).  Memory stays O(n * m) plus a small
-        LRU cache of ``cache_blocks`` row blocks, which is what lets
-        BALLS and SAMPLING run at n = 50k-100k where the dense matrix
-        cannot be allocated.
+        LRU cache of row blocks, which is what lets BALLS and SAMPLING run
+        at n = 50k-100k where the dense matrix cannot be allocated.
         """
-        lazy = LazyLabelBackend(
-            matrix,
-            p=p,
-            dtype=dtype,
-            missing=missing,
-            block_rows=block_rows,
-            cache_blocks=cache_blocks,
-        )
+        lazy = LazyLabelBackend(matrix, p=p, dtype=dtype, missing=missing)
         inc("instance.builds")
-        inc("instance.build.rows", float(matrix.shape[0]))
-        return cls(m=int(matrix.shape[1]), weights=weights, backend=lazy)
+        inc("instance.build.rows", float(lazy.n))
+        return cls(m=lazy.m, weights=weights, backend=lazy)
 
     @classmethod
     def from_clusterings(

@@ -24,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "BLOCK_ROWS",
     "MISSING",
     "check_missing_model",
     "default_dtype",
@@ -38,9 +37,6 @@ __all__ = [
 
 #: Sentinel used in label matrices for "this clustering has no opinion".
 MISSING = -1
-
-#: Row-block height of the full-matrix builds (bounds the kernel temporaries).
-BLOCK_ROWS = 2048
 
 _ALL = slice(None)
 

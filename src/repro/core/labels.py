@@ -26,6 +26,7 @@ __all__ = [
     "as_label_matrix",
     "validate_label_matrix",
     "check_label_entries",
+    "check_weights",
     "columns_as_clusterings",
     "contingency_table",
     "compact_columns",
@@ -76,6 +77,20 @@ def check_label_entries(matrix: np.ndarray, name: str = "label matrix") -> None:
         raise TypeError(f"{name} must be integer, got dtype {matrix.dtype}")
     if np.any(matrix < MISSING):
         raise ValueError(f"{name} labels must be >= -1 (-1 denotes a missing entry)")
+
+
+def check_weights(weights: np.ndarray, n: int, name: str = "weights") -> np.ndarray:
+    """``weights`` as a float64 vector of ``n`` finite multiplicities.
+
+    Raises ``ValueError`` naming ``name`` on a wrong shape or a NaN or
+    infinite entry; each caller applies its own lower bound.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (n,):
+        raise ValueError(f"{name} must give one multiplicity per row, got shape {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"{name} must be finite")
+    return w
 
 
 def validate_label_matrix(matrix: np.ndarray) -> None:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .instance import CorrelationInstance
 from .kernels import MISSING, check_missing_model, label_codes, label_histogram, separation_mass
-from .labels import validate_label_matrix
+from .labels import check_weights, validate_label_matrix
 from .partition import Clustering
 
 __all__ = ["MoveEvaluator", "ClusterCountTables"]
@@ -442,9 +442,7 @@ class ClusterCountTables:
         if member_weights is None:
             weights = np.ones(member_rows.size, dtype=np.float64)
         else:
-            weights = np.asarray(member_weights, dtype=np.float64)
-            if weights.shape != member_rows.shape:
-                raise ValueError("member_weights must align with member_rows")
+            weights = check_weights(member_weights, member_rows.size, "member_weights")
             if np.any(weights < 1):
                 raise ValueError("member_weights must be >= 1")
         k = int(member_labels.max()) + 1

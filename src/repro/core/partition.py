@@ -46,7 +46,7 @@ class Clustering:
     >>> c = Clustering([5, 5, 9, 9, 2])
     >>> c.n, c.k
     (5, 3)
-    >>> list(c.labels)
+    >>> c.labels.tolist()
     [0, 0, 1, 1, 2]
     >>> c == Clustering([1, 1, 0, 0, 7])
     True

@@ -15,7 +15,7 @@ environment variable, then the serial default of 1; zero or negative
 means "all cores".
 """
 
-from .build import MIN_PARALLEL_ROWS, parallel_assign, parallel_disagreement_fractions
+from .build import parallel_assign
 from .portfolio import DEFAULT_PORTFOLIO, AlgorithmRun, PortfolioResult, portfolio
 from .shm import JOBS_ENV_VAR, SharedNDArray, resolve_jobs
 
@@ -23,11 +23,9 @@ __all__ = [
     "AlgorithmRun",
     "DEFAULT_PORTFOLIO",
     "JOBS_ENV_VAR",
-    "MIN_PARALLEL_ROWS",
     "PortfolioResult",
     "SharedNDArray",
     "parallel_assign",
-    "parallel_disagreement_fractions",
     "portfolio",
     "resolve_jobs",
 ]

@@ -4,13 +4,15 @@ The ``O(m n²)`` build of the pairwise separation fractions (§3 of the
 paper) is embarrassingly parallel across row blocks: every block of
 :func:`~repro.core.kernels.distance_block` depends only on the label
 matrix, and every matrix element is accumulated in the same column order
-regardless of how the rows are tiled.  :func:`parallel_disagreement_fractions`
-exploits exactly that — the label matrix and the output ``X`` live in
-shared memory (:class:`~repro.parallel.shm.SharedNDArray`; nothing
-quadratic is ever pickled), the ``BLOCK_ROWS`` row blocks of the serial
-build are fanned out over a worker pool, and each worker writes its
-normalized block straight into the shared ``X`` buffer.  The result is
-bit-identical to the serial path for any worker count.
+regardless of how the rows are tiled.  When
+:func:`~repro.core.instance.disagreement_fractions` runs with more than one
+worker and more than one grid block, it hands its block list to the
+pooled fill here — the label matrix and the output ``X`` live in shared
+memory (:class:`~repro.parallel.shm.SharedNDArray`; nothing quadratic is
+ever pickled), the blocks are fanned out over a worker pool, and each
+worker writes its normalized block straight into the shared ``X``
+buffer.  The result is bit-identical to the serial path for any worker
+count.
 
 :func:`parallel_assign` gives the SAMPLING assignment phase (§4.1) the
 same treatment: the per-block cheapest-cluster scoring against fixed
@@ -34,26 +36,14 @@ from typing import Any
 import numpy as np
 
 from ..core.backend import LazyLabelBackend
-from ..core.instance import CorrelationInstance, disagreement_fractions
-from ..core.kernels import BLOCK_ROWS, check_missing_model, default_dtype, distance_block
-from ..core.labels import validate_label_matrix
+from ..core.instance import CorrelationInstance
+from ..core.kernels import distance_block
 from ..core.objective import ClusterCountTables
 from ..obs.metrics import observe
 from ..obs.trace import span
 from .shm import SharedNDArray, resolve_jobs
 
-__all__ = [
-    "MIN_PARALLEL_ROWS",
-    "attach_instance",
-    "parallel_assign",
-    "parallel_disagreement_fractions",
-    "pool",
-    "share_instance",
-]
-
-#: Below this many objects the dispatch in ``disagreement_fractions``
-#: stays serial even when ``n_jobs > 1`` — pool startup would dominate.
-MIN_PARALLEL_ROWS = 1024
+__all__ = ["attach_instance", "parallel_assign", "pool", "share_instance"]
 
 #: Per-worker state installed by the pool initializers (set in workers only).
 _WORKER: dict[str, Any] = {}
@@ -103,8 +93,6 @@ def share_instance(instance: CorrelationInstance) -> Iterator[dict[str, Any]]:
                 "p": backend.p,
                 "missing": backend.missing,
                 "dtype": backend.dtype.str,
-                "block_rows": backend.block_rows,
-                "cache_blocks": backend.cache_blocks,
                 **common,
             }
     else:
@@ -129,8 +117,6 @@ def attach_instance(payload: dict[str, Any]) -> tuple[CorrelationInstance, Share
                 p=payload["p"],
                 dtype=np.dtype(payload["dtype"]),
                 missing=payload["missing"],
-                block_rows=payload["block_rows"],
-                cache_blocks=payload["cache_blocks"],
                 validate=False,
             )
             instance = CorrelationInstance(
@@ -183,45 +169,24 @@ def _build_block(bounds: tuple[int, int]) -> tuple[int, float]:
     return start, block_span.seconds
 
 
-def parallel_disagreement_fractions(
+def _pooled_fill(
     matrix: np.ndarray,
-    p: float = 0.5,
-    dtype: np.dtype | type | None = None,
-    missing: str = "coin-flip",
-    n_jobs: int | None = None,
-    block_rows: int = BLOCK_ROWS,
+    blocks: list[tuple[int, int]],
+    p: float,
+    dtype: np.dtype,
+    missing: str,
+    jobs: int,
 ) -> np.ndarray:
-    """The ``X`` matrix of a label matrix, built by a shared-memory pool.
+    """Fill ``X`` block by block from ``jobs`` shared-memory workers.
 
-    Semantics are identical to
-    :func:`~repro.core.instance.disagreement_fractions` — same missing
-    models, same dtype defaults — and the output is bit-identical to the
-    serial build for every ``n_jobs`` and ``block_rows`` tiling (each
-    element is accumulated in the same column order either way).
-
-    ``block_rows`` is the fan-out granularity; the default matches the
-    serial build's ``BLOCK_ROWS`` and exists as a parameter so the
-    equivalence tests can force multi-block schedules on small inputs.
-    Falls back to the serial code when one worker (or one block) would do
-    all the work anyway.
+    The pooled half of :func:`~repro.core.instance.disagreement_fractions`,
+    which has already validated its arguments and laid out ``blocks``.
     """
-    matrix = np.asarray(matrix)
-    validate_label_matrix(matrix)
-    check_missing_model(p, missing)
-    if block_rows < 1:
-        raise ValueError(f"block_rows must be positive, got {block_rows}")
     n = matrix.shape[0]
-    np_dtype = default_dtype(n) if dtype is None else np.dtype(dtype)
-
-    blocks = [(start, min(start + block_rows, n)) for start in range(0, n, block_rows)]
-    jobs = min(resolve_jobs(n_jobs), len(blocks))
-    if jobs <= 1:
-        return disagreement_fractions(matrix, p=p, dtype=np_dtype, missing=missing, n_jobs=1)
-
     with span("parallel.build", n=n, jobs=jobs, blocks=len(blocks)) as build_span:
         with SharedNDArray.create(
             matrix.shape, matrix.dtype
-        ) as shared_matrix, SharedNDArray.create((n, n), np_dtype) as shared_out:
+        ) as shared_matrix, SharedNDArray.create((n, n), dtype) as shared_out:
             shared_matrix.array[...] = matrix
             workers = pool(
                 jobs,

@@ -37,7 +37,7 @@ import numpy as np
 from ..algorithms.sampling import sampling
 from ..core.distance import total_disagreement
 from ..core.instance import CorrelationInstance
-from ..core.labels import as_label_matrix, validate_label_matrix
+from ..core.labels import as_label_matrix, check_weights, validate_label_matrix
 from ..core.partition import Clustering
 from ..obs.metrics import inc, observe, set_gauge
 from ..obs.profile import export_spans, merge_spans, worker_tracing
@@ -313,9 +313,7 @@ def shard_aggregate(
     validate_label_matrix(matrix)
     n = matrix.shape[0]
     if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (n,):
-            raise ValueError("weights must give one multiplicity per row")
+        weights = check_weights(weights, n)
         if np.any(weights < 1):
             raise ValueError("weights must be >= 1 (duplicate multiplicities)")
     if shard_method != "sampling":

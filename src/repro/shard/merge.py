@@ -45,7 +45,7 @@ from ..algorithms.exact import _MAX_EXACT_N, exact_optimum
 from ..algorithms.local_search import local_search
 from ..core.instance import CorrelationInstance
 from ..core.kernels import check_missing_model, label_histogram
-from ..core.labels import MISSING, validate_label_matrix
+from ..core.labels import MISSING, check_weights, validate_label_matrix
 from ..core.partition import Clustering
 
 __all__ = [
@@ -121,9 +121,7 @@ def atom_distances(
     if weights is None:
         w = np.ones(n, dtype=np.float64)
     else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (n,):
-            raise ValueError("weights must give one multiplicity per row")
+        w = check_weights(weights, n)
     atom_w = np.bincount(atom_of, weights=w, minlength=n_atoms)
     if not np.all(atom_w > 0.0):
         raise ValueError("atom ids must be contiguous 0..K-1 with every atom non-empty")

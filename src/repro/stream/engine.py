@@ -415,6 +415,11 @@ class StreamingAggregator:
             incremental=incremental,
         )
         consensus = state["consensus"]
+        if consensus is not None and np.shape(consensus) != (incremental.n,):
+            raise ValueError(
+                f"checkpointed consensus has shape {np.shape(consensus)}, "
+                f"expected ({incremental.n},)"
+            )
         engine._consensus = None if consensus is None else Clustering(np.asarray(consensus))
         engine._rng.bit_generator.state = state["rng_state"]
         return engine

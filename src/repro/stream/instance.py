@@ -29,14 +29,9 @@ from typing import Any
 import numpy as np
 
 from ..analysis.contracts import check_distance_matrix, contracts_enabled
+from ..core.backend import grid_blocks
 from ..core.instance import CorrelationInstance
-from ..core.kernels import (
-    BLOCK_ROWS,
-    check_missing_model,
-    default_dtype,
-    normalize,
-    separation_sums,
-)
+from ..core.kernels import check_missing_model, default_dtype, normalize, separation_sums
 from ..core.labels import MISSING
 
 __all__ = ["IncrementalCorrelationInstance"]
@@ -168,8 +163,8 @@ class IncrementalCorrelationInstance:
             self._separation *= self._dtype.type(self._decay)
             if self._comparable is not None:
                 self._comparable *= self._dtype.type(self._decay)
-        for start in range(0, self._n, BLOCK_ROWS):
-            rows = slice(start, min(start + BLOCK_ROWS, self._n))
+        for start, stop in grid_blocks(self._n):
+            rows = slice(start, stop)
             comparable = None if self._comparable is None else self._comparable[rows]
             separation_sums(
                 column[:, None],
@@ -258,10 +253,12 @@ class IncrementalCorrelationInstance:
         inst._separation = separation.copy()
         inst._comparable = None
         if config["missing"] == "average":
-            comparable = state["comparable"]
-            if comparable is None:
+            if state["comparable"] is None:
                 raise ValueError("'average' state needs comparable counts")
-            inst._comparable = np.asarray(comparable, dtype=inst._dtype).copy()
+            comparable = np.asarray(state["comparable"], dtype=inst._dtype)
+            if comparable.shape != (inst._n, inst._n):
+                raise ValueError("checkpointed comparable counts do not match n")
+            inst._comparable = comparable.copy()
         inst._weight = float(state["weight"])
         inst._count = int(state["count"])
         return inst

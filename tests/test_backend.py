@@ -12,19 +12,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core.backend as backend_module
 from repro.core import CorrelationInstance, DenseBackend, LazyLabelBackend
 from repro.core.aggregate import aggregate
 from repro.core.backend import (
     DEFAULT_LAZY_THRESHOLD,
     LAZY_THRESHOLD_ENV_VAR,
+    grid_blocks,
     lazy_threshold,
     reduction_block_rows,
     resolve_backend,
 )
+from repro.core.instance import disagreement_fractions
 from repro.core.kernels import distance_block
 from repro.core.objective import MoveEvaluator
 from repro.parallel.build import attach_instance, share_instance
 from repro.parallel.portfolio import portfolio
+from repro.stream.instance import IncrementalCorrelationInstance
 
 
 def label_matrix(
@@ -45,6 +49,16 @@ def backend_pair(
     dense = CorrelationInstance.from_label_matrix(matrix, **kwargs).backend
     lazy = LazyLabelBackend(matrix, **kwargs)
     return dense, lazy
+
+
+def shrink_grid(monkeypatch, cache_blocks: int | None = None) -> None:
+    """Drop the row grid to its 64-row floor (150+ rows span several blocks).
+
+    ``cache_blocks`` also resizes the lazy backend's LRU cache.
+    """
+    monkeypatch.setattr(backend_module, "_BLOCK_ENTRIES", 1)
+    if cache_blocks is not None:
+        monkeypatch.setattr(backend_module, "CACHE_BLOCKS", cache_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +151,45 @@ def test_reductions_bitwise_equal_dense(dtype) -> None:
     assert lazy.argmax_entry() == dense.argmax_entry()
 
 
-def test_reductions_span_multiple_grid_blocks() -> None:
-    # Force a multi-block reduction grid on a small instance.
-    matrix = label_matrix(50, seed=8)
+def test_reductions_span_multiple_grid_blocks(monkeypatch) -> None:
+    shrink_grid(monkeypatch)
+    matrix = label_matrix(150, seed=8)
     dense, lazy = backend_pair(matrix)
-    lazy = LazyLabelBackend(matrix, block_rows=7)
+    assert len(list(lazy.blocks())) == 3
     assert np.array_equal(lazy.materialize(), dense.dense())
     assert lazy.total_mass() == dense.total_mass()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("missing", ["coin-flip", "average"])
+def test_every_tiling_of_x_matches_one_block_build(monkeypatch, dtype, missing) -> None:
+    """Serial, pooled, lazy and streamed X on a multi-block grid equal one kernel call."""
+    matrix = label_matrix(150, m=5, missing_frac=0.2, seed=21)
+    kwargs = {"p": 0.3, "dtype": dtype, "missing": missing}
+    one_block = distance_block(matrix, slice(None), **kwargs)
+    shrink_grid(monkeypatch)
+    assert list(grid_blocks(150)) == [(0, 64), (64, 128), (128, 150)]
+
+    assert np.array_equal(disagreement_fractions(matrix, n_jobs=1, **kwargs), one_block)
+    assert np.array_equal(disagreement_fractions(matrix, n_jobs=2, **kwargs), one_block)
+
+    lazy = LazyLabelBackend(matrix, **kwargs)
+    dense = DenseBackend(one_block)
+    assert np.array_equal(lazy.materialize(), one_block)
+    w = np.random.default_rng(22).random(150)
+    labels = np.random.default_rng(23).integers(0, 4, size=150)
+    assert np.array_equal(lazy.matvec(w), dense.matvec(w))
+    assert lazy.total_mass() == dense.total_mass()
+    assert lazy.cost(labels) == dense.cost(labels)
+    assert lazy.cost(labels, w) == dense.cost(labels, w)
+    assert lazy.lower_bound() == dense.lower_bound()
+    assert lazy.lower_bound(w) == dense.lower_bound(w)
+    assert lazy.argmax_entry() == dense.argmax_entry()
+
+    stream = IncrementalCorrelationInstance(150, p=0.3, missing=missing, dtype=dtype)
+    for j in range(matrix.shape[1]):
+        stream.observe(matrix[:, j])
+    assert np.array_equal(stream.distances(), one_block)
 
 
 def test_argmax_entry_matches_flat_argmax_semantics() -> None:
@@ -182,52 +228,56 @@ def test_reduction_block_rows_grid_is_deterministic() -> None:
 # ---------------------------------------------------------------------------
 
 
-def test_lru_cache_hits_and_eviction_recompute_identically() -> None:
-    matrix = label_matrix(40, seed=12)
-    reference = LazyLabelBackend(matrix, block_rows=8, cache_blocks=0).materialize()
-    lazy = LazyLabelBackend(matrix, block_rows=8, cache_blocks=2)
+def test_lru_cache_hits_and_eviction_recompute_identically(monkeypatch) -> None:
+    shrink_grid(monkeypatch, cache_blocks=2)
+    matrix = label_matrix(200, seed=12)
+    reference = disagreement_fractions(matrix)
+    lazy = LazyLabelBackend(matrix)
 
-    first = lazy.row_block(0, 8)
+    first = lazy.row_block(0, 64)
     assert lazy.cached_block_indices() == (0,)
     # A repeated grid-aligned request is served from cache (same object).
-    assert lazy.row_block(0, 8) is first
+    assert lazy.row_block(0, 64) is first
 
-    lazy.row_block(8, 16)
-    lazy.row_block(16, 24)  # evicts block 0 (capacity 2, LRU order)
+    lazy.row_block(64, 128)
+    lazy.row_block(128, 192)  # evicts block 0 (capacity 2, LRU order)
     assert lazy.cached_block_indices() == (1, 2)
     # Evicted blocks recompute bitwise identically.
-    assert np.array_equal(lazy.row_block(0, 8), reference[0:8])
+    assert np.array_equal(lazy.row_block(0, 64), reference[0:64])
 
     # A cache hit refreshes recency: touch block 2, then load block 0;
     # block 1 is now the LRU entry and gets evicted.
-    lazy.row_block(16, 24)
-    lazy.row_block(0, 8)
+    lazy.row_block(128, 192)
+    lazy.row_block(0, 64)
     assert lazy.cached_block_indices() == (2, 0)
 
 
-def test_row_served_from_cached_block() -> None:
-    matrix = label_matrix(30, seed=13)
-    lazy = LazyLabelBackend(matrix, block_rows=10, cache_blocks=2)
-    block = lazy.row_block(10, 20)
-    row = lazy.row(14)
+def test_row_served_from_cached_block(monkeypatch) -> None:
+    shrink_grid(monkeypatch, cache_blocks=2)
+    matrix = label_matrix(150, seed=13)
+    lazy = LazyLabelBackend(matrix)
+    block = lazy.row_block(64, 128)
+    row = lazy.row(70)
     assert row.base is block or np.shares_memory(row, block)
-    assert np.array_equal(row, block[4])
+    assert np.array_equal(row, block[6])
 
 
-def test_unaligned_row_blocks_bypass_the_cache() -> None:
-    matrix = label_matrix(30, seed=14)
-    lazy = LazyLabelBackend(matrix, block_rows=10, cache_blocks=4)
-    lazy.row_block(5, 15)
+def test_unaligned_row_blocks_bypass_the_cache(monkeypatch) -> None:
+    shrink_grid(monkeypatch, cache_blocks=4)
+    matrix = label_matrix(150, seed=14)
+    lazy = LazyLabelBackend(matrix)
+    lazy.row_block(5, 69)
     assert lazy.cached_block_indices() == ()
     # The final ragged grid block is still cacheable.
-    lazy.row_block(20, 30)
+    lazy.row_block(128, 150)
     assert lazy.cached_block_indices() == (2,)
 
 
-def test_cache_disabled_with_zero_capacity() -> None:
-    matrix = label_matrix(20, seed=15)
-    lazy = LazyLabelBackend(matrix, block_rows=10, cache_blocks=0)
-    lazy.row_block(0, 10)
+def test_cache_disabled_with_zero_capacity(monkeypatch) -> None:
+    shrink_grid(monkeypatch, cache_blocks=0)
+    matrix = label_matrix(150, seed=15)
+    lazy = LazyLabelBackend(matrix)
+    lazy.row_block(0, 64)
     assert lazy.cached_block_indices() == ()
 
 

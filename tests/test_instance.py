@@ -147,6 +147,21 @@ class TestConstruction:
         assert instance.n == 15
         assert float(instance.X.max()) <= 1.0
 
+    @pytest.mark.parametrize("backend", ["dense", "lazy"])
+    def test_label_matrix_constructors_accept_nested_lists(self, backend):
+        instance = CorrelationInstance.from_label_matrix([[0, 1], [1, 0]], backend=backend)
+        lazy = CorrelationInstance.lazy_from_label_matrix([[0, 1], [1, 0]])
+        assert (instance.n, instance.m) == (lazy.n, lazy.m) == (2, 2)
+        assert instance.cost(np.array([0, 1])) == 0.0
+
+    @pytest.mark.parametrize(
+        "build",
+        [CorrelationInstance.from_label_matrix, CorrelationInstance.lazy_from_label_matrix],
+    )
+    def test_label_matrix_constructors_reject_1d_input(self, build):
+        with pytest.raises(ValueError, match="label matrix must be 2-D"):
+            build(np.array([0, 1, 1], dtype=np.int32))
+
     def test_float32_for_large_instances(self):
         rng = np.random.default_rng(0)
         matrix = rng.integers(0, 3, size=(5000, 2)).astype(np.int32)

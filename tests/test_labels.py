@@ -6,6 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import Clustering
+from repro.algorithms.agglomerative import agglomerative
+from repro.algorithms.pivot import pivot
+from repro.algorithms.sampling import sampling
+from repro.core import CorrelationInstance, total_disagreement
+from repro.core.objective import ClusterCountTables
 from repro.core.labels import (
     MISSING,
     as_label_matrix,
@@ -14,6 +19,7 @@ from repro.core.labels import (
     contingency_table,
     validate_label_matrix,
 )
+from repro.shard import shard_aggregate
 
 
 class TestAsLabelMatrix:
@@ -142,3 +148,32 @@ class TestCompactColumns:
         matrix = np.array([[0, 1], [1, MISSING], [0, 0]], dtype=np.int32)
         once = compact_columns(matrix)
         assert np.array_equal(once, compact_columns(once))
+
+
+_WEIGHTED = np.random.default_rng(4).integers(0, 3, size=(40, 4)).astype(np.int32)
+
+#: The six library entry points taking per-row multiplicities, keyed by
+#: the name of the weights argument and of the entry point.
+_WEIGHTED_CALLS = {
+    ("weights", "from_label_matrix"): lambda w: CorrelationInstance.from_label_matrix(
+        _WEIGHTED, weights=w
+    ),
+    ("weights", "pivot"): lambda w: pivot(_WEIGHTED, weights=w, rng=0),
+    ("weights", "sampling"): lambda w: sampling(_WEIGHTED, agglomerative, weights=w, rng=0),
+    ("weights", "shard_aggregate"): lambda w: shard_aggregate(_WEIGHTED, weights=w, rng=0),
+    ("weights", "total_disagreement"): lambda w: total_disagreement(
+        _WEIGHTED, Clustering(_WEIGHTED[:, 0]), weights=w
+    ),
+    ("member_weights", "ClusterCountTables"): lambda w: ClusterCountTables(
+        _WEIGHTED, np.arange(40), _WEIGHTED[:, 0], member_weights=w
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", list(_WEIGHTED_CALLS), ids="-".join)
+def test_non_finite_weights_are_rejected(entry, bad):
+    weights = np.ones(40)
+    weights[7] = bad
+    with pytest.raises(ValueError, match=f"{entry[0]} must be finite"):
+        _WEIGHTED_CALLS[entry](weights)

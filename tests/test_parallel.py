@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.backend as backend_module
+import repro.parallel.build as build_module
 from repro import aggregate
 from repro.cli import main
 from repro.core.atoms import collapse_duplicates
@@ -19,7 +21,6 @@ from repro.parallel import (
     JOBS_ENV_VAR,
     SharedNDArray,
     parallel_assign,
-    parallel_disagreement_fractions,
     portfolio,
     resolve_jobs,
 )
@@ -102,12 +103,17 @@ def build_matrix(n, m, k, seed, missing_rate=0.0):
 
 
 build_problems = st.tuples(
-    st.integers(min_value=2, max_value=24),  # n
+    st.integers(min_value=150, max_value=260),  # n: several 64-row blocks
     st.integers(min_value=1, max_value=5),  # m
     st.integers(min_value=1, max_value=4),  # k
     st.integers(min_value=0, max_value=10_000),  # seed
     st.sampled_from([0.0, 0.25]),  # missing rate
 )
+
+
+def shrink_grid(monkeypatch) -> None:
+    """Drop the row grid to its 64-row floor, so 150+ rows span several blocks."""
+    monkeypatch.setattr(backend_module, "_BLOCK_ENTRIES", 1)
 
 
 class TestParallelBuild:
@@ -121,55 +127,55 @@ class TestParallelBuild:
         """The tentpole guarantee: any worker count, any row tiling."""
         n, m, k, seed, rate = problem
         matrix = build_matrix(n, m, k, seed, missing_rate=rate)
-        serial = disagreement_fractions(matrix, dtype=dtype, missing=missing, n_jobs=1)
-        fanned = parallel_disagreement_fractions(
-            matrix, dtype=dtype, missing=missing, n_jobs=3, block_rows=3
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            shrink_grid(patch)
+            serial = disagreement_fractions(matrix, dtype=dtype, missing=missing, n_jobs=1)
+            fanned = disagreement_fractions(matrix, dtype=dtype, missing=missing, n_jobs=3)
         assert fanned.dtype == serial.dtype
         np.testing.assert_array_equal(fanned, serial)
 
-    def test_bit_identical_with_nondefault_p(self):
-        matrix = build_matrix(30, 4, 3, seed=5, missing_rate=0.3)
+    def test_bit_identical_with_nondefault_p(self, monkeypatch):
+        shrink_grid(monkeypatch)
+        matrix = build_matrix(200, 4, 3, seed=5, missing_rate=0.3)
         serial = disagreement_fractions(matrix, p=0.2, n_jobs=1)
-        fanned = parallel_disagreement_fractions(matrix, p=0.2, n_jobs=2, block_rows=7)
+        fanned = disagreement_fractions(matrix, p=0.2, n_jobs=2)
         np.testing.assert_array_equal(fanned, serial)
-
-    def test_single_block_falls_back_to_serial(self):
-        matrix = build_matrix(10, 3, 3, seed=0)
-        X = parallel_disagreement_fractions(matrix, n_jobs=4)  # one default block
-        np.testing.assert_array_equal(X, disagreement_fractions(matrix, n_jobs=1))
 
     def test_rejects_bad_parameters(self):
         matrix = build_matrix(6, 2, 2, seed=0)
         with pytest.raises(ValueError, match="missing"):
-            parallel_disagreement_fractions(matrix, missing="nope")
+            disagreement_fractions(matrix, missing="nope", n_jobs=2)
         with pytest.raises(ValueError, match="probability"):
-            parallel_disagreement_fractions(matrix, p=1.5)
-        with pytest.raises(ValueError, match="block_rows"):
-            parallel_disagreement_fractions(matrix, block_rows=0)
+            disagreement_fractions(matrix, p=1.5, n_jobs=2)
 
     def test_small_instances_stay_serial(self, monkeypatch):
-        """The MIN_PARALLEL_ROWS floor: tiny builds never pay pool start-up."""
-        import repro.parallel.build as build_module
+        """An n that fits in one grid block never starts a pool."""
 
         def boom(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("parallel build dispatched below the size floor")
+            raise AssertionError("pooled build dispatched for a one-block grid")
 
-        monkeypatch.setattr(build_module, "parallel_disagreement_fractions", boom)
+        monkeypatch.setattr(build_module, "_pooled_fill", boom)
         matrix = build_matrix(40, 3, 3, seed=1)
         X = disagreement_fractions(matrix, n_jobs=4)
         np.testing.assert_array_equal(X, disagreement_fractions(matrix, n_jobs=1))
 
     def test_from_label_matrix_honours_n_jobs(self, monkeypatch):
-        """Above the floor, n_jobs>1 routes through the parallel build."""
-        import repro.parallel.build as build_module
+        """On a multi-block grid, n_jobs>1 routes through the pooled fill."""
+        shrink_grid(monkeypatch)
+        calls = []
+        pooled_fill = build_module._pooled_fill
 
-        matrix = build_matrix(64, 3, 3, seed=2)
-        monkeypatch.setattr(build_module, "MIN_PARALLEL_ROWS", 32)
+        def spy(*args, **kwargs):
+            calls.append(args[1])
+            return pooled_fill(*args, **kwargs)
+
+        monkeypatch.setattr(build_module, "_pooled_fill", spy)
+        matrix = build_matrix(150, 3, 3, seed=2)
         serial = CorrelationInstance.from_label_matrix(matrix, n_jobs=1)
         fanned = CorrelationInstance.from_label_matrix(matrix, n_jobs=2)
         np.testing.assert_array_equal(fanned.X, serial.X)
         assert fanned.m == serial.m
+        assert calls == [[(0, 64), (64, 128), (128, 150)]]
 
 
 class TestParallelAssign:

@@ -254,6 +254,24 @@ class TestCheckpoint:
         # No expectations given: the checkpoint's own config wins.
         assert load_checkpoint(path).incremental.decay == 0.7
 
+    def test_restore_rejects_misshapen_comparable_counts(self):
+        matrix = generate_votes(n=6, rng=0).label_matrix()
+        engine = StreamingAggregator(6, missing="average")
+        engine.observe_many(matrix[:, :2])
+        state = engine.state()
+        state["instance"]["comparable"] = state["instance"]["comparable"][:3]
+        with pytest.raises(ValueError, match="comparable"):
+            StreamingAggregator.from_state(state)
+
+    def test_restore_rejects_consensus_of_wrong_length(self):
+        matrix = generate_votes(n=6, rng=0).label_matrix()
+        engine = StreamingAggregator(6)
+        engine.observe_many(matrix[:, :2])
+        state = engine.state()
+        state["consensus"] = np.asarray(state["consensus"])[:3]
+        with pytest.raises(ValueError, match="consensus"):
+            StreamingAggregator.from_state(state)
+
     def test_version_mismatch_rejected(self, tmp_path):
         import json
 
