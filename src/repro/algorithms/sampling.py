@@ -40,9 +40,6 @@ __all__ = ["sampling", "SamplingDetails", "default_sample_size"]
 
 InnerAlgorithm = Callable[[CorrelationInstance], Clustering]
 
-#: Assignment-phase block size (rows scored per vectorized batch).
-_ASSIGN_BLOCK = 8192
-
 
 @dataclass
 class SamplingDetails:
@@ -239,9 +236,9 @@ def sampling(
     rest = np.setdiff1d(np.arange(n), sample, assume_unique=True)
     with span("sampling.phase2", rest=int(rest.size)):
         if rest.size:
-            if matrix is not None:
-                from ..parallel.build import parallel_assign
+            from ..parallel.build import ASSIGN_BLOCK, parallel_assign
 
+            if matrix is not None:
                 tables = ClusterCountTables(
                     matrix,
                     sample,
@@ -249,18 +246,14 @@ def sampling(
                     p=p,
                     member_weights=None if weights is None else weights[sample],
                 )
-                labels[rest] = parallel_assign(
-                    tables, rest, n_jobs=n_jobs, block_size=_ASSIGN_BLOCK
-                )
+                labels[rest] = parallel_assign(tables, rest, n_jobs=n_jobs)
             else:
                 backend = instance.backend
                 sizes = sample_clustering.sizes().astype(np.float64)
                 # Not a reduction over the pair grid: each block is an
-                # independent O(|block| x |sample|) gather, so the size is
-                # tuned to the sample width (and matches parallel_assign's
-                # block_size) rather than reduction_block_rows().
-                for start in range(0, rest.size, _ASSIGN_BLOCK):  # repolint: disable=RPR013
-                    block = rest[start : start + _ASSIGN_BLOCK]
+                # independent O(|block| x |sample|) gather.
+                for start in range(0, rest.size, ASSIGN_BLOCK):  # repolint: disable=RPR013
+                    block = rest[start : start + ASSIGN_BLOCK]
                     # O(|block| * |sample|) gather — the lazy backend computes
                     # it straight from the labels, never touching full rows.
                     rows = backend.gather_block(block, sample).astype(np.float64, copy=False)

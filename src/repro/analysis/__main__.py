@@ -2,8 +2,8 @@
 
 Runs the whole static + dynamic enforcement stack in one command:
 
-1. **repolint** (RPR001–RPR009) — per-line AST rules;
-2. **flow** (RPR010–RPR013) — interprocedural call-graph passes;
+1. **repolint** (RPR001–RPR009, RPR012, RPR014) — per-line AST rules;
+2. **flow** (RPR010, RPR011, RPR013) — interprocedural call-graph passes;
 3. **contracts-smoke** — a tiny aggregation run with runtime contracts
    enabled, proving the ``REPRO_CONTRACTS`` hooks still validate the
    core invariants end to end.

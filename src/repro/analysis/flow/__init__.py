@@ -1,8 +1,8 @@
 """Interprocedural dataflow analysis over the ``repro`` package.
 
 ``repro.analysis.flow`` complements repolint's per-line rules
-(RPR001–RPR009) with whole-program passes over a module-level call
-graph (:mod:`.callgraph`):
+(RPR001–RPR009, RPR012, RPR014) with whole-program passes over a
+module-level call graph (:mod:`.callgraph`):
 
 ======  ==============================================================
 RPR010  ``async def`` under ``repro/serve/`` transitively reaches a
@@ -11,8 +11,6 @@ RPR010  ``async def`` under ``repro/serve/`` transitively reaches a
 RPR011  one ``np.random.Generator`` reaches two parallel-work sites
         without an intervening ``spawn()``, or is used again after
         being shipped to a worker.
-RPR012  a ``SharedNDArray`` / ``SharedMemory`` creation is not closed
-        (owners: unlinked) on every exit path, including exceptions.
 RPR013  a blocked kernel loop steps by an ad-hoc size instead of the
         shared reduction grid.
 ======  ==============================================================
@@ -33,7 +31,6 @@ from ..suppress import extract_suppressions
 from .blocking import check_blocking
 from .callgraph import CallGraph, ModuleIndex
 from .grid import check_grid
-from .lifecycle import check_lifecycle
 from .rng import check_rng
 
 __all__ = ["RULES", "analyze_index", "analyze_paths", "analyze_sources"]
@@ -41,7 +38,6 @@ __all__ = ["RULES", "analyze_index", "analyze_paths", "analyze_sources"]
 RULES: dict[str, str] = {
     "RPR010": "serve/ async handler transitively reaches a blocking call",
     "RPR011": "one np.random.Generator reaches two parallel-work sites without spawn()",
-    "RPR012": "SharedNDArray/SharedMemory not closed (owner: unlinked) on every exit path",
     "RPR013": "blocked kernel loop uses an ad-hoc block size instead of the reduction grid",
 }
 
@@ -52,7 +48,6 @@ def analyze_index(index: ModuleIndex) -> list[Finding]:
     findings: list[Finding] = []
     findings.extend(check_blocking(graph))
     findings.extend(check_rng(graph))
-    findings.extend(check_lifecycle(graph))
     findings.extend(check_grid(graph))
     findings.extend(
         Finding(path=path, line=line, col=1, rule="RPR000", message=message)

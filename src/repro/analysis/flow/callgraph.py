@@ -1,7 +1,7 @@
 """Module-level call graph over the ``repro`` package (stdlib ``ast`` only).
 
-The flow analyzer's three dataflow passes (blocking propagation, RNG
-provenance, resource lifecycle) all consume the same whole-program view
+The flow analyzer's three passes (blocking propagation, RNG provenance,
+reduction-grid discipline) all consume the same whole-program view
 built here:
 
 * :class:`ModuleIndex` — parses every file under the analyzed roots,

@@ -31,9 +31,9 @@ def main(argv: Iterable[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.flow",
         description=(
-            "Interprocedural dataflow analysis (rules RPR010-RPR013): "
-            "transitive blocking calls, RNG provenance, shared-memory "
-            "lifecycle, reduction-grid discipline."
+            "Interprocedural dataflow analysis (rules RPR010, RPR011, RPR013): "
+            "transitive blocking calls, RNG provenance, reduction-grid "
+            "discipline."
         ),
     )
     parser.add_argument("paths", nargs="*", help="files or directories to analyze")

@@ -35,17 +35,17 @@ RPR005   Public library functions taking randomness must follow the
 RPR006   No direct ``multiprocessing`` pool construction outside
          ``repro/parallel/`` — importing or calling ``Pool`` /
          ``ThreadPool`` (including ``get_context(...).Pool``) elsewhere
-         bypasses the start-method policy and the shared-memory
-         conventions of :func:`repro.parallel.build.pool`.
+         bypasses the fork start method that
+         :func:`repro.parallel.build.pool` relies on to hand workers
+         their inputs without pickling.
 RPR007   No raw ``time.perf_counter()`` (or ``perf_counter_ns``) in
          library code outside ``repro/obs/`` — ad-hoc timing drifts out
          of the observability surface; wrap the code in a
          :func:`repro.obs.span` and read ``Span.seconds`` instead.
 RPR008   No direct ``.X`` / ``._X`` pair-matrix access in library code
-         outside ``repro/core/`` and ``repro/parallel/build.py`` — it
-         materializes (or assumes) the dense ``(n, n)`` matrix and
-         breaks the lazy backend; go through the
-         :class:`~repro.core.backend.PairDistanceBackend` API
+         outside ``repro/core/`` — it materializes (or assumes) the
+         dense ``(n, n)`` matrix and breaks the lazy backend; go through
+         the :class:`~repro.core.backend.PairDistanceBackend` API
          (``instance.backend.row_block/gather/matvec/...``) instead.
 RPR009   No blocking calls directly inside ``async def`` bodies under
          ``repro/serve/``: ``time.sleep``, ``open`` and
@@ -53,6 +53,12 @@ RPR009   No blocking calls directly inside ``async def`` bodies under
          (``np.load``/``np.save``/...), and worker-pool construction or
          ``pool().map``-style fan-out all stall the event loop — await
          ``loop.run_in_executor(...)`` (or ``asyncio.sleep``) instead.
+RPR012   No named shared memory in library code: importing
+         ``multiprocessing.shared_memory`` (or ``SharedMemory`` /
+         ``SharedMemoryManager`` from anywhere) creates segments that
+         outlive a crashed process in ``/dev/shm`` — forked pool workers
+         inherit their inputs through ``initargs`` and write results
+         into an anonymous ``mmap`` instead.
 RPR014   No hand-rolled method-dispatch tables in library code outside
          ``repro/registry/``: a module/class-level dict literal mapping
          ≥2 method-name strings to callables under a ``*METHOD*`` /
@@ -72,8 +78,8 @@ its own to silence a rule for the whole file.  Directives are extracted
 from real comment tokens (:mod:`repro.analysis.suppress`) — one inside a
 string literal does nothing — a directive on any line of a multi-line
 statement covers the whole statement, and naming an unknown rule code is
-an ``RPR000`` error, not a silent no-op.  The transitive variants of
-these rules (RPR010–RPR013) live in :mod:`repro.analysis.flow`.
+an ``RPR000`` error, not a silent no-op.  The interprocedural rules
+(RPR010, RPR011, RPR013) live in :mod:`repro.analysis.flow`.
 
 Usage
 -----
@@ -112,6 +118,7 @@ RULES: dict[str, str] = {
     "RPR007": "raw time.perf_counter() outside repro.obs; wrap the code in a repro.obs span",
     "RPR008": "direct .X/._X pair-matrix access outside repro.core; use the backend API",
     "RPR009": "blocking call inside an async def in repro.serve; use run_in_executor/asyncio.sleep",
+    "RPR012": "named shared memory in library code; use pool initargs and an anonymous mmap",
     "RPR014": "hand-rolled method dispatch outside repro.registry; register a MethodSpec instead",
 }
 
@@ -159,10 +166,6 @@ _PATH_IO_METHODS = frozenset({"read_text", "write_text", "read_bytes", "write_by
 #: Pool fan-out methods (RPR009 on ``pool(...).map`` in async bodies).
 _POOL_MAP_METHODS = frozenset({"map", "starmap", "imap", "imap_unordered", "apply"})
 
-#: Library files outside ``repro/core/`` still allowed to touch the raw
-#: matrix (RPR008): the shared-memory fan-out must see the backing buffer.
-MATRIX_ACCESS_FILES = (("repro", "parallel", "build.py"),)
-
 #: Attribute names RPR008 treats as raw pair-matrix access.
 _MATRIX_ATTRS = frozenset({"X", "_X"})
 
@@ -171,6 +174,10 @@ _PERF_CLOCKS = frozenset({"perf_counter", "perf_counter_ns"})
 
 #: ``multiprocessing`` attributes that construct worker pools.
 _POOL_CONSTRUCTORS = frozenset({"Pool", "ThreadPool"})
+
+#: The named shared-memory module and the classes that create segments (RPR012).
+_SHARED_MEMORY_MODULE = "multiprocessing.shared_memory"
+_SHARED_MEMORY_NAMES = frozenset({"shared_memory", "SharedMemory", "SharedMemoryManager"})
 
 #: numpy.random attributes that do NOT touch global RNG state.
 ALLOWED_NP_RANDOM = frozenset(
@@ -254,12 +261,7 @@ class _Checker(ast.NodeVisitor):
         self._check_alloc_dtype = subpackage in KERNEL_PACKAGES
         self._check_pools = subpackage != POOL_PACKAGE
         self._check_perf_clock = self._in_library and subpackage != TIMING_PACKAGE
-        parts = PurePath(path).parts
-        self._check_matrix_access = (
-            self._in_library
-            and subpackage != MATRIX_PACKAGE
-            and not any(parts[-len(tail) :] == tail for tail in MATRIX_ACCESS_FILES)
-        )
+        self._check_matrix_access = self._in_library and subpackage != MATRIX_PACKAGE
         self.findings: list[Finding] = []
         # Names the file binds to numpy, numpy.random, and stdlib random.
         self._numpy_aliases: set[str] = set()
@@ -299,9 +301,21 @@ class _Checker(ast.NodeVisitor):
 
     # -- imports (alias tracking + RPR001 on `from` imports) -----------
 
+    def _report_shared_memory(self, node: ast.Import | ast.ImportFrom, imported: str) -> None:
+        if self._in_library:
+            self._report(
+                node,
+                "RPR012",
+                f"`{imported}` creates named shared-memory segments; fork-started "
+                "workers inherit their inputs through `pool(..., initargs=)` and "
+                "write results into an anonymous `mmap`",
+            )
+
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
             bound = alias.asname or alias.name.split(".")[0]
+            if alias.name == _SHARED_MEMORY_MODULE:
+                self._report_shared_memory(node, alias.name)
             if alias.name == "numpy" or alias.name.startswith("numpy."):
                 if alias.name == "numpy.random" and alias.asname:
                     self._numpy_random_aliases.add(alias.asname)
@@ -321,6 +335,9 @@ class _Checker(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        for alias in node.names:
+            if node.module == _SHARED_MEMORY_MODULE or alias.name in _SHARED_MEMORY_NAMES:
+                self._report_shared_memory(node, f"from {node.module} import {alias.name}")
         if node.module == "numpy":
             for alias in node.names:
                 if alias.name == "random":
@@ -901,7 +918,7 @@ def lint_paths(paths: Sequence[str | Path]) -> tuple[list[Finding], int]:
 def main(argv: Iterable[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.lint",
-        description="Repository-specific invariant linter (rules RPR001-RPR009, RPR014).",
+        description="Repository-specific invariant linter (rules RPR001-RPR009, RPR012, RPR014).",
     )
     parser.add_argument("paths", nargs="*", help="files or directories to lint")
     parser.add_argument("--json", action="store_true", help="emit a JSON report on stdout")

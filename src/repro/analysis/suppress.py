@@ -23,9 +23,10 @@ and adds two behaviours the raw-line scan could not offer:
   :data:`KNOWN_CODES` is an error record, not a silent no-op; both
   linters surface it as an ``RPR000`` finding.
 
-The known-code registry spans *both* tools (repolint's RPR001–RPR009 and
-RPR014, and the flow analyzer's RPR010–RPR013) so that a file carrying a flow
-suppression lints clean under repolint and vice versa.
+The known-code registry spans *both* tools (repolint's RPR001–RPR009,
+RPR012 and RPR014, and the flow analyzer's RPR010, RPR011 and RPR013) so
+that a file carrying a flow suppression lints clean under repolint and
+vice versa.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ __all__ = [
     "extract_suppressions",
 ]
 
-#: Every valid rule code across repolint (RPR001-RPR009, RPR014) and the flow
-#: analyzer (RPR010-RPR013); RPR000 is the shared analysis-error channel.
+#: Every valid rule code across repolint (RPR001-RPR009, RPR012, RPR014) and
+#: the flow analyzer (RPR010, RPR011, RPR013); RPR000 is the shared
+#: analysis-error channel.
 KNOWN_CODES: frozenset[str] = frozenset(f"RPR{i:03d}" for i in range(15))
 
 _DIRECTIVE = re.compile(r"#\s*repolint:\s*(disable-file|disable)\s*=\s*([^#]*)")

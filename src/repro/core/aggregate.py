@@ -167,7 +167,7 @@ def aggregate(
         speedup on categorical data with repeated rows; supported by all
         methods except ``"best"`` (which needs no speedup).
     n_jobs:
-        Worker count for the shared-memory parallel backend
+        Worker count for the fork-pool parallel backend
         (:mod:`repro.parallel`): the instance build, SAMPLING's
         sub-builds and assignment loop, and portfolio members all honour
         it.  ``None`` consults ``REPRO_JOBS``; every value is

@@ -393,7 +393,7 @@ class LazyLabelBackend(PairDistanceBackend):
         self._cache: OrderedDict[int, np.ndarray] = OrderedDict()
 
     # ------------------------------------------------------------------
-    # Accessors used by the shared-memory fan-out and the constructors
+    # Accessors
     # ------------------------------------------------------------------
 
     @property

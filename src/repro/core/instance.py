@@ -66,7 +66,7 @@ def disagreement_fractions(
 
     Computed on the :func:`~repro.core.backend.grid_blocks` row grid to
     bound temporary memory; defaults to float64 up to 4096 objects and
-    float32 beyond.  ``n_jobs`` fills the blocks from a shared-memory
+    float32 beyond.  ``n_jobs`` fills the blocks from a forked
     worker pool (:mod:`repro.parallel.build`) when the grid has more than
     one block (``None`` consults the ``REPRO_JOBS`` environment variable,
     see :func:`repro.parallel.resolve_jobs`); any worker count produces a
@@ -187,7 +187,7 @@ class CorrelationInstance:
         identity ``D(C) = m * d(C)`` holds only for ``"coin-flip"``.
         ``weights`` gives per-row multiplicities for duplicate-collapsed
         (atom) instances — see :mod:`repro.core.atoms`.  ``n_jobs`` fans
-        the row-block build out over a shared-memory worker pool
+        the row-block build out over a forked worker pool
         (bit-identical to the serial build; ``None`` defers to the
         ``REPRO_JOBS`` environment variable).  ``backend`` selects the
         pair-distance storage: ``"dense"`` materializes ``X`` now,

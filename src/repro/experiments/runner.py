@@ -57,7 +57,7 @@ def categorical_table(
 
     ``rock_params`` / ``limbo_params`` are ``(k, theta_or_phi)`` pairs; they
     match the parameter settings the paper cites from the original ROCK and
-    LIMBO papers.  ``n_jobs`` selects the shared-memory parallel backend
+    LIMBO papers.  ``n_jobs`` selects the fork-pool parallel backend
     for the instance build and the per-method runs (``None`` consults
     ``REPRO_JOBS``); the rows are bit-identical for any worker count.
     """

@@ -7,148 +7,68 @@ matrix, and every matrix element is accumulated in the same column order
 regardless of how the rows are tiled.  When
 :func:`~repro.core.instance.disagreement_fractions` runs with more than one
 worker and more than one grid block, it hands its block list to the
-pooled fill here — the label matrix and the output ``X`` live in shared
-memory (:class:`~repro.parallel.shm.SharedNDArray`; nothing quadratic is
-ever pickled), the blocks are fanned out over a worker pool, and each
-worker writes its normalized block straight into the shared ``X``
-buffer.  The result is bit-identical to the serial path for any worker
-count.
+pooled fill here: the output ``X`` is one anonymous shared mapping
+created before the pool forks, the blocks are fanned out over the
+workers, and each worker writes its normalized block straight into it.
+The result is bit-identical to the serial path for any worker count.
 
 :func:`parallel_assign` gives the SAMPLING assignment phase (§4.1) the
 same treatment: the per-block cheapest-cluster scoring against fixed
 :class:`~repro.core.objective.ClusterCountTables` is independent per
 block, so blocks are scored concurrently and reassembled in order.
 
-Worker pools use the ``fork`` start method where the platform offers it
-(zero-cost inheritance of the read-only Python state) and fall back to
-the platform default elsewhere; all worker payloads are tiny index
-ranges.
+Every pool in the library is forked by :func:`pool`, and its read-only
+inputs ride the pool's ``initargs`` into :data:`WORKER`: a forked worker
+inherits them without pickling or copying.  Only the tiny task payloads
+(row ranges, member indices) and the results cross the pool's pipes.
 """
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing
-from collections.abc import Iterator
-from contextlib import contextmanager
 from multiprocessing.pool import Pool
 from typing import Any
 
 import numpy as np
 
-from ..core.backend import LazyLabelBackend
-from ..core.instance import CorrelationInstance
 from ..core.kernels import distance_block
 from ..core.objective import ClusterCountTables
 from ..obs.metrics import observe
 from ..obs.trace import span
-from .shm import SharedNDArray, resolve_jobs
+from .shm import resolve_jobs
 
-__all__ = ["attach_instance", "parallel_assign", "pool", "share_instance"]
+__all__ = ["parallel_assign", "pool"]
 
-#: Per-worker state installed by the pool initializers (set in workers only).
-_WORKER: dict[str, Any] = {}
+#: Rows scored per batch in SAMPLING's assignment phase, serial or pooled.
+ASSIGN_BLOCK = 8192
+
+#: The current pool's read-only inputs, installed by :func:`init_worker`
+#: (set in workers only).
+WORKER: dict[str, Any] = {}
 
 
 def pool(jobs: int, initializer: Any = None, initargs: tuple[Any, ...] = ()) -> Pool:
-    """A worker pool with the library-wide start-method policy.
+    """A ``fork``-started worker pool.
 
     Every process pool in the repository is created here (lint rule
-    RPR006 forbids direct ``multiprocessing.Pool`` use elsewhere), so the
-    start-method choice — ``fork`` where available, the platform default
-    otherwise — lives in exactly one place.
+    RPR006 forbids direct ``multiprocessing.Pool`` use elsewhere).  Fork
+    is what lets ``initargs`` reach the workers without pickling; callers
+    only get here with :func:`~repro.parallel.shm.resolve_jobs` above 1,
+    which already implies the platform offers it.
     """
-    if "fork" in multiprocessing.get_all_start_methods():
-        context = multiprocessing.get_context("fork")
-    else:  # pragma: no cover - non-POSIX platforms
-        context = multiprocessing.get_context()
+    context = multiprocessing.get_context("fork")
     return context.Pool(jobs, initializer=initializer, initargs=initargs)
 
 
-# ----------------------------------------------------------------------
-# Zero-copy instance fan-out
-# ----------------------------------------------------------------------
-
-
-@contextmanager
-def share_instance(instance: CorrelationInstance) -> Iterator[dict[str, Any]]:
-    """Share ``instance``'s bulk data for zero-copy worker reconstruction.
-
-    Yields a small picklable payload that forked workers hand to
-    :func:`attach_instance`.  Dense-backed instances place the ``(n, n)``
-    matrix in a shared segment (the historical portfolio behaviour);
-    lazy-backed instances share only the ``(n, m)`` *label matrix* plus
-    the kernel parameters, so every worker attaches in O(n * m) memory
-    and computes its own row blocks on demand.  The shared segment lives
-    until the ``with`` block exits — keep the pool inside it.
-    """
-    backend = instance.backend
-    common: dict[str, Any] = {"m": instance.m, "weights": instance.weights}
-    if isinstance(backend, LazyLabelBackend):
-        labels = backend.label_matrix
-        with SharedNDArray.create(labels.shape, labels.dtype) as shared:
-            shared.array[...] = labels
-            yield {
-                "kind": "lazy",
-                "descriptor": shared.descriptor,
-                "p": backend.p,
-                "missing": backend.missing,
-                "dtype": backend.dtype.str,
-                **common,
-            }
-    else:
-        X = backend.dense()
-        with SharedNDArray.create(X.shape, X.dtype) as shared:
-            shared.array[...] = X
-            yield {"kind": "dense", "descriptor": shared.descriptor, **common}
-
-
-def attach_instance(payload: dict[str, Any]) -> tuple[CorrelationInstance, SharedNDArray]:
-    """Rebuild a :func:`share_instance` payload inside a worker.
-
-    Returns ``(instance, shared)``; the caller must keep ``shared`` alive
-    (and close it eventually) for as long as the instance is used — the
-    instance's arrays are zero-copy views into the shared segment.
-    """
-    shared = SharedNDArray.attach(payload["descriptor"])
-    try:
-        if payload["kind"] == "lazy":
-            lazy = LazyLabelBackend(
-                shared.array,
-                p=payload["p"],
-                dtype=np.dtype(payload["dtype"]),
-                missing=payload["missing"],
-                validate=False,
-            )
-            instance = CorrelationInstance(
-                m=payload["m"], weights=payload["weights"], backend=lazy
-            )
-        else:
-            instance = CorrelationInstance(
-                shared.array, m=payload["m"], validate=False, weights=payload["weights"]
-            )
-    except BaseException:
-        # A malformed payload must not strand the attached mapping: the
-        # worker would hold the segment open for its whole lifetime.
-        shared.close()
-        raise
-    return instance, shared
+def init_worker(state: dict[str, Any]) -> None:
+    """Pool initializer: install the inherited inputs into :data:`WORKER`."""
+    WORKER.update(state)
 
 
 # ----------------------------------------------------------------------
 # Instance construction
 # ----------------------------------------------------------------------
-
-
-def _init_build_worker(
-    matrix_descriptor: tuple[str, tuple[int, ...], str],
-    out_descriptor: tuple[str, tuple[int, ...], str],
-    p: float,
-    missing: str,
-) -> None:
-    _WORKER["matrix"] = SharedNDArray.attach(matrix_descriptor)
-    _WORKER["out"] = SharedNDArray.attach(out_descriptor)
-    _WORKER["p"] = p
-    _WORKER["missing"] = missing
 
 
 def _build_block(bounds: tuple[int, int]) -> tuple[int, float]:
@@ -160,11 +80,10 @@ def _build_block(bounds: tuple[int, int]) -> tuple[int, float]:
     metrics registry dies with the process).
     """
     start, stop = bounds
-    matrix = _WORKER["matrix"].array
-    out = _WORKER["out"].array
+    matrix, out = WORKER["matrix"], WORKER["out"]
     with span("build.block", start=start, stop=stop) as block_span:
         out[start:stop] = distance_block(
-            matrix, slice(start, stop), p=_WORKER["p"], dtype=out.dtype, missing=_WORKER["missing"]
+            matrix, slice(start, stop), p=WORKER["p"], dtype=out.dtype, missing=WORKER["missing"]
         )
     return start, block_span.seconds
 
@@ -177,28 +96,24 @@ def _pooled_fill(
     missing: str,
     jobs: int,
 ) -> np.ndarray:
-    """Fill ``X`` block by block from ``jobs`` shared-memory workers.
+    """Fill ``X`` block by block from ``jobs`` forked workers.
 
     The pooled half of :func:`~repro.core.instance.disagreement_fractions`,
     which has already validated its arguments and laid out ``blocks``.
+    ``X`` is a view of an anonymous ``MAP_SHARED`` mapping: the workers
+    inherit it at fork and write their rows into it, and the parent
+    returns it as is.
     """
     n = matrix.shape[0]
     with span("parallel.build", n=n, jobs=jobs, blocks=len(blocks)) as build_span:
-        with SharedNDArray.create(
-            matrix.shape, matrix.dtype
-        ) as shared_matrix, SharedNDArray.create((n, n), dtype) as shared_out:
-            shared_matrix.array[...] = matrix
-            workers = pool(
-                jobs,
-                initializer=_init_build_worker,
-                initargs=(shared_matrix.descriptor, shared_out.descriptor, p, missing),
-            )
-            try:
-                timings = workers.map(_build_block, blocks)
-            finally:
-                workers.close()
-                workers.join()
-            X = shared_out.array.copy()
+        X = np.frombuffer(mmap.mmap(-1, n * n * dtype.itemsize), dtype=dtype).reshape(n, n)
+        state = {"matrix": matrix, "out": X, "p": p, "missing": missing}
+        workers = pool(jobs, initializer=init_worker, initargs=(state,))
+        try:
+            timings = workers.map(_build_block, blocks)
+        finally:
+            workers.close()
+            workers.join()
         block_seconds = [seconds for _, seconds in timings]
         for seconds in block_seconds:
             observe("parallel.build.block_seconds", seconds)
@@ -211,12 +126,8 @@ def _pooled_fill(
 # ----------------------------------------------------------------------
 
 
-def _init_assign_worker(tables: ClusterCountTables) -> None:
-    _WORKER["tables"] = tables
-
-
 def _assign_block(rows: np.ndarray) -> np.ndarray:
-    tables: ClusterCountTables = _WORKER["tables"]
+    tables: ClusterCountTables = WORKER["tables"]
     return tables.assign(rows)
 
 
@@ -224,28 +135,25 @@ def parallel_assign(
     tables: ClusterCountTables,
     rows: np.ndarray,
     n_jobs: int | None = None,
-    block_size: int = 8192,
 ) -> np.ndarray:
     """Cheapest-cluster assignment of ``rows``, fanned out over a pool.
 
-    Each block of ``rows`` is scored independently against the fixed
-    ``tables`` (shipped to every worker once, at pool start-up), so the
-    concatenated result is bit-identical to ``tables.assign(rows)``
-    regardless of worker count.  With one worker (or one block) the
-    blocks are scored in-process, preserving the serial path's bounded
-    per-batch temporaries.
+    ``rows`` is cut into :data:`ASSIGN_BLOCK`-row blocks, each scored
+    independently against the fixed ``tables`` (inherited by every
+    worker at fork), so the concatenated result is bit-identical to
+    ``tables.assign(rows)`` regardless of worker count.  With one worker
+    (or one block) the blocks are scored in-process, preserving the
+    serial path's bounded per-batch temporaries.
     """
-    if block_size < 1:
-        raise ValueError(f"block_size must be positive, got {block_size}")
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         return np.empty(0, dtype=np.int64)
-    blocks = [rows[start : start + block_size] for start in range(0, rows.size, block_size)]
+    blocks = [rows[start : start + ASSIGN_BLOCK] for start in range(0, rows.size, ASSIGN_BLOCK)]
     jobs = min(resolve_jobs(n_jobs), len(blocks))
     with span("parallel.assign", rows=int(rows.size), jobs=jobs, blocks=len(blocks)):
         if jobs <= 1:
             return np.concatenate([tables.assign(block) for block in blocks])
-        workers = pool(jobs, initializer=_init_assign_worker, initargs=(tables,))
+        workers = pool(jobs, initializer=init_worker, initargs=({"tables": tables},))
         try:
             assigned = workers.map(_assign_block, blocks)
         finally:

@@ -3,11 +3,11 @@
 The paper's experiments (§7) never commit to a single heuristic — every
 table runs BALLS, AGGLOMERATIVE, FURTHEST and LOCALSEARCH and reports the
 best objective.  :func:`portfolio` makes that pattern a first-class,
-parallel primitive: the ``X`` matrix is placed in shared memory once,
-every selected algorithm runs concurrently against a zero-copy view of
-it, and the argmin-cost clustering comes back together with a
-per-algorithm :class:`AlgorithmRun` record (cost, cluster count, wall
-time) for observability.
+parallel primitive: forked workers inherit the one instance (dense
+``X`` or lazy label matrix) without copying it, every selected algorithm
+runs concurrently against it, and the argmin-cost clustering comes back
+together with a per-algorithm :class:`AlgorithmRun` record (cost,
+cluster count, wall time) for observability.
 
 Determinism: stochastic portfolio members get independent child
 generators spawned from the single ``rng`` argument, one per method
@@ -36,17 +36,13 @@ from ..registry import (
     register_method,
     resolve_instance_method,
 )
-from .build import attach_instance, pool, share_instance
+from .build import WORKER, init_worker, pool
 from .shm import resolve_jobs
 
 __all__ = ["DEFAULT_PORTFOLIO", "AlgorithmRun", "PortfolioResult", "portfolio"]
 
 #: The paper's §7 line-up: every deterministic heuristic plus LOCALSEARCH.
 DEFAULT_PORTFOLIO = ("balls", "agglomerative", "furthest", "local-search")
-
-#: Per-worker state installed by the pool initializer (set in workers only).
-_WORKER: dict[str, Any] = {}
-
 
 @dataclass(frozen=True)
 class AlgorithmRun:
@@ -153,16 +149,6 @@ def _execute(
     return clustering.labels, cost, clustering.k, solve_span.seconds
 
 
-def _init_portfolio_worker(
-    payload: dict[str, Any],
-    specs: list[tuple[str, dict[str, Any], np.random.Generator | None]],
-) -> None:
-    instance, shared = attach_instance(payload)
-    _WORKER["shared"] = shared  # keep the mapping alive for the pool's lifetime
-    _WORKER["instance"] = instance
-    _WORKER["specs"] = specs
-
-
 def _run_portfolio_member(
     index: int,
 ) -> tuple[int, np.ndarray, float, int, float, list[dict[str, Any]]]:
@@ -170,7 +156,7 @@ def _run_portfolio_member(
     # each member profiles into a local trace and ships it back with the
     # result payload (a few hundred bytes) for the parent to graft.
     with worker_tracing() as trace:
-        labels, cost, k, elapsed = _execute(_WORKER["instance"], _WORKER["specs"][index])
+        labels, cost, k, elapsed = _execute(WORKER["instance"], WORKER["specs"][index])
     return (index, labels, cost, k, elapsed, export_spans(trace))
 
 
@@ -235,9 +221,9 @@ def portfolio(
     backend:
         Pair-distance backend for label inputs (``"auto"``, ``"dense"``
         or ``"lazy"``; see :func:`repro.core.backend.resolve_backend`).
-        With the lazy backend only the ``(n, m)`` label matrix is placed
-        in shared memory — workers attach zero-copy to the labels instead
-        of an ``(n, n)`` matrix.  Ignored for prebuilt instances.
+        With the lazy backend the forked workers share the ``(n, m)``
+        label matrix instead of an ``(n, n)`` matrix.  Ignored for
+        prebuilt instances.
     """
     if isinstance(inputs, CorrelationInstance):
         instance = inputs
@@ -253,17 +239,16 @@ def portfolio(
         if jobs <= 1:
             outcomes = [(i, *_execute(instance, spec)) for i, spec in enumerate(specs)]
         else:
-            with share_instance(instance) as payload:
-                workers = pool(
-                    jobs,
-                    initializer=_init_portfolio_worker,
-                    initargs=(payload, specs),
-                )
-                try:
-                    worker_outcomes = workers.map(_run_portfolio_member, range(len(specs)))
-                finally:
-                    workers.close()
-                    workers.join()
+            workers = pool(
+                jobs,
+                initializer=init_worker,
+                initargs=({"instance": instance, "specs": specs},),
+            )
+            try:
+                worker_outcomes = workers.map(_run_portfolio_member, range(len(specs)))
+            finally:
+                workers.close()
+                workers.join()
             outcomes = []
             for index, labels, cost, k, member_elapsed, spans in worker_outcomes:
                 merge_spans(spans)

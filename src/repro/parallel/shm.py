@@ -1,29 +1,21 @@
-"""Shared-memory ndarray plumbing for the process-parallel backend.
+"""The library-wide worker-count convention.
 
-Worker pools in this package never pickle the ``O(n²)`` matrices they
-cooperate on.  Instead the parent allocates a named
-:mod:`multiprocessing.shared_memory` segment, wraps it as a numpy array,
-and ships only a tiny :class:`descriptor <SharedNDArray>` (name, shape,
-dtype) to the workers, which attach a zero-copy view onto the same
-physical pages.  :class:`SharedNDArray` is context-managed: the creating
-side unlinks the segment on exit, attached sides merely close their
-mapping.
-
-:func:`resolve_jobs` centralizes the worker-count convention used by
-every ``n_jobs`` parameter in the library: an explicit integer wins, then
-the ``REPRO_JOBS`` environment variable, then the serial default of 1;
-zero or a negative value means "all cores".
+:func:`resolve_jobs` centralizes the convention used by every ``n_jobs``
+parameter in the library: an explicit integer wins, then the
+``REPRO_JOBS`` environment variable, then the serial default of 1; zero
+or a negative value means "all cores".  Worker pools hand their inputs
+over by ``fork`` inheritance, so on a platform without the ``fork``
+start method every count resolves to 1 and the serial path runs (with
+bit-identical results).
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import numbers
 import os
-from multiprocessing import shared_memory
-from types import TracebackType
 
-import numpy as np
-
-__all__ = ["SharedNDArray", "resolve_jobs"]
+__all__ = ["resolve_jobs"]
 
 #: Environment variable consulted when ``n_jobs`` is ``None``.
 JOBS_ENV_VAR = "REPRO_JOBS"
@@ -36,7 +28,9 @@ def resolve_jobs(n_jobs: int | None = None) -> int:
     consults the ``REPRO_JOBS`` environment variable (unset or empty
     means 1, i.e. the serial path); ``0`` or a negative value — whether
     passed explicitly or via the environment — selects every available
-    core.  The result is always at least 1.
+    core.  Anything other than ``None`` or an integer (Python or numpy;
+    ``bool`` excluded) raises a ValueError.  The result is always at
+    least 1, and exactly 1 where ``fork`` is not a start method.
     """
     if n_jobs is None:
         raw = os.environ.get(JOBS_ENV_VAR, "").strip()
@@ -46,103 +40,10 @@ def resolve_jobs(n_jobs: int | None = None) -> int:
             n_jobs = int(raw)
         except ValueError:
             raise ValueError(f"{JOBS_ENV_VAR} must be an integer, got {raw!r}") from None
+    elif isinstance(n_jobs, bool) or not isinstance(n_jobs, numbers.Integral):
+        raise ValueError(f"n_jobs must be an integer or None, got {n_jobs!r}")
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
     if n_jobs <= 0:
         return max(1, os.cpu_count() or 1)
     return int(n_jobs)
-
-
-class SharedNDArray:
-    """A numpy array backed by a named shared-memory segment.
-
-    Create the segment (and own its lifetime) with :meth:`create`; attach
-    to an existing one from a worker with :meth:`attach`, passing the
-    :attr:`descriptor` the parent shipped over.  Both sides see the same
-    physical memory through :attr:`array` — nothing is pickled or copied.
-
-    The object is a context manager.  On exit the owning side closes its
-    mapping *and unlinks* the segment; attached sides only close.  The
-    usual topology is therefore::
-
-        with SharedNDArray.create((n, n), np.float64) as out:
-            pool = ...  # workers attach via out.descriptor, write rows
-            result = out.array.copy()  # copy out before the segment dies
-    """
-
-    __slots__ = ("_shm", "_array", "_owner")
-
-    def __init__(self, shm: shared_memory.SharedMemory, shape: tuple[int, ...],
-                 dtype: np.dtype, owner: bool) -> None:
-        self._shm = shm
-        self._array: np.ndarray = np.ndarray(shape, dtype=dtype, buffer=shm.buf)
-        self._owner = owner
-
-    @classmethod
-    def create(cls, shape: tuple[int, ...], dtype: np.dtype | type) -> "SharedNDArray":
-        """Allocate a fresh segment big enough for ``shape`` of ``dtype``."""
-        np_dtype = np.dtype(dtype)
-        size = max(1, int(np.prod(shape)) * np_dtype.itemsize)
-        shm = shared_memory.SharedMemory(create=True, size=size)
-        try:
-            return cls(shm, tuple(int(s) for s in shape), np_dtype, owner=True)
-        except BaseException:
-            # The segment exists the moment SharedMemory returns; if the
-            # wrapper cannot be built the owner must still unlink it or
-            # it outlives the process in /dev/shm.
-            shm.close()
-            shm.unlink()
-            raise
-
-    @classmethod
-    def attach(cls, descriptor: tuple[str, tuple[int, ...], str]) -> "SharedNDArray":
-        """Attach a zero-copy view onto a segment created elsewhere."""
-        name, shape, dtype_name = descriptor
-        # Attaching re-registers the segment with the resource tracker;
-        # pools here are fork-started, so workers share the parent's
-        # tracker process and the re-registration dedupes against the
-        # creator's.  The creating side's unlink() is the one cleanup.
-        shm = shared_memory.SharedMemory(name=name)
-        try:
-            return cls(shm, tuple(shape), np.dtype(dtype_name), owner=False)
-        except BaseException:
-            shm.close()
-            raise
-
-    @property
-    def array(self) -> np.ndarray:
-        """The live array view (valid until :meth:`close`)."""
-        return self._array
-
-    @property
-    def descriptor(self) -> tuple[str, tuple[int, ...], str]:
-        """Picklable ``(name, shape, dtype)`` triple for workers to attach."""
-        return (self._shm.name, tuple(self._array.shape), self._array.dtype.name)
-
-    def close(self) -> None:
-        """Release the mapping; the owning side also unlinks the segment."""
-        # Drop the buffer view first: SharedMemory.close() refuses while
-        # exported memoryviews are alive.
-        self._array = np.ndarray((0,), dtype=np.uint8)
-        self._shm.close()
-        if self._owner:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already unlinked
-                pass
-
-    def __enter__(self) -> "SharedNDArray":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        role = "owner" if self._owner else "attached"
-        return (
-            f"SharedNDArray(name={self._shm.name!r}, shape={self._array.shape}, "
-            f"dtype={self._array.dtype.name}, {role})"
-        )

@@ -10,10 +10,10 @@ global quadratic object, so the memory high-water mark is set by the
 largest shard rather than by ``n`` — the first path in the library where
 instance size is bounded per shard.
 
-Execution mirrors the portfolio runner: the label matrix is placed in a
-:class:`~repro.parallel.shm.SharedNDArray` once, forked workers attach a
-zero-copy view and solve their shard, and results (labels, cost, spans)
-ride back on the pool's result channel.  Determinism: one child
+Execution mirrors the portfolio runner: forked workers inherit the
+label matrix through the pool's ``initargs`` (nothing is pickled or
+copied) and solve their shard, and results (labels, cost, spans) ride
+back on the pool's result channel.  Determinism: one child
 generator is spawned per shard *position* (plus one for the partition
 shuffle) before anything runs, and every in-shard solve is pinned to
 ``n_jobs=1``, so the consensus is bit-identical for any worker count —
@@ -28,6 +28,7 @@ union — see :func:`repro.shard.merge.merge_shards`.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
@@ -42,8 +43,8 @@ from ..core.partition import Clustering
 from ..obs.metrics import inc, observe, set_gauge
 from ..obs.profile import export_spans, merge_spans, worker_tracing
 from ..obs.trace import span
-from ..parallel.build import pool
-from ..parallel.shm import SharedNDArray, resolve_jobs
+from ..parallel.build import WORKER, init_worker, pool
+from ..parallel.shm import resolve_jobs
 from ..registry import (
     SolveContext,
     is_stochastic,
@@ -60,10 +61,6 @@ __all__ = ["QUALITY_ENVELOPE", "ShardResult", "ShardRun", "shard_aggregate"]
 #: the single-shot SAMPLING objective for the same seed budget (measured
 #: in ``reports/BENCH_shard.json``, enforced by the differential tests).
 QUALITY_ENVELOPE = 1.15
-
-#: Per-worker state installed by the pool initializer (set in workers only).
-_WORKER: dict[str, Any] = {}
-
 
 @dataclass(frozen=True)
 class ShardRun:
@@ -190,30 +187,16 @@ def _solve_shard(
     )
 
 
-def _init_shard_worker(
-    descriptor: tuple[str, tuple[int, ...], str],
-    shards: list[np.ndarray],
-    children: list[np.random.Generator],
-    config: dict[str, Any],
-) -> None:
-    shared = SharedNDArray.attach(descriptor)
-    _WORKER["shared"] = shared  # keep the mapping alive for the pool's lifetime
-    _WORKER["matrix"] = shared.array
-    _WORKER["shards"] = shards
-    _WORKER["children"] = children
-    _WORKER["config"] = config
-
-
 def _run_shard(index: int) -> tuple[int, np.ndarray, float, int, float, list[dict[str, Any]]]:
     # Spans recorded in a forked worker die with the process, so each
     # shard profiles into a local trace and ships it back on the result
     # channel for the parent to graft under `shard.solve`.
     with worker_tracing() as trace:
         labels, cost, k, elapsed = _solve_shard(
-            _WORKER["matrix"],
-            _WORKER["shards"][index],
-            _WORKER["config"],
-            _WORKER["children"][index],
+            WORKER["matrix"],
+            WORKER["shards"][index],
+            WORKER["config"],
+            WORKER["children"][index],
             index,
         )
     return (index, labels, cost, k, elapsed, export_spans(trace))
@@ -318,6 +301,8 @@ def shard_aggregate(
             raise ValueError("weights must be >= 1 (duplicate multiplicities)")
     if shard_method != "sampling":
         resolve_instance_method(shard_method)  # raises early on unknown names
+    if isinstance(n_shards, bool) or not isinstance(n_shards, numbers.Integral):
+        raise ValueError(f"n_shards must be an integer, got {n_shards!r}")
     if n_shards < 1:
         raise ValueError(f"n_shards must be positive, got {n_shards}")
     shards = min(int(n_shards), n)
@@ -354,18 +339,13 @@ def shard_aggregate(
                     for i, indices in enumerate(plan)
                 ]
             else:
-                with SharedNDArray.create(matrix.shape, matrix.dtype) as shared:
-                    shared.array[...] = matrix
-                    workers = pool(
-                        jobs,
-                        initializer=_init_shard_worker,
-                        initargs=(shared.descriptor, plan, children, config),
-                    )
-                    try:
-                        worker_outcomes = workers.map(_run_shard, range(len(plan)))
-                    finally:
-                        workers.close()
-                        workers.join()
+                state = {"matrix": matrix, "shards": plan, "children": children, "config": config}
+                workers = pool(jobs, initializer=init_worker, initargs=(state,))
+                try:
+                    worker_outcomes = workers.map(_run_shard, range(len(plan)))
+                finally:
+                    workers.close()
+                    workers.join()
                 outcomes = []
                 for index, labels, cost, k, elapsed, spans in worker_outcomes:
                     merge_spans(spans)

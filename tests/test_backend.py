@@ -26,7 +26,6 @@ from repro.core.backend import (
 from repro.core.instance import disagreement_fractions
 from repro.core.kernels import distance_block
 from repro.core.objective import MoveEvaluator
-from repro.parallel.build import attach_instance, share_instance
 from repro.parallel.portfolio import portfolio
 from repro.stream.instance import IncrementalCorrelationInstance
 
@@ -438,37 +437,8 @@ def test_collapsed_atoms_bit_identical_across_backends() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory fan-out and the parallel portfolio
+# Forked workers on the lazy backend
 # ---------------------------------------------------------------------------
-
-
-def test_share_instance_ships_labels_not_the_matrix() -> None:
-    matrix = label_matrix(31, missing_frac=0.2, seed=31)
-    lazy = CorrelationInstance.lazy_from_label_matrix(matrix, p=0.4)
-    with share_instance(lazy) as payload:
-        assert payload["kind"] == "lazy"
-        assert payload["descriptor"][1] == matrix.shape  # (n, m), not (n, n)
-        rebuilt, shared = attach_instance(payload)
-        try:
-            assert rebuilt.backend.name == "lazy"
-            assert rebuilt.backend.p == 0.4
-            assert np.array_equal(
-                rebuilt.backend.materialize(), lazy.backend.materialize()
-            )
-        finally:
-            shared.close()
-
-
-def test_share_instance_dense_round_trip() -> None:
-    matrix = label_matrix(18, seed=32)
-    dense = CorrelationInstance.from_label_matrix(matrix)
-    with share_instance(dense) as payload:
-        assert payload["kind"] == "dense"
-        rebuilt, shared = attach_instance(payload)
-        try:
-            assert np.array_equal(rebuilt.X, dense.X)
-        finally:
-            shared.close()
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

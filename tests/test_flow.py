@@ -1,4 +1,4 @@
-"""Flow analyzer tests: call graph, RPR010-RPR013, reports, CLI, repo gate.
+"""Flow analyzer tests: call graph, RPR010, RPR011, RPR013, reports, CLI, gate.
 
 Every rule is proven both ways: it fires on a seeded synthetic violation
 and stays silent on the corrected version of the same code.  Synthetic
@@ -354,136 +354,6 @@ def test_rpr011_portfolio_spawn_list_pattern_is_clean() -> None:
         )
         == []
     )
-
-
-# ---------------------------------------------------------------------------
-# RPR012: shared-memory lifecycle
-# ---------------------------------------------------------------------------
-
-_SHM_IMPORT = "from multiprocessing import shared_memory\n"
-
-
-def test_rpr012_fires_on_exception_path_leak() -> None:
-    findings = flow(
-        {
-            PARALLEL: (
-                _SHM_IMPORT
-                + "def make(size, check):\n"
-                "    shm = shared_memory.SharedMemory(create=True, size=size)\n"
-                "    validate(check)\n"
-                "    shm.close()\n"
-                "    shm.unlink()\n"
-                "def validate(check):\n"
-                "    if not check:\n"
-                "        raise ValueError('bad')\n"
-            ),
-        }
-    )
-    assert [f.rule for f in findings] == ["RPR012"]
-    assert "may leak" in findings[0].message
-
-
-def test_rpr012_silent_with_try_finally() -> None:
-    assert (
-        codes(
-            {
-                PARALLEL: (
-                    _SHM_IMPORT
-                    + "def make(size, check):\n"
-                    "    shm = shared_memory.SharedMemory(create=True, size=size)\n"
-                    "    try:\n"
-                    "        validate(check)\n"
-                    "    finally:\n"
-                    "        shm.close()\n"
-                    "        shm.unlink()\n"
-                    "def validate(check):\n"
-                    "    pass\n"
-                ),
-            }
-        )
-        == []
-    )
-
-
-def test_rpr012_fires_on_owner_closed_but_not_unlinked() -> None:
-    findings = flow(
-        {
-            PARALLEL: (
-                _SHM_IMPORT
-                + "def make(size):\n"
-                "    shm = shared_memory.SharedMemory(create=True, size=size)\n"
-                "    shm.close()\n"
-            ),
-        }
-    )
-    assert [f.rule for f in findings] == ["RPR012"]
-    assert "never unlinks" in findings[0].message
-
-
-def test_rpr012_fires_on_one_armed_branch_close() -> None:
-    findings = flow(
-        {
-            PARALLEL: (
-                _SHM_IMPORT
-                + "def make(size, keep):\n"
-                "    shm = shared_memory.SharedMemory(name='seg')\n"
-                "    if keep:\n"
-                "        shm.close()\n"
-            ),
-        }
-    )
-    assert [f.rule for f in findings] == ["RPR012"]
-    assert "every exit path" in findings[0].message
-
-
-@pytest.mark.parametrize(
-    "body",
-    [
-        # with-managed: the context manager closes it.
-        "    with shared_memory.SharedMemory(create=True, size=size) as shm:\n"
-        "        return shm.size\n",
-        # immediate escape into a worker cache.
-        "    CACHE['seg'] = shared_memory.SharedMemory(name='seg')\n",
-        # escape to the caller via return.
-        "    return shared_memory.SharedMemory(name='seg')\n",
-    ],
-)
-def test_rpr012_silent_on_managed_and_escaping_creations(body: str) -> None:
-    source = _SHM_IMPORT + "CACHE = {}\ndef make(size):\n" + body
-    assert codes({PARALLEL: source}) == []
-
-
-def test_rpr012_creator_propagation_to_caller() -> None:
-    attacher = (
-        _SHM_IMPORT
-        + "def attach(name):\n"
-        "    shm = shared_memory.SharedMemory(name=name)\n"
-        "    return ('instance', shm)\n"
-    )
-    leaky = {
-        PARALLEL: attacher
-        + "def use(name, check):\n"
-        "    instance, shm = attach(name)\n"
-        "    validate(check)\n"
-        "    shm.close()\n"
-        "def validate(check):\n"
-        "    pass\n",
-    }
-    findings = flow(leaky)
-    assert [f.rule for f in findings] == ["RPR012"]
-    assert "`use`" in findings[0].message  # flagged in the caller
-    clean = {
-        PARALLEL: attacher
-        + "def use(name, check):\n"
-        "    instance, shm = attach(name)\n"
-        "    try:\n"
-        "        validate(check)\n"
-        "    finally:\n"
-        "        shm.close()\n"
-        "def validate(check):\n"
-        "    pass\n",
-    }
-    assert codes(clean) == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
-"""Tests for the shared-memory parallel backend (repro.parallel)."""
+"""Tests for the fork-pool parallel backend (repro.parallel)."""
 
+import importlib
 import json
+import multiprocessing
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import strategies as st
 
 import repro.core.backend as backend_module
 import repro.parallel.build as build_module
+import repro.shard.engine as shard_engine
 from repro import aggregate
 from repro.cli import main
 from repro.core.atoms import collapse_duplicates
@@ -19,11 +24,14 @@ from repro.datasets import generate_votes
 from repro.parallel import (
     DEFAULT_PORTFOLIO,
     JOBS_ENV_VAR,
-    SharedNDArray,
     parallel_assign,
     portfolio,
     resolve_jobs,
 )
+from repro.shard import shard_aggregate
+
+# ``repro.parallel.portfolio`` the attribute is the function; this is the module.
+portfolio_module = importlib.import_module("repro.parallel.portfolio")
 
 
 class TestResolveJobs:
@@ -48,46 +56,42 @@ class TestResolveJobs:
 
     @pytest.mark.parametrize("value", [0, -1])
     def test_nonpositive_means_all_cores(self, value):
-        import os
-
         assert resolve_jobs(value) == max(1, os.cpu_count() or 1)
 
     def test_nonpositive_environment_means_all_cores(self, monkeypatch):
-        import os
-
         monkeypatch.setenv(JOBS_ENV_VAR, "0")
         assert resolve_jobs(None) == max(1, os.cpu_count() or 1)
 
+    @pytest.mark.parametrize("value", [0.5, 2.5, 2.0, True, False, "2", float("nan")])
+    def test_rejects_non_integers(self, value):
+        with pytest.raises(ValueError, match="n_jobs"):
+            resolve_jobs(value)
 
-class TestSharedNDArray:
-    def test_create_attach_round_trip(self):
-        data = np.arange(12, dtype=np.float64).reshape(3, 4)
-        with SharedNDArray.create(data.shape, data.dtype) as owner:
-            owner.array[...] = data
-            view = SharedNDArray.attach(owner.descriptor)
-            try:
-                np.testing.assert_array_equal(view.array, data)
-                # Same physical pages: a write through one side is seen
-                # by the other without any copying.
-                view.array[1, 2] = -7.0
-                assert owner.array[1, 2] == -7.0
-            finally:
-                view.close()
+    def test_accepts_numpy_integers(self):
+        jobs = resolve_jobs(np.int64(2))
+        assert jobs == 2 and type(jobs) is int
 
-    def test_descriptor_is_plain_data(self):
-        with SharedNDArray.create((2, 5), np.float32) as shared:
-            name, shape, dtype_name = shared.descriptor
-            assert isinstance(name, str)
-            assert shape == (2, 5)
-            assert dtype_name == "float32"
-            assert "owner" in repr(shared)
+    def test_aggregate_rejects_fractional_jobs(self):
+        matrix = generate_votes(n=40, rng=0).label_matrix()
+        with pytest.raises(ValueError, match="n_jobs"):
+            aggregate(matrix, method="portfolio", n_jobs=0.5, rng=0)
 
-    def test_owner_close_unlinks_segment(self):
-        shared = SharedNDArray.create((4,), np.int64)
-        descriptor = shared.descriptor
-        shared.close()
-        with pytest.raises(FileNotFoundError):
-            SharedNDArray.attach(descriptor)
+    def test_without_fork_everything_runs_serially(self, monkeypatch):
+        def no_pool(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("pool started without the fork start method")
+
+        matrix = generate_votes(n=120, rng=0).label_matrix()
+        serial = portfolio(matrix, rng=7, n_jobs=1)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(portfolio_module, "pool", no_pool)
+        assert resolve_jobs(2) == 1
+        assert resolve_jobs(0) == 1
+        fanned = portfolio(matrix, rng=7, n_jobs=2)
+        assert fanned.jobs == 1
+        assert fanned.best_method == serial.best_method
+        assert fanned.cost == serial.cost
+        np.testing.assert_array_equal(fanned.best.labels, serial.best.labels)
+        assert [run.cost for run in fanned.runs] == [run.cost for run in serial.runs]
 
 
 def build_matrix(n, m, k, seed, missing_rate=0.0):
@@ -190,7 +194,9 @@ class TestParallelAssign:
         rest = np.setdiff1d(np.arange(200), sample)
         serial = tables.assign(rest)
         for jobs, block in ((1, 7), (2, 7), (3, 16)):
-            fanned = parallel_assign(tables, rest, n_jobs=jobs, block_size=block)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(build_module, "ASSIGN_BLOCK", block)
+                fanned = parallel_assign(tables, rest, n_jobs=jobs)
             np.testing.assert_array_equal(fanned, serial)
 
     def test_empty_rows(self):
@@ -202,15 +208,6 @@ class TestParallelAssign:
         tables = ClusterCountTables(matrix, sample, agglomerative(sub).labels)
         result = parallel_assign(tables, np.empty(0, dtype=np.int64), n_jobs=2)
         assert result.size == 0 and result.dtype == np.int64
-
-    def test_rejects_bad_block_size(self):
-        matrix = build_matrix(8, 2, 2, seed=0)
-        sub = CorrelationInstance.from_label_matrix(matrix)
-        from repro.algorithms.agglomerative import agglomerative
-
-        tables = ClusterCountTables(matrix, np.arange(8), agglomerative(sub).labels)
-        with pytest.raises(ValueError, match="block_size"):
-            parallel_assign(tables, np.arange(8), block_size=0)
 
 
 class TestPortfolio:
@@ -338,3 +335,65 @@ class TestCliPortfolio:
         assert report["best_method"] == serial.best_method
         assert report["cost"] == pytest.approx(serial.cost)
         np.testing.assert_array_equal(labels, serial.best.labels)
+
+
+DEV_SHM = Path("/dev/shm")
+
+
+@pytest.fixture
+def shm_watch(monkeypatch):
+    """Fail if ``/dev/shm`` gains an entry while a pool runs or afterwards.
+
+    Every pool start is intercepted: the listing is taken once the
+    workers exist, when a named segment would be live.
+    """
+    if not DEV_SHM.is_dir():
+        pytest.skip("/dev/shm is absent on this platform")
+    before = set(os.listdir(DEV_SHM))
+    gained: set[str] = set()
+    started = []
+    real_pool = build_module.pool
+
+    def watched_pool(*args, **kwargs):
+        workers = real_pool(*args, **kwargs)
+        started.append(args[0])
+        gained.update(set(os.listdir(DEV_SHM)) - before)
+        return workers
+
+    for module in (build_module, portfolio_module, shard_engine):
+        monkeypatch.setattr(module, "pool", watched_pool)
+    yield
+    gained.update(set(os.listdir(DEV_SHM)) - before)
+    assert started, "no pool was started"
+    assert gained == set()
+
+
+class TestNoNamedSharedMemory:
+    """No pool path creates a named segment: inputs are fork-inherited."""
+
+    def test_pooled_build(self, shm_watch, monkeypatch):
+        shrink_grid(monkeypatch)
+        matrix = build_matrix(150, 3, 3, seed=2)
+        np.testing.assert_array_equal(
+            disagreement_fractions(matrix, n_jobs=2), disagreement_fractions(matrix, n_jobs=1)
+        )
+
+    @pytest.mark.parametrize("backend", ["dense", "lazy"])
+    def test_portfolio(self, shm_watch, backend):
+        matrix = generate_votes(n=80, rng=0).label_matrix()
+        assert portfolio(matrix, rng=1, n_jobs=2, backend=backend).jobs == 2
+
+    def test_shard_aggregate(self, shm_watch):
+        matrix = generate_votes(n=90, rng=0).label_matrix()
+        assert shard_aggregate(matrix, n_shards=2, rng=0, n_jobs=2).jobs == 2
+
+    def test_parallel_assign(self, shm_watch, monkeypatch):
+        from repro.algorithms.agglomerative import agglomerative
+
+        monkeypatch.setattr(build_module, "ASSIGN_BLOCK", 16)
+        matrix = generate_votes(n=120, rng=0).label_matrix()
+        sample = np.arange(0, 120, 4)
+        sub = CorrelationInstance.from_label_matrix(matrix[sample])
+        tables = ClusterCountTables(matrix, sample, agglomerative(sub).labels)
+        rest = np.setdiff1d(np.arange(120), sample)
+        np.testing.assert_array_equal(parallel_assign(tables, rest, n_jobs=2), tables.assign(rest))

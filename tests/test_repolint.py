@@ -339,7 +339,6 @@ def test_rpr006_exempts_the_parallel_package(source: str) -> None:
     "source",
     [
         "import multiprocessing\n",
-        "from multiprocessing import shared_memory\n",
         "from multiprocessing import get_context\nctx = get_context('fork')\n",
         "from repro.parallel.build import pool\nworkers = pool(4)\n",
         # An unrelated object with a Pool attribute is not multiprocessing.
@@ -353,6 +352,70 @@ def test_rpr006_allows_non_pool_multiprocessing(source: str) -> None:
 def test_rpr006_suppressible_inline() -> None:
     source = "from multiprocessing import Pool  # repolint: disable=RPR006\n"
     assert codes(source) == []
+
+
+# ---------------------------------------------------------------------------
+# RPR012: named shared memory in library code
+# ---------------------------------------------------------------------------
+
+_SHM_IMPORT = "from multiprocessing import shared_memory\n"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        _SHM_IMPORT + "def make(size, check):\n"
+        "    shm = shared_memory.SharedMemory(create=True, size=size)\n"
+        "    validate(check)\n"
+        "    shm.close()\n"
+        "    shm.unlink()\n",
+        _SHM_IMPORT + "def make(size):\n"
+        "    shm = shared_memory.SharedMemory(create=True, size=size)\n"
+        "    shm.close()\n",
+        _SHM_IMPORT + "def make(size, keep):\n"
+        "    shm = shared_memory.SharedMemory(name='seg')\n"
+        "    if keep:\n"
+        "        shm.close()\n",
+        _SHM_IMPORT + "def attach(name):\n"
+        "    shm = shared_memory.SharedMemory(name=name)\n"
+        "    return ('instance', shm)\n",
+        _SHM_IMPORT,
+        "import multiprocessing.shared_memory\n",
+        "import multiprocessing.shared_memory as shm\n",
+        "from multiprocessing.shared_memory import SharedMemory\n",
+        "from multiprocessing.managers import SharedMemoryManager\n",
+    ],
+    ids=[
+        "exception-path-leak",
+        "owner-not-unlinked",
+        "one-armed-close",
+        "creator-returns-segment",
+        "from-import-module",
+        "import-module",
+        "import-module-as",
+        "from-import-class",
+        "from-import-manager",
+    ],
+)
+def test_rpr012_flags_named_shared_memory(source: str) -> None:
+    # Every named segment is a finding, however carefully it is released.
+    assert codes(source) == ["RPR012"]
+    assert codes(source, path=PARALLEL) == ["RPR012"]
+
+
+def test_rpr012_scoped_to_library_files() -> None:
+    # Tests and benchmarks may inspect shared memory freely.
+    assert codes(_SHM_IMPORT, path=OUTSIDE) == []
+    assert codes(_SHM_IMPORT, path="benchmarks/bench_x.py") == []
+
+
+def test_rpr012_allows_anonymous_mmap() -> None:
+    source = "import mmap\nbuffer = mmap.mmap(-1, 4096)\n"
+    assert codes(source, path=PARALLEL) == []
+
+
+def test_rpr012_suppressible_inline() -> None:
+    assert codes(_SHM_IMPORT.rstrip("\n") + "  # repolint: disable=RPR012\n") == []
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +517,8 @@ def test_rpr008_flags_matrix_access_outside_core(source: str) -> None:
 )
 def test_rpr008_exempts_core_and_the_shared_memory_fanout(source: str) -> None:
     assert codes(source) == []  # CORE path
-    assert codes(source, path=BUILD) == []
+    # Only core/ is exempt: the pooled build gets no exemption either.
+    assert codes(source, path=BUILD) == ["RPR008"]
 
 
 def test_rpr008_scoped_to_library_files() -> None:
@@ -599,12 +663,13 @@ def test_main_json_reports_every_rule_id(tmp_path, capsys) -> None:
     serve = tmp_path / "repro" / "serve"
     serve.mkdir(parents=True)
     (serve / "r9.py").write_text("import time\nasync def h():\n    time.sleep(1)\n")
+    (core / "r12.py").write_text("from multiprocessing import shared_memory\n")
 
     exit_code = main(["--json", str(tmp_path)])
     report = json.loads(capsys.readouterr().out)
 
     assert exit_code == 1
-    assert report["files_checked"] == 9
+    assert report["files_checked"] == 10
     seen = {finding["rule"] for finding in report["findings"]}
     assert seen == {
         "RPR001",
@@ -616,6 +681,7 @@ def test_main_json_reports_every_rule_id(tmp_path, capsys) -> None:
         "RPR007",
         "RPR008",
         "RPR009",
+        "RPR012",
     }
     by_rule = {f["rule"]: f for f in report["findings"]}
     assert by_rule["RPR001"]["path"].endswith("r1.py")
@@ -624,6 +690,7 @@ def test_main_json_reports_every_rule_id(tmp_path, capsys) -> None:
     assert by_rule["RPR007"]["path"].endswith("r7.py")
     assert by_rule["RPR008"]["path"].endswith("r8.py")
     assert by_rule["RPR009"]["path"].endswith("r9.py")
+    assert by_rule["RPR012"]["path"].endswith("r12.py")
 
 
 def test_repository_is_lint_clean() -> None:

@@ -336,6 +336,17 @@ class TestShardAggregate:
         with pytest.raises(ValueError):
             aggregate(instance, method="sharded")
 
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, float("nan"), "2"])
+    def test_rejects_non_integer_shard_counts(self, value):
+        _, matrix = planted_instance(n=20, m=3, groups=2, flip=0.1, seed=6)
+        with pytest.raises(ValueError, match="n_shards"):
+            shard_aggregate(matrix, n_shards=value)
+
+    def test_accepts_numpy_integer_shard_count(self):
+        _, matrix = planted_instance(n=20, m=3, groups=2, flip=0.1, seed=6)
+        result = shard_aggregate(matrix, n_shards=np.int64(2), rng=0)
+        assert len(result.shards) == 2
+
 
 class TestShardCli:
     @pytest.fixture
