@@ -5,10 +5,9 @@ so BALLS and SAMPLING can run at ``n`` where the dense ``(n, n)`` matrix
 does not fit: it stores the ``(n, m)`` labels and computes distance row
 blocks on demand.  This bench puts a number on that claim — for each
 ``(algorithm, n, backend)`` configuration it runs the full
-build-plus-solve in a **fresh subprocess** and records the child's peak
-RSS (``resource.getrusage``) and wall time.  A subprocess per
-configuration is not optional: ``ru_maxrss`` is a monotone high-water
-mark, so measurements inside one process would contaminate each other.
+build-plus-solve on planted inputs in a **fresh interpreter** (the
+``--measure`` protocol of ``benchmarks/fresh.py``) and records the
+child's peak RSS and wall time.
 
 The dense configuration at the largest size is *skipped, not attempted*
 (a ~10 GB matrix allocation proves nothing about the lazy path), with
@@ -26,53 +25,16 @@ Runs three ways:
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import resource
-import subprocess
 import sys
 import time
-from pathlib import Path
 
-import numpy as np
-
-SRC_DIR = Path(__file__).resolve().parent.parent / "src"
-if str(SRC_DIR) not in sys.path:
-    sys.path.insert(0, str(SRC_DIR))
-
-from repro.experiments import banner, render_table  # noqa: E402
+import fresh  # first: puts src/ on sys.path
+from repro.experiments import banner, render_table
 
 _M = 8
-_K = 10
-_NOISE = 0.15
-_SIZES = (5_000, 20_000, 50_000)
-_QUICK_SIZES = (1_500,)
-_SMOKE_SIZE = 20_000
 _ALGORITHMS = ("balls", "sampling")
 #: Above this n the dense configuration is skipped outright.
 _DENSE_SKIP_N = 50_000
-
-
-def _label_matrix(n: int, seed: int) -> np.ndarray:
-    """Planted-cluster inputs: each clustering is the ground truth plus noise.
-
-    Uniform random labels would make every pair distance ~(k-1)/k >> 1/2 and
-    degenerate BALLS into n singleton balls — structured inputs are both the
-    realistic workload and the one where cluster count stays O(k).
-    """
-    rng = np.random.default_rng(seed)
-    truth = rng.integers(0, _K, size=n)
-    matrix = np.repeat(truth[:, None], _M, axis=1)
-    flips = rng.random((n, _M)) < _NOISE
-    matrix[flips] = rng.integers(0, _K, size=int(flips.sum()))
-    return matrix.astype(np.int32)
-
-
-def _peak_rss_bytes() -> int:
-    """Peak resident set size of this process, in bytes (Linux: KiB units)."""
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return peak * (1 if sys.platform == "darwin" else 1024)
 
 
 def measure(backend: str, n: int, algorithm: str) -> dict:
@@ -82,7 +44,7 @@ def measure(backend: str, n: int, algorithm: str) -> dict:
     from repro.algorithms.sampling import sampling
     from repro.core.instance import CorrelationInstance
 
-    matrix = _label_matrix(n, seed=n)
+    matrix = fresh.planted(n, _M, seed=n)
     start = time.perf_counter()
     instance = CorrelationInstance.from_label_matrix(matrix, n_jobs=None, backend=backend)
     build_seconds = time.perf_counter() - start
@@ -104,51 +66,30 @@ def measure(backend: str, n: int, algorithm: str) -> dict:
         "k": clustering.k,
         "build_seconds": build_seconds,
         "solve_seconds": solve_seconds,
-        "peak_rss_bytes": _peak_rss_bytes(),
+        "peak_rss_bytes": fresh.peak_rss_bytes(),
     }
 
 
-def _measure_in_subprocess(backend: str, n: int, algorithm: str) -> dict:
-    """Run one configuration in a fresh interpreter for a clean RSS high-water."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
-    completed = subprocess.run(
-        [sys.executable, __file__, "--measure", backend, str(n), algorithm],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=False,
-    )
-    if completed.returncode != 0:
-        return {
-            "backend": backend,
-            "n": n,
-            "algorithm": algorithm,
-            "error": completed.stderr.strip().splitlines()[-1] if completed.stderr else "crashed",
-        }
-    return json.loads(completed.stdout)
-
-
-def _sweep(sizes: tuple[int, ...], backends: tuple[str, ...]) -> list[dict]:
-    results: list[dict] = []
+def _configs(sizes: tuple[int, ...], backends: tuple[str, ...]) -> list[dict]:
+    configs = []
     for n in sizes:
         for algorithm in _ALGORITHMS:
             for backend in backends:
+                config = {"backend": backend, "n": n, "algorithm": algorithm}
                 if backend == "dense" and n >= _DENSE_SKIP_N:
-                    results.append(
-                        {
-                            "backend": backend,
-                            "n": n,
-                            "algorithm": algorithm,
-                            "skipped": (
-                                "dense X at this n is a ~10 GB float32 allocation; "
-                                "the configuration exists only to be avoided"
-                            ),
-                        }
+                    config["skipped"] = (
+                        "dense X at this n is a ~10 GB float32 allocation; "
+                        "the configuration exists only to be avoided"
                     )
-                    continue
-                results.append(_measure_in_subprocess(backend, n, algorithm))
-    return results
+                configs.append(config)
+    return configs
+
+
+CONFIGS = {
+    "full": _configs((5_000, 20_000, 50_000), ("dense", "lazy")),
+    "quick": _configs((1_500,), ("dense", "lazy")),
+    "smoke": _configs((20_000,), ("lazy",)),
+}
 
 
 def _ratios(results: list[dict]) -> list[dict]:
@@ -207,69 +148,23 @@ def _render(results: list[dict], ratios: list[dict]) -> str:
     return text
 
 
-def _write_json(payload: dict) -> Path:
-    reports = Path(__file__).resolve().parent.parent / "reports"
-    reports.mkdir(exist_ok=True)
-    path = reports / "BENCH_backend.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return path
+def _analyse(results: list[dict]) -> tuple[str, dict, list[str]]:
+    ratios = _ratios(results)
+    payload = {"m": _M, "k": fresh.PLANTED_K, "results": results, "ratios": ratios}
+    return _render(results, ratios), payload, []
 
 
 def bench_backend(benchmark, report):
     """pytest entry: quick subprocess sweep, report only (no committed JSON)."""
     from conftest import once
 
-    results = once(benchmark, lambda: _sweep(_QUICK_SIZES, ("dense", "lazy")))
-    ratios = _ratios(results)
-    report("backend_memory_quick", _render(results, ratios))
+    results = once(benchmark, lambda: fresh.sweep(__file__, CONFIGS["quick"]))
+    report("backend_memory_quick", _analyse(results)[0])
     measured = [r for r in results if "peak_rss_bytes" in r]
     assert len(measured) == len(results), f"configurations failed: {results}"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--measure",
-        nargs=3,
-        metavar=("BACKEND", "N", "ALGORITHM"),
-        help="internal: measure one configuration and print JSON",
-    )
-    parser.add_argument("--quick", action="store_true", help="small sizes for local sanity runs")
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI smoke: lazy-only configurations at n=20000 (honours REPRO_JOBS)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.measure:
-        backend, n, algorithm = args.measure
-        print(json.dumps(measure(backend, int(n), algorithm)))
-        return 0
-
-    if args.smoke:
-        sizes: tuple[int, ...] = (_SMOKE_SIZE,)
-        backends: tuple[str, ...] = ("lazy",)
-    elif args.quick:
-        sizes, backends = _QUICK_SIZES, ("dense", "lazy")
-    else:
-        sizes, backends = _SIZES, ("dense", "lazy")
-
-    results = _sweep(sizes, backends)
-    ratios = _ratios(results)
-    text = _render(results, ratios)
-    print(text)
-    if not (args.smoke or args.quick):
-        payload = {"m": _M, "k": _K, "results": results, "ratios": ratios}
-        path = _write_json(payload)
-        path.with_name("backend_memory.txt").write_text(text + "\n")
-        print(f"\nstructured output: {path}")
-    failed = [r for r in results if "error" in r]
-    if failed:
-        print(f"\n{len(failed)} configuration(s) failed", file=sys.stderr)
-        return 1
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(
+        fresh.main(__file__, measure, CONFIGS, _analyse, report=("backend", "backend_memory"))
+    )

@@ -13,20 +13,20 @@ Runs two ways:
 
 - under pytest-benchmark with the other benches
   (``pytest benchmarks/bench_obs.py``);
-- standalone for CI smoke runs: ``python benchmarks/bench_obs.py
-  --quick``.
+- standalone for the committed report: ``python benchmarks/bench_obs.py``
+  emits ``reports/BENCH_obs.json`` + ``reports/obs_overhead.txt``;
+  ``--quick`` runs a smaller size and writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
+from fresh import write_report  # first: puts src/ on sys.path
 from repro.core.aggregate import aggregate
 from repro.experiments import banner, render_table
 from repro.obs import (
@@ -36,8 +36,6 @@ from repro.obs import (
     tracing,
 )
 from repro.parallel import portfolio
-
-from conftest import REPORTS_DIR
 
 _N = 1200
 _QUICK_N = 400
@@ -114,18 +112,11 @@ def _run(n: int, repeats: int) -> tuple[str, dict]:
     return text, payload
 
 
-def _write_json(payload: dict) -> Path:
-    REPORTS_DIR.mkdir(exist_ok=True)
-    path = REPORTS_DIR / "BENCH_obs.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return path
-
-
 def bench_obs(benchmark, report):
     from conftest import once
 
     text, payload = once(benchmark, lambda: _run(_N, _REPEATS))
-    _write_json(payload)
+    write_report("obs", "obs_overhead", payload, text)
     report("obs_overhead", text)
     # The contract is "cheap when off", not a hard bound on noisy CI
     # hosts; a loose factor still catches accidental always-on work.
@@ -138,9 +129,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     n = _QUICK_N if args.quick else _N
     text, payload = _run(n, _REPEATS)
-    path = _write_json(payload)
     print(text)
-    print(f"\nstructured output: {path}")
+    if not args.quick:
+        path = write_report("obs", "obs_overhead", payload, text)
+        print(f"\nstructured output: {path}")
     return 0
 
 

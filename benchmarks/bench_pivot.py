@@ -5,8 +5,9 @@ expected factor: no ``(n, n)`` structure, one vectorized row query per
 pivot.  This bench puts numbers on that claim.  For each workload —
 the paper's Votes and Mushrooms tables plus a planted synthetic at
 ``m = 5`` up to ``n = 10**6`` — it runs each configuration in a **fresh
-subprocess** (clean ``resource.getrusage`` high-water) and records wall
-time, peak RSS and the consensus objective ``d(C)``.
+interpreter** (the ``--measure`` protocol of ``benchmarks/fresh.py``,
+for a clean peak-RSS high-water) and records wall time, peak RSS and
+the consensus objective ``d(C)``.
 
 A ``baseline`` variant imports the library and builds the label matrix
 without clustering anything, so the interesting memory number is the
@@ -36,22 +37,13 @@ Runs three ways:
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import resource
-import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
-SRC_DIR = Path(__file__).resolve().parent.parent / "src"
-if str(SRC_DIR) not in sys.path:
-    sys.path.insert(0, str(SRC_DIR))
-
-from repro.experiments import banner, render_table  # noqa: E402
+import fresh  # first: puts src/ on sys.path
+from repro.experiments import banner, render_table
 
 #: pivot/cmsy objective must stay within this factor of single-shot SAMPLING.
 PIVOT_COST_ENVELOPE = 1.15
@@ -59,25 +51,11 @@ PIVOT_COST_ENVELOPE = 1.15
 PIVOT_RSS_ENVELOPE = 3.0
 
 _M = 5
-_K = 10
-_NOISE = 0.15
 _SEED = 7
 #: best-of-R amplification for the expected-factor methods.
 _REPEATS = 5
-_PLANTED_FULL = 1_000_000
-_PLANTED_QUICK = 5_000
 #: BALLS materializes the (n, n) instance; cap its workloads accordingly.
 _BALLS_MAX_N = 20_000
-
-
-def _planted_matrix(n: int) -> np.ndarray:
-    """Planted-cluster inputs at the acceptance shape (m=5)."""
-    rng = np.random.default_rng(n)
-    truth = rng.integers(0, _K, size=n)
-    matrix = np.repeat(truth[:, None], _M, axis=1)
-    flips = rng.random((n, _M)) < _NOISE
-    matrix[flips] = rng.integers(0, _K, size=int(flips.sum()))
-    return matrix.astype(np.int32)
 
 
 def _workload_matrix(workload: str) -> np.ndarray:
@@ -90,14 +68,9 @@ def _workload_matrix(workload: str) -> np.ndarray:
 
         return generate_mushrooms(rng=0).label_matrix()
     if workload.startswith("planted:"):
-        return _planted_matrix(int(workload.split(":")[1]))
+        n = int(workload.split(":")[1])
+        return fresh.planted(n, _M, seed=n)
     raise ValueError(f"unknown workload {workload!r}")
-
-
-def _peak_rss_bytes() -> int:
-    """Peak resident set size of this process, in bytes (Linux: KiB units)."""
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return peak * (1 if sys.platform == "darwin" else 1024)
 
 
 def measure(variant: str, workload: str) -> dict:
@@ -121,7 +94,7 @@ def measure(variant: str, workload: str) -> dict:
             "m": m,
             "checksum": checksum,
             "seconds": 0.0,
-            "peak_rss_bytes": _peak_rss_bytes(),
+            "peak_rss_bytes": fresh.peak_rss_bytes(),
         }
     start = time.perf_counter()
     if variant == "sampling":
@@ -146,28 +119,8 @@ def measure(variant: str, workload: str) -> dict:
         "k": result.clustering.k,
         "cost": disagreements / m,
         "seconds": seconds,
-        "peak_rss_bytes": _peak_rss_bytes(),
+        "peak_rss_bytes": fresh.peak_rss_bytes(),
     }
-
-
-def _measure_in_subprocess(variant: str, workload: str) -> dict:
-    """Run one configuration in a fresh interpreter for a clean RSS high-water."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
-    completed = subprocess.run(
-        [sys.executable, __file__, "--measure", variant, workload],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=False,
-    )
-    if completed.returncode != 0:
-        return {
-            "variant": variant,
-            "workload": workload,
-            "error": completed.stderr.strip().splitlines()[-1] if completed.stderr else "crashed",
-        }
-    return json.loads(completed.stdout)
 
 
 def _variants_for(workload: str) -> tuple[str, ...]:
@@ -181,12 +134,19 @@ def _variants_for(workload: str) -> tuple[str, ...]:
     return ("baseline", "sampling", "balls", "pivot", "cmsy")
 
 
-def _sweep(workloads: tuple[str, ...]) -> list[dict]:
-    results: list[dict] = []
-    for workload in workloads:
-        for variant in _variants_for(workload):
-            results.append(_measure_in_subprocess(variant, workload))
-    return results
+def _configs(*workloads: str) -> list[dict]:
+    return [
+        {"variant": variant, "workload": workload}
+        for workload in workloads
+        for variant in _variants_for(workload)
+    ]
+
+
+CONFIGS = {
+    "full": _configs("votes", "mushrooms", "planted:1000000"),
+    "quick": _configs("votes", "planted:5000"),
+    "smoke": _configs("votes"),
+}
 
 
 def _envelopes(results: list[dict]) -> list[dict]:
@@ -285,84 +245,32 @@ def _check_envelopes(envelopes: list[dict]) -> list[str]:
     return violations
 
 
-def _write_json(payload: dict) -> Path:
-    reports = Path(__file__).resolve().parent.parent / "reports"
-    reports.mkdir(exist_ok=True)
-    path = reports / "BENCH_pivot.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return path
+def _analyse(results: list[dict]) -> tuple[str, dict, list[str]]:
+    envelopes = _envelopes(results)
+    payload = {
+        "m_planted": _M,
+        "k_planted": fresh.PLANTED_K,
+        "seed": _SEED,
+        "repeats": _REPEATS,
+        "cost_envelope": PIVOT_COST_ENVELOPE,
+        "rss_envelope": PIVOT_RSS_ENVELOPE,
+        "results": results,
+        "envelopes": envelopes,
+    }
+    return _render(results, envelopes), payload, _check_envelopes(envelopes)
 
 
 def bench_pivot(benchmark, report):
     """pytest entry: quick subprocess sweep, envelopes asserted."""
     from conftest import once
 
-    workloads = ("votes", f"planted:{_PLANTED_QUICK}")
-    results = once(benchmark, lambda: _sweep(workloads))
-    envelopes = _envelopes(results)
-    report("pivot_scaling_quick", _render(results, envelopes))
+    results = once(benchmark, lambda: fresh.sweep(__file__, CONFIGS["quick"]))
+    text, _, violations = _analyse(results)
+    report("pivot_scaling_quick", text)
     failed = [r for r in results if "error" in r]
     assert not failed, f"configurations failed: {failed}"
-    violations = _check_envelopes(envelopes)
     assert not violations, "; ".join(violations)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--measure",
-        nargs=2,
-        metavar=("VARIANT", "WORKLOAD"),
-        help="internal: measure one configuration and print JSON",
-    )
-    parser.add_argument("--quick", action="store_true", help="small sizes for local sanity runs")
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI smoke: pivot + cmsy + sampling on Votes, cost envelope enforced",
-    )
-    args = parser.parse_args(argv)
-
-    if args.measure:
-        variant, workload = args.measure
-        print(json.dumps(measure(variant, workload)))
-        return 0
-
-    if args.smoke:
-        workloads: tuple[str, ...] = ("votes",)
-    elif args.quick:
-        workloads = ("votes", f"planted:{_PLANTED_QUICK}")
-    else:
-        workloads = ("votes", "mushrooms", f"planted:{_PLANTED_FULL}")
-
-    results = _sweep(workloads)
-    envelopes = _envelopes(results)
-    text = _render(results, envelopes)
-    print(text)
-    if not (args.smoke or args.quick):
-        payload = {
-            "m_planted": _M,
-            "k_planted": _K,
-            "seed": _SEED,
-            "repeats": _REPEATS,
-            "cost_envelope": PIVOT_COST_ENVELOPE,
-            "rss_envelope": PIVOT_RSS_ENVELOPE,
-            "results": results,
-            "envelopes": envelopes,
-        }
-        path = _write_json(payload)
-        path.with_name("pivot_scaling.txt").write_text(text + "\n")
-        print(f"\nstructured output: {path}")
-    failed = [r for r in results if "error" in r]
-    if failed:
-        print(f"\n{len(failed)} configuration(s) failed", file=sys.stderr)
-        return 1
-    violations = _check_envelopes(envelopes)
-    if violations:
-        print("\n" + "\n".join(violations), file=sys.stderr)
-        return 1
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(fresh.main(__file__, measure, CONFIGS, _analyse, report=("pivot", "pivot_scaling")))

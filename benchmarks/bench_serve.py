@@ -15,8 +15,9 @@ Runs two ways:
 
 - under pytest-benchmark with the other benches
   (``pytest benchmarks/bench_serve.py``);
-- standalone for CI smoke runs: ``python benchmarks/bench_serve.py
-  --quick``.
+- standalone for the committed report: ``python benchmarks/bench_serve.py``
+  emits ``reports/BENCH_serve.json`` + ``reports/serve_throughput.txt``;
+  ``--quick`` (the CI smoke) runs a smaller size and writes nothing.
 """
 
 from __future__ import annotations
@@ -29,14 +30,12 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 
+from fresh import write_report  # first: puts src/ on sys.path
 from repro.experiments import banner, render_table
 from repro.serve import AggregationService, ServeConfig
-
-from conftest import REPORTS_DIR
 
 _N = 400
 _QUICK_N = 120
@@ -166,18 +165,11 @@ def _run(n: int, requests: int) -> tuple[str, dict]:
     return text, payload
 
 
-def _write_json(payload: dict) -> Path:
-    REPORTS_DIR.mkdir(exist_ok=True)
-    path = REPORTS_DIR / "BENCH_serve.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return path
-
-
 def bench_serve(benchmark, report):
     from conftest import once
 
     text, payload = once(benchmark, lambda: _run(_N, _REQUESTS))
-    _write_json(payload)
+    write_report("serve", "serve_throughput", payload, text)
     report("serve_throughput", text)
     by_writers = {level["writers"]: level for level in payload["levels"]}
     assert all(level["errors"] == 0 for level in payload["levels"])
@@ -194,9 +186,10 @@ def main(argv: list[str] | None = None) -> int:
     n = _QUICK_N if args.quick else _N
     requests = _QUICK_REQUESTS if args.quick else _REQUESTS
     text, payload = _run(n, requests)
-    path = _write_json(payload)
     print(text)
-    print(f"\nreport: {path}")
+    if not args.quick:
+        path = write_report("serve", "serve_throughput", payload, text)
+        print(f"\nstructured output: {path}")
     return 0
 
 

@@ -5,10 +5,10 @@ Sharding exists to bound the working set by the largest shard instead of
 (:data:`repro.shard.QUALITY_ENVELOPE` of single-shot SAMPLING's
 objective).  This bench puts numbers on both claims: for each
 configuration — single-shot SAMPLING, and ``method="sharded"`` at 1, 2
-and 4 shards — it runs the full aggregation in a **fresh subprocess**
-and records wall time, the child's peak RSS (``resource.getrusage``;
-a monotone per-process high-water mark, hence the subprocess isolation)
-and the consensus objective ``d(C)``.
+and 4 shards — it runs the full aggregation on planted inputs in a
+**fresh interpreter** (the ``--measure`` protocol of
+``benchmarks/fresh.py``) and records wall time, the child's peak RSS and
+the consensus objective ``d(C)``.
 
 Runs three ways:
 
@@ -24,47 +24,15 @@ Runs three ways:
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import resource
-import subprocess
 import sys
 import time
-from pathlib import Path
 
-import numpy as np
-
-SRC_DIR = Path(__file__).resolve().parent.parent / "src"
-if str(SRC_DIR) not in sys.path:
-    sys.path.insert(0, str(SRC_DIR))
-
-from repro.experiments import banner, render_table  # noqa: E402
+import fresh  # first: puts src/ on sys.path
+from repro.experiments import banner, render_table
 
 _M = 8
-_K = 10
-_NOISE = 0.15
 _SEED = 7
-_SIZES = (100_000,)
-_QUICK_SIZES = (3_000,)
-_SMOKE_SIZE = 20_000
 _SHARD_COUNTS = (1, 2, 4)
-
-
-def _label_matrix(n: int, seed: int) -> np.ndarray:
-    """Planted-cluster inputs (the bench_backend workload, same reasoning)."""
-    rng = np.random.default_rng(seed)
-    truth = rng.integers(0, _K, size=n)
-    matrix = np.repeat(truth[:, None], _M, axis=1)
-    flips = rng.random((n, _M)) < _NOISE
-    matrix[flips] = rng.integers(0, _K, size=int(flips.sum()))
-    return matrix.astype(np.int32)
-
-
-def _peak_rss_bytes() -> int:
-    """Peak resident set size of this process, in bytes (Linux: KiB units)."""
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return peak * (1 if sys.platform == "darwin" else 1024)
 
 
 def measure(variant: str, n: int) -> dict:
@@ -79,7 +47,7 @@ def measure(variant: str, n: int) -> dict:
     from repro.core.aggregate import aggregate
     from repro.core.distance import total_disagreement
 
-    matrix = _label_matrix(n, seed=n)
+    matrix = fresh.planted(n, _M, seed=n)
     start = time.perf_counter()
     if variant == "single":
         result = aggregate(
@@ -111,38 +79,21 @@ def measure(variant: str, n: int) -> dict:
         "k": result.clustering.k,
         "cost": disagreements / _M,
         "seconds": seconds,
-        "peak_rss_bytes": _peak_rss_bytes(),
+        "peak_rss_bytes": fresh.peak_rss_bytes(),
         **extra,
     }
 
 
-def _measure_in_subprocess(variant: str, n: int) -> dict:
-    """Run one configuration in a fresh interpreter for a clean RSS high-water."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
-    completed = subprocess.run(
-        [sys.executable, __file__, "--measure", variant, str(n)],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=False,
-    )
-    if completed.returncode != 0:
-        return {
-            "variant": variant,
-            "n": n,
-            "error": completed.stderr.strip().splitlines()[-1] if completed.stderr else "crashed",
-        }
-    return json.loads(completed.stdout)
+def _configs(sizes: tuple[int, ...], shard_counts: tuple[int, ...]) -> list[dict]:
+    variants = ["single"] + [f"shards={shards}" for shards in shard_counts]
+    return [{"variant": variant, "n": n} for n in sizes for variant in variants]
 
 
-def _sweep(sizes: tuple[int, ...], shard_counts: tuple[int, ...]) -> list[dict]:
-    results: list[dict] = []
-    for n in sizes:
-        results.append(_measure_in_subprocess("single", n))
-        for shards in shard_counts:
-            results.append(_measure_in_subprocess(f"shards={shards}", n))
-    return results
+CONFIGS = {
+    "full": _configs((100_000,), _SHARD_COUNTS),
+    "quick": _configs((3_000,), _SHARD_COUNTS),
+    "smoke": _configs((20_000,), (2,)),
+}
 
 
 def _envelopes(results: list[dict]) -> list[dict]:
@@ -217,81 +168,29 @@ def _check_envelope(envelopes: list[dict]) -> list[str]:
     ]
 
 
-def _write_json(payload: dict) -> Path:
-    reports = Path(__file__).resolve().parent.parent / "reports"
-    reports.mkdir(exist_ok=True)
-    path = reports / "BENCH_shard.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return path
+def _analyse(results: list[dict]) -> tuple[str, dict, list[str]]:
+    envelopes = _envelopes(results)
+    payload = {
+        "m": _M,
+        "k": fresh.PLANTED_K,
+        "seed": _SEED,
+        "results": results,
+        "envelopes": envelopes,
+    }
+    return _render(results, envelopes), payload, _check_envelope(envelopes)
 
 
 def bench_shard(benchmark, report):
     """pytest entry: quick subprocess sweep, envelope asserted."""
     from conftest import once
 
-    results = once(benchmark, lambda: _sweep(_QUICK_SIZES, _SHARD_COUNTS))
-    envelopes = _envelopes(results)
-    report("shard_scaling_quick", _render(results, envelopes))
+    results = once(benchmark, lambda: fresh.sweep(__file__, CONFIGS["quick"]))
+    text, _, violations = _analyse(results)
+    report("shard_scaling_quick", text)
     measured = [r for r in results if "cost" in r]
     assert len(measured) == len(results), f"configurations failed: {results}"
-    violations = _check_envelope(envelopes)
     assert not violations, "; ".join(violations)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--measure",
-        nargs=2,
-        metavar=("VARIANT", "N"),
-        help="internal: measure one configuration and print JSON",
-    )
-    parser.add_argument("--quick", action="store_true", help="small sizes for local sanity runs")
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI smoke: n=20000 at 2 shards plus the single-shot baseline",
-    )
-    args = parser.parse_args(argv)
-
-    if args.measure:
-        variant, n = args.measure
-        print(json.dumps(measure(variant, int(n))))
-        return 0
-
-    if args.smoke:
-        sizes: tuple[int, ...] = (_SMOKE_SIZE,)
-        shard_counts: tuple[int, ...] = (2,)
-    elif args.quick:
-        sizes, shard_counts = _QUICK_SIZES, _SHARD_COUNTS
-    else:
-        sizes, shard_counts = _SIZES, _SHARD_COUNTS
-
-    results = _sweep(sizes, shard_counts)
-    envelopes = _envelopes(results)
-    text = _render(results, envelopes)
-    print(text)
-    if not (args.smoke or args.quick):
-        payload = {
-            "m": _M,
-            "k": _K,
-            "seed": _SEED,
-            "results": results,
-            "envelopes": envelopes,
-        }
-        path = _write_json(payload)
-        path.with_name("shard_scaling.txt").write_text(text + "\n")
-        print(f"\nstructured output: {path}")
-    failed = [r for r in results if "error" in r]
-    if failed:
-        print(f"\n{len(failed)} configuration(s) failed", file=sys.stderr)
-        return 1
-    violations = _check_envelope(envelopes)
-    if violations:
-        print("\n" + "\n".join(violations), file=sys.stderr)
-        return 1
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(fresh.main(__file__, measure, CONFIGS, _analyse, report=("shard", "shard_scaling")))
