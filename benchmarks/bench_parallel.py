@@ -21,6 +21,7 @@ Runs two ways:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -74,10 +75,15 @@ def _time_portfolio(n: int, jobs: int) -> tuple[float, float, bool]:
 def _run(build_sizes: tuple[int, ...], portfolio_size: int, jobs: int) -> tuple[str, bool]:
     """Run the sweep; returns (report text, all outputs bit-identical?)."""
     rows = []
+    verdicts = []
     all_identical = True
     for n in build_sizes:
         serial_s, parallel_s, identical = _time_build(n, jobs)
         all_identical &= identical
+        winner = "pooled" if parallel_s < serial_s else "serial"
+        verdicts.append(
+            f"build n={n}: pooled {parallel_s:.3f} s vs serial {serial_s:.3f} s, {winner} wins"
+        )
         rows.append(
             (
                 f"build n={n}",
@@ -103,7 +109,9 @@ def _run(build_sizes: tuple[int, ...], portfolio_size: int, jobs: int) -> tuple[
         rows,
         title=banner(f"repro.parallel — pooled build + portfolio ({jobs} workers)"),
     )
-    text += "\n\nspeedup is informational (host-dependent); bit-identity is the invariant."
+    blas_threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    text += f"\n\nOPENBLAS_NUM_THREADS={blas_threads}; " + "; ".join(verdicts)
+    text += "\nspeedup is informational (host-dependent); bit-identity is the invariant."
     return text, all_identical
 
 

@@ -7,10 +7,18 @@ probability ``p``, contributing ``1 - p`` over a denominator of ``m``) or
 the ``"average"`` model (only clusterings concrete on both objects count;
 a pair with none gets 0.5).
 
-This is the one module that compares label columns pairwise.  Every
-entry is accumulated over the label columns in column order, whatever
-the row and column sets, so any tiling of ``X`` — row blocks, gathers,
-worker fan-outs, one streamed column at a time — is bitwise identical.
+This is the one module that compares label columns pairwise.  A fresh
+block with at least a dozen rows and columns per one-hot code of a label
+column is one BLAS product of one-hot encodings of the labels.  A thinner
+block or a single row, an accumulating update (one streamed column at a
+time), a coin-flip ``p`` that is not a multiple of ``2**-8``, non-integer
+or below-``-1`` labels and near-unique columns take the per-column
+compare loop.  The product runs only where every partial sum is an
+integer, or an integer multiple of the dyadic ``p``, far below the
+significand: exact in float32 and float64, so equal to the loop, which
+adds each entry's terms in column order whatever the tile.  Any tiling
+of ``X`` — row blocks, gathers, worker fan-outs, BLAS blocking and
+thread counts — is therefore bitwise identical.
 
 It is also the one module that turns a label column into a count table:
 :func:`label_codes` is the single indexing rule, :func:`label_histogram`
@@ -71,17 +79,118 @@ def separation_sums(
     under ``"average"`` it adds 1 to ``comparable`` when both are concrete
     (``comparable`` is ``None`` otherwise).  ``out`` accumulates into the
     given arrays instead of fresh zeros.  The diagonal is not special.
+
+    A fresh multi-row block whose sums are exact in ``dtype`` comes from
+    one one-hot product (:func:`_product_sums`); everything else, ``out``
+    included, from the per-column compare loop.  Both give the same bits.
     """
     np_dtype = np.dtype(dtype)
-    row_labels = np.ascontiguousarray(matrix[rows].T)
-    col_labels = np.ascontiguousarray(matrix[cols].T)
+    row_labels = matrix[rows]
+    col_labels = matrix[cols]
+    if out is None:
+        sums = _product_sums(row_labels, col_labels, p, np_dtype, missing)
+        if sums is not None:
+            return sums
+    return _compare_sums(row_labels, col_labels, p, np_dtype, missing, out)
+
+
+#: Rows (and columns) per one-hot code of a label column the product
+#: needs, ``min(r, c) * m >= 12 * W``: with fewer, encoding both sides
+#: costs more than comparing them (crossover 4-13 against 8192 columns,
+#: one core).
+_PRODUCT_ROWS_PER_CODE = 12
+#: Widest one-hot encoding, in codes per label column, the product takes
+#: (crossover 30-40): near-unique columns keep the compare loop.
+_PRODUCT_MAX_WIDTH = 24
+#: The product takes a coin-flip ``p`` only when ``p * _DYADIC`` is an
+#: integer, so every partial sum is an integer multiple of ``1 / _DYADIC``.
+_DYADIC = 256
+
+
+def _product_sums(
+    row_labels: np.ndarray,
+    col_labels: np.ndarray,
+    p: float,
+    dtype: np.dtype,
+    missing: str,
+) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """The compare loop's sums from one BLAS product, or ``None`` where that is not exact or cheaper.
+
+    Over the union of both row sets each label column becomes a one-hot
+    block ``E_j`` (over :func:`label_codes`), so the pairs agreeing at
+    column ``j`` are ``E_j E_j^T``; ``P`` marks the concrete entries of
+    the ``k`` columns with a missing one.  With ``A = [E | P | 1]`` on the
+    rows and ``B = [-E | q P | base]`` on the columns — ``q = p`` and
+    ``base = m - p k`` under coin-flip, ``q = 1`` and ``base = m - k``
+    under ``"average"``, whose ``comparable`` is ``[P | 1] [P | base]^T``
+    — the separation is ``A B^T`` (both stored transposed, one object per
+    column).  Every partial sum is an integer or an integer multiple of
+    the dyadic ``p``, of magnitude at most ``3 m``, so it is exact in
+    float32 and float64 under any BLAS blocking or thread count: the
+    loop's sums, bit for bit.
+    """
+    r, m = row_labels.shape
+    c = col_labels.shape[0]
+    coin_flip = missing == "coin-flip"
+    if (
+        min(r, c) < _PRODUCT_ROWS_PER_CODE
+        or m == 0
+        or 3 * m * _DYADIC >= 1 << 24  # float32's significand
+        or not np.issubdtype(row_labels.dtype, np.integer)
+        or (coin_flip and (p * _DYADIC) % 1.0 != 0.0)
+    ):
+        return None
+    union = np.concatenate([row_labels.T, col_labels.T], axis=1)
+    if union.min() < MISSING:
+        return None
+    encoded = [label_codes(column) for column in union]
+    arities = np.array([arity for _, arity in encoded], dtype=np.int64)
+    width = int(arities.sum())
+    if width > _PRODUCT_MAX_WIDTH * m or min(r, c) * m < _PRODUCT_ROWS_PER_CODE * width:
+        return None
+    present = union != MISSING
+    gaps = np.flatnonzero(~present.all(axis=1))
+    q, base = (p, m - p * gaps.size) if coin_flip else (1.0, m - gaps.size)
+    # [E | P | 1]^T over the union: one row per code, gap column and the
+    # constant, one column per object.  flat[j, u] is object u's entry for
+    # its code at label column j.
+    flat = np.stack([codes for codes, _ in encoded], dtype=np.int64)
+    flat += (np.cumsum(arities) - arities)[:, None]
+    flat *= r + c
+    flat += np.arange(r + c)
+    onehot = np.zeros((width + gaps.size + 1, r + c), dtype=dtype)
+    onehot.reshape(-1)[flat[present]] = 1
+    onehot[width:-1] = present[gaps]
+    onehot[-1] = 1
+    scale = np.full(onehot.shape[0], -1.0, dtype=dtype)
+    scale[width:-1] = q
+    scale[-1] = base
+    A, B = onehot[:, :r], onehot[:, r:]
+    B *= scale[:, None]
+    separation = A.T @ B
+    if coin_flip:
+        return separation, None
+    return separation, A[width:].T @ B[width:]
+
+
+def _compare_sums(
+    row_labels: np.ndarray,
+    col_labels: np.ndarray,
+    p: float,
+    dtype: np.dtype,
+    missing: str,
+    out: tuple[np.ndarray, np.ndarray | None] | None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`separation_sums` one label column at a time, in column order."""
+    row_labels = np.ascontiguousarray(row_labels.T)
+    col_labels = np.ascontiguousarray(col_labels.T)
     shape = (row_labels.shape[1], col_labels.shape[1])
     if out is None:
-        separation = np.zeros(shape, dtype=np_dtype)
-        comparable = np.zeros(shape, dtype=np_dtype) if missing == "average" else None
+        separation = np.zeros(shape, dtype=dtype)
+        comparable = np.zeros(shape, dtype=dtype) if missing == "average" else None
     else:
         separation, comparable = out
-    fill = np_dtype.type(1.0 - p)
+    fill = dtype.type(1.0 - p)
     # Each column adds its 0/1 "concretely different" mask; coin-flip
     # missing pairs (0 in the mask) then get 1 - p.  s + 0 == s exactly, so
     # every entry still takes each column's term in one rounding step.
@@ -101,7 +210,7 @@ def separation_sums(
                 np.logical_and(~row_missing[:, None], ~col_missing[None, :], out=both_present)
                 comparable += both_present
             else:
-                comparable += np_dtype.type(1.0)
+                comparable += dtype.type(1.0)
         elif any_missing:
             separation[row_missing] += fill
             separation[np.ix_(~row_missing, col_missing)] += fill

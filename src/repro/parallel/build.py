@@ -3,8 +3,9 @@
 The ``O(m n²)`` build of the pairwise separation fractions (§3 of the
 paper) is embarrassingly parallel across row blocks: every block of
 :func:`~repro.core.kernels.distance_block` depends only on the label
-matrix, and every matrix element is accumulated in the same column order
-regardless of how the rows are tiled.  When
+matrix, and every matrix element is the same sum whichever block it
+lands in: the one-hot product's exact one or the compare loop's
+column-order one.  When
 :func:`~repro.core.instance.disagreement_fractions` runs with more than one
 worker and more than one grid block, it hands its block list to the
 pooled fill here: the output ``X`` is one anonymous shared mapping

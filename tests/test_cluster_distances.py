@@ -102,3 +102,59 @@ class TestJaccard:
         matrix = jaccard_similarity_matrix(rows)
         assert np.allclose(matrix, matrix.T)
         assert np.allclose(np.diagonal(matrix), 1.0)
+
+
+def naive_hamming(rows):
+    """Per pair: differing over commonly present attributes (1 when none)."""
+    n = len(rows)
+    out = np.zeros((n, n))
+    for u in range(n):
+        for v in range(n):
+            both = (rows[u] != MISSING) & (rows[v] != MISSING)
+            if u != v:
+                out[u, v] = (rows[u][both] != rows[v][both]).mean() if both.any() else 1.0
+    return out
+
+
+def naive_jaccard(rows):
+    """Per pair: shared (attribute, value) items over the union of items."""
+    n = len(rows)
+    out = np.zeros((n, n))
+    for u in range(n):
+        for v in range(n):
+            present_u, present_v = rows[u] != MISSING, rows[v] != MISSING
+            common = ((rows[u] == rows[v]) & present_u & present_v).sum()
+            union = present_u.sum() + present_v.sum() - common
+            out[u, v] = common / union if union else 0.0
+    np.fill_diagonal(out, 1.0)
+    return out
+
+
+class TestUnvalidatedLabels:
+    """ROCK inputs skip label validation: labels below -1 and float rows are
+    ordinary values, compared as the pairs' raw entries."""
+
+    @pytest.fixture
+    def rows(self):
+        rng = np.random.default_rng(7)
+        rows = rng.integers(-1, 4, size=(60, 5))
+        rows[rng.random(rows.shape) < 0.15] = -7
+        return rows
+
+    def test_labels_below_missing(self, rows):
+        np.testing.assert_allclose(hamming_fraction_matrix(rows), naive_hamming(rows))
+        np.testing.assert_allclose(jaccard_similarity_matrix(rows), naive_jaccard(rows))
+
+    def test_float_rows(self, rows):
+        floats = np.where(rows < 0, MISSING, rows * 0.5 + 0.25)
+        np.testing.assert_allclose(hamming_fraction_matrix(floats), naive_hamming(floats))
+        np.testing.assert_allclose(jaccard_similarity_matrix(floats), naive_jaccard(floats))
+        cross = jaccard_cross_similarity(floats[:20], floats[20:])
+        np.testing.assert_allclose(cross, naive_jaccard(floats)[:20, 20:])
+
+    def test_known_values(self):
+        rows = np.array([[-7, 0], [-7, 1], [2, 1]] + [[0, 0]] * 57)
+        matrix = hamming_fraction_matrix(rows)
+        assert matrix[0, 1] == pytest.approx(0.5)  # -7 == -7 is an agreement
+        assert matrix[1, 2] == pytest.approx(0.5)
+        assert jaccard_similarity_matrix(rows)[0, 1] == pytest.approx(1 / 3)
