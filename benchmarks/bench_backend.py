@@ -46,7 +46,7 @@ def measure(backend: str, n: int, algorithm: str) -> dict:
 
     matrix = fresh.planted(n, _M, seed=n)
     start = time.perf_counter()
-    instance = CorrelationInstance.from_label_matrix(matrix, n_jobs=None, backend=backend)
+    instance = CorrelationInstance.from_label_matrix(matrix, backend=backend)
     build_seconds = time.perf_counter() - start
 
     start = time.perf_counter()

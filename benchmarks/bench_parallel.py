@@ -1,14 +1,17 @@
-"""Parallel backend: pooled build + portfolio speedup measurement.
+"""Parallel backend: portfolio + pooled assignment speedup measurement.
 
 Times the serial vs process-parallel paths of the two repro.parallel
-entry points — the O(m n²) instance build and the algorithm portfolio —
-and verifies bit-identity between them while at it.  The build fans out
-only when the row grid has more than one block (n > 2048), so every
-build size here is above that: at n ≤ 2048 the parallel column would
-time, and compare against, the serial build again.  Speedup is
+entry points — the algorithm portfolio and SAMPLING's assignment phase
+(:func:`repro.parallel.parallel_assign`) — and verifies bit-identity
+between them while at it.  The assignment fans out only when the rows to
+assign span more than one :data:`~repro.parallel.workers.ASSIGN_BLOCK`
+block, so every assignment size here is above that.  Speedup is
 *reported, not asserted*: the ratio is a property of the host (worker
 count, cores, memory bandwidth), and CI containers are routinely
 single-core, where the honest ratio is ≤ 1.
+
+The dense build of ``X`` is serial and not timed here: each of its
+blocks is one BLAS product, which already uses every core.
 
 Runs two ways:
 
@@ -21,22 +24,25 @@ Runs two ways:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
 import numpy as np
 
-from repro.core.instance import disagreement_fractions
+from repro.algorithms.agglomerative import agglomerative
+from repro.core.instance import CorrelationInstance
+from repro.core.objective import ClusterCountTables
 from repro.experiments import banner, render_table
-from repro.parallel import portfolio, resolve_jobs
+from repro.parallel import parallel_assign, portfolio, resolve_jobs
 
 from conftest import once
 
-_BUILD_SIZES = (2500, 8000)
 _PORTFOLIO_SIZE = 2000
-_QUICK_BUILD_SIZES = (2500,)
+_ASSIGN_SIZE = 100_000
 _QUICK_PORTFOLIO_SIZE = 400
+_QUICK_ASSIGN_SIZE = 30_000
+#: Rows clustered before the rest are assigned, as in SAMPLING's phase 1.
+_SAMPLE = 1000
 _M = 8
 
 
@@ -45,19 +51,8 @@ def _label_matrix(n: int, seed: int) -> np.ndarray:
     return rng.integers(0, 12, size=(n, _M)).astype(np.int32)
 
 
-def _time_build(n: int, jobs: int) -> tuple[float, float, bool]:
-    """(serial seconds, parallel seconds, bit-identical?) for one size."""
-    matrix = _label_matrix(n, seed=n)
-    start = time.perf_counter()
-    serial = disagreement_fractions(matrix, n_jobs=1)
-    serial_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    fanned = disagreement_fractions(matrix, n_jobs=jobs)
-    parallel_seconds = time.perf_counter() - start
-    return serial_seconds, parallel_seconds, bool(np.array_equal(serial, fanned))
-
-
 def _time_portfolio(n: int, jobs: int) -> tuple[float, float, bool]:
+    """(serial seconds, parallel seconds, bit-identical?) for one size."""
     matrix = _label_matrix(n, seed=n + 1)
     start = time.perf_counter()
     serial = portfolio(matrix, rng=0, n_jobs=1)
@@ -72,54 +67,52 @@ def _time_portfolio(n: int, jobs: int) -> tuple[float, float, bool]:
     return serial_seconds, parallel_seconds, identical
 
 
-def _run(build_sizes: tuple[int, ...], portfolio_size: int, jobs: int) -> tuple[str, bool]:
+def _time_assign(n: int, jobs: int) -> tuple[float, float, bool]:
+    matrix = _label_matrix(n, seed=n)
+    sample = np.arange(_SAMPLE)
+    labels = agglomerative(CorrelationInstance.from_label_matrix(matrix[sample])).labels
+    tables = ClusterCountTables(matrix, sample, labels)
+    rest = np.arange(_SAMPLE, n)
+    start = time.perf_counter()
+    serial = parallel_assign(tables, rest, n_jobs=1)
+    serial_seconds = time.perf_counter() - start
+    start = time.perf_counter()
+    fanned = parallel_assign(tables, rest, n_jobs=jobs)
+    parallel_seconds = time.perf_counter() - start
+    return serial_seconds, parallel_seconds, bool(np.array_equal(serial, fanned))
+
+
+def _run(portfolio_size: int, assign_size: int, jobs: int) -> tuple[str, bool]:
     """Run the sweep; returns (report text, all outputs bit-identical?)."""
     rows = []
-    verdicts = []
     all_identical = True
-    for n in build_sizes:
-        serial_s, parallel_s, identical = _time_build(n, jobs)
+    for name, timer, n in (
+        ("portfolio", _time_portfolio, portfolio_size),
+        ("parallel_assign", _time_assign, assign_size),
+    ):
+        serial_s, parallel_s, identical = timer(n, jobs)
         all_identical &= identical
-        winner = "pooled" if parallel_s < serial_s else "serial"
-        verdicts.append(
-            f"build n={n}: pooled {parallel_s:.3f} s vs serial {serial_s:.3f} s, {winner} wins"
-        )
         rows.append(
             (
-                f"build n={n}",
+                f"{name} n={n}",
                 f"{serial_s:.2f}",
                 f"{parallel_s:.2f}",
                 f"{serial_s / parallel_s:.2f}x",
                 "yes" if identical else "NO",
             )
         )
-    serial_s, parallel_s, identical = _time_portfolio(portfolio_size, jobs)
-    all_identical &= identical
-    rows.append(
-        (
-            f"portfolio n={portfolio_size}",
-            f"{serial_s:.2f}",
-            f"{parallel_s:.2f}",
-            f"{serial_s / parallel_s:.2f}x",
-            "yes" if identical else "NO",
-        )
-    )
     text = render_table(
         ("workload", "serial (s)", f"{jobs} workers (s)", "speedup", "bit-identical"),
         rows,
-        title=banner(f"repro.parallel — pooled build + portfolio ({jobs} workers)"),
+        title=banner(f"repro.parallel — portfolio + parallel_assign ({jobs} workers)"),
     )
-    blas_threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
-    text += f"\n\nOPENBLAS_NUM_THREADS={blas_threads}; " + "; ".join(verdicts)
-    text += "\nspeedup is informational (host-dependent); bit-identity is the invariant."
+    text += "\n\nspeedup is informational (host-dependent); bit-identity is the invariant."
     return text, all_identical
 
 
 def bench_parallel(benchmark, report):
     jobs = min(4, max(2, resolve_jobs(0)))
-    text, all_identical = once(
-        benchmark, lambda: _run(_BUILD_SIZES, _PORTFOLIO_SIZE, jobs)
-    )
+    text, all_identical = once(benchmark, lambda: _run(_PORTFOLIO_SIZE, _ASSIGN_SIZE, jobs))
     report("parallel_backend", text)
     assert all_identical, "parallel outputs diverged from the serial path"
 
@@ -134,9 +127,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     jobs = args.jobs if args.jobs is not None else min(4, max(2, resolve_jobs(0)))
-    sizes = _QUICK_BUILD_SIZES if args.quick else _BUILD_SIZES
     portfolio_size = _QUICK_PORTFOLIO_SIZE if args.quick else _PORTFOLIO_SIZE
-    text, all_identical = _run(sizes, portfolio_size, jobs)
+    assign_size = _QUICK_ASSIGN_SIZE if args.quick else _ASSIGN_SIZE
+    text, all_identical = _run(portfolio_size, assign_size, jobs)
     print(text)
     return 0 if all_identical else 1
 

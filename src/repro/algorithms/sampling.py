@@ -149,8 +149,8 @@ def sampling(
         over the underlying objects) and all cluster masses are weighted.
         Label-matrix path only.
     n_jobs:
-        Worker count for the phase-1 sub-instance build and the phase-2
-        assignment loop (``None`` consults ``REPRO_JOBS``; see
+        Worker count for the phase-2 assignment loop, here and in the
+        recursive singleton call (``None`` consults ``REPRO_JOBS``; see
         :func:`repro.parallel.resolve_jobs`).  Any value is bit-identical
         to the serial run.
     """
@@ -221,7 +221,6 @@ def sampling(
                 matrix[sample],
                 p=p,
                 weights=None if weights is None else weights[sample],
-                n_jobs=n_jobs,
             )
         else:
             sub = instance.subinstance(sample)
@@ -236,7 +235,7 @@ def sampling(
     rest = np.setdiff1d(np.arange(n), sample, assume_unique=True)
     with span("sampling.phase2", rest=int(rest.size)):
         if rest.size:
-            from ..parallel.build import ASSIGN_BLOCK, parallel_assign
+            from ..parallel.workers import ASSIGN_BLOCK, parallel_assign
 
             if matrix is not None:
                 tables = ClusterCountTables(
@@ -321,7 +320,6 @@ def sampling(
                         matrix[singles],
                         p=p,
                         weights=None if weights is None else weights[singles],
-                        n_jobs=n_jobs,
                     )
                 else:
                     single_instance = instance.subinstance(singles)

@@ -5,7 +5,7 @@ reduction-grid discipline) all consume the same whole-program view
 built here:
 
 * :class:`ModuleIndex` — parses every file under the analyzed roots,
-  derives canonical dotted names (``repro.parallel.build.pool``,
+  derives canonical dotted names (``repro.parallel.workers.pool``,
   ``repro.serve.sessions.Session._worker``), and records three symbol
   kinds per module: defined functions/methods, classes (with their base
   expressions for the light hierarchy pass), and import/assignment
@@ -48,7 +48,7 @@ __all__ = [
 
 #: The sanctioned pool constructor; calling it (or raw multiprocessing
 #: pools) is both a blocking primitive and the fan-out anchor.
-POOL_CONSTRUCTOR = "repro.parallel.build.pool"
+POOL_CONSTRUCTOR = "repro.parallel.workers.pool"
 
 _MP_POOL_CONSTRUCTORS = frozenset(
     {

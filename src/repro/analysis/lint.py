@@ -36,7 +36,7 @@ RPR006   No direct ``multiprocessing`` pool construction outside
          ``repro/parallel/`` — importing or calling ``Pool`` /
          ``ThreadPool`` (including ``get_context(...).Pool``) elsewhere
          bypasses the fork start method that
-         :func:`repro.parallel.build.pool` relies on to hand workers
+         :func:`repro.parallel.workers.pool` relies on to hand workers
          their inputs without pickling.
 RPR007   No raw ``time.perf_counter()`` (or ``perf_counter_ns``) in
          library code outside ``repro/obs/`` — ad-hoc timing drifts out
@@ -57,8 +57,8 @@ RPR012   No named shared memory in library code: importing
          ``multiprocessing.shared_memory`` (or ``SharedMemory`` /
          ``SharedMemoryManager`` from anywhere) creates segments that
          outlive a crashed process in ``/dev/shm`` — forked pool workers
-         inherit their inputs through ``initargs`` and write results
-         into an anonymous ``mmap`` instead.
+         inherit their inputs through ``initargs`` and return their
+         results over the pool's result channel instead.
 RPR014   No hand-rolled method-dispatch tables in library code outside
          ``repro/registry/``: a module/class-level dict literal mapping
          ≥2 method-name strings to callables under a ``*METHOD*`` /
@@ -114,11 +114,13 @@ RULES: dict[str, str] = {
     "RPR003": "array allocation without an explicit dtype in a kernel module",
     "RPR004": "mutable default argument / in-place mutation of Clustering.labels",
     "RPR005": "randomness parameter must follow `rng: np.random.Generator | int | None`",
-    "RPR006": "direct multiprocessing pool use outside repro.parallel; use repro.parallel.build.pool",
+    "RPR006": (
+        "direct multiprocessing pool use outside repro.parallel; use repro.parallel.workers.pool"
+    ),
     "RPR007": "raw time.perf_counter() outside repro.obs; wrap the code in a repro.obs span",
     "RPR008": "direct .X/._X pair-matrix access outside repro.core; use the backend API",
     "RPR009": "blocking call inside an async def in repro.serve; use run_in_executor/asyncio.sleep",
-    "RPR012": "named shared memory in library code; use pool initargs and an anonymous mmap",
+    "RPR012": "named shared memory in library code; use pool initargs and return results",
     "RPR014": "hand-rolled method dispatch outside repro.registry; register a MethodSpec instead",
 }
 
@@ -308,7 +310,7 @@ class _Checker(ast.NodeVisitor):
                 "RPR012",
                 f"`{imported}` creates named shared-memory segments; fork-started "
                 "workers inherit their inputs through `pool(..., initargs=)` and "
-                "write results into an anonymous `mmap`",
+                "return their results over the pool's result channel",
             )
 
     def visit_Import(self, node: ast.Import) -> None:
@@ -367,7 +369,7 @@ class _Checker(ast.NodeVisitor):
                         node,
                         "RPR006",
                         f"`from multiprocessing import {alias.name}` outside repro.parallel; "
-                        "use `repro.parallel.build.pool` instead",
+                        "use `repro.parallel.workers.pool` instead",
                     )
                 elif alias.name == "pool":
                     self._mp_pool_aliases.add(alias.asname or "pool")
@@ -391,7 +393,7 @@ class _Checker(ast.NodeVisitor):
                         node,
                         "RPR006",
                         f"`from {node.module} import {alias.name}` outside repro.parallel; "
-                        "use `repro.parallel.build.pool` instead",
+                        "use `repro.parallel.workers.pool` instead",
                     )
         self.generic_visit(node)
 
@@ -483,7 +485,7 @@ class _Checker(ast.NodeVisitor):
                 node,
                 "RPR006",
                 f"`{'.'.join(dotted)}()` outside repro.parallel; "
-                "use `repro.parallel.build.pool` instead",
+                "use `repro.parallel.workers.pool` instead",
             )
 
     # -- RPR007: ad-hoc profiling clocks -------------------------------
@@ -520,7 +522,7 @@ class _Checker(ast.NodeVisitor):
                 node,
                 "RPR006",
                 f"`get_context(...).{func.attr}()` outside repro.parallel; "
-                "use `repro.parallel.build.pool` instead",
+                "use `repro.parallel.workers.pool` instead",
             )
 
     def _check_rng_call(self, node: ast.Call, dotted: tuple[str, ...]) -> None:

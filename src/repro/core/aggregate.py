@@ -168,10 +168,11 @@ def aggregate(
         methods except ``"best"`` (which needs no speedup).
     n_jobs:
         Worker count for the fork-pool parallel backend
-        (:mod:`repro.parallel`): the instance build, SAMPLING's
-        sub-builds and assignment loop, and portfolio members all honour
-        it.  ``None`` consults ``REPRO_JOBS``; every value is
-        bit-identical to the serial run.
+        (:mod:`repro.parallel`): portfolio members, shard solves and
+        SAMPLING's assignment loop honour it; the dense build is serial.
+        ``None`` consults ``REPRO_JOBS``; every value is bit-identical to
+        the serial run, and anything but ``None`` or an integer raises a
+        ValueError for every method.
     backend:
         Pair-distance storage for instances built here: ``"dense"``
         materializes the ``(n, n)`` matrix, ``"lazy"`` computes row
@@ -187,6 +188,9 @@ def aggregate(
     """
     spec = get_method(method)  # raises the canonical "unknown method" ValueError
     spec.validate_params(params)
+    from ..parallel.workers import resolve_jobs
+
+    resolve_jobs(n_jobs)  # one n_jobs check, whichever method uses it
 
     matrix: np.ndarray | None = None
     instance: CorrelationInstance | None = None
@@ -218,12 +222,10 @@ def aggregate(
         if instance is None and (spec.kind == "instance" or spec.needs_instance):
             if atoms is not None:
                 instance = CorrelationInstance.from_label_matrix(
-                    atoms.matrix, p=p, weights=atoms.weights, n_jobs=n_jobs, backend=backend
+                    atoms.matrix, p=p, weights=atoms.weights, backend=backend
                 )
             else:
-                instance = CorrelationInstance.from_label_matrix(
-                    matrix, p=p, n_jobs=n_jobs, backend=backend
-                )
+                instance = CorrelationInstance.from_label_matrix(matrix, p=p, backend=backend)
     build_seconds = build_span.seconds
 
     with span("aggregate.solve", method=method) as solve_span:

@@ -79,8 +79,8 @@ def reduction_block_rows(n: int) -> int:
 def grid_blocks(n: int) -> Iterator[tuple[int, int]]:
     """The ``(start, stop)`` row blocks of the :func:`reduction_block_rows` grid.
 
-    The one row tiling of ``X``: the dense build, its pooled fan-out, the
-    streaming update, the lazy cache and every blocked reduction walk it.
+    The one row tiling of ``X``: the dense build, the streaming update,
+    the lazy cache and every blocked reduction walk it.
     """
     step = reduction_block_rows(n)
     for start in range(0, n, step):

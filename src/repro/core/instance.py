@@ -47,7 +47,6 @@ def disagreement_fractions(
     p: float = 0.5,
     dtype: np.dtype | type | None = None,
     missing: str = "coin-flip",
-    n_jobs: int | None = 1,
 ) -> np.ndarray:
     """The ``X`` matrix of pairwise disagreement fractions of a label matrix.
 
@@ -66,28 +65,16 @@ def disagreement_fractions(
 
     Computed on the :func:`~repro.core.backend.grid_blocks` row grid to
     bound temporary memory; defaults to float64 up to 4096 objects and
-    float32 beyond.  ``n_jobs`` fills the blocks from a forked
-    worker pool (:mod:`repro.parallel.build`) when the grid has more than
-    one block (``None`` consults the ``REPRO_JOBS`` environment variable,
-    see :func:`repro.parallel.resolve_jobs`); any worker count produces a
-    bit-identical matrix.
+    float32 beyond.  The build is serial: each block is one kernel call,
+    on the product path one BLAS product whose threads use every core.
     """
     matrix = np.asarray(matrix)
     validate_label_matrix(matrix)
     check_missing_model(p, missing)
     n = matrix.shape[0]
     np_dtype = default_dtype(n) if dtype is None else np.dtype(dtype)
-    blocks = list(grid_blocks(n))
-    if n_jobs != 1:
-        from ..parallel.shm import resolve_jobs
-
-        jobs = min(resolve_jobs(n_jobs), len(blocks))
-        if jobs > 1:
-            from ..parallel.build import _pooled_fill
-
-            return _pooled_fill(matrix, blocks, p, np_dtype, missing, jobs)
     X = np.empty((n, n), dtype=np_dtype)
-    for start, stop in blocks:
+    for start, stop in grid_blocks(n):
         rows = slice(start, stop)
         X[rows] = distance_block(matrix, rows, p=p, dtype=np_dtype, missing=missing)
     return X
@@ -186,15 +173,18 @@ class CorrelationInstance:
         ``"average"`` the per-pair denominators differ, so the exact
         identity ``D(C) = m * d(C)`` holds only for ``"coin-flip"``.
         ``weights`` gives per-row multiplicities for duplicate-collapsed
-        (atom) instances — see :mod:`repro.core.atoms`.  ``n_jobs`` fans
-        the row-block build out over a forked worker pool
-        (bit-identical to the serial build; ``None`` defers to the
-        ``REPRO_JOBS`` environment variable).  ``backend`` selects the
-        pair-distance storage: ``"dense"`` materializes ``X`` now,
-        ``"lazy"`` defers to on-demand row blocks (O(n * m) memory), and
-        ``"auto"`` picks lazy above :func:`repro.core.backend.lazy_threshold`
-        objects.
+        (atom) instances — see :mod:`repro.core.atoms`.  ``n_jobs`` is
+        checked like every worker count (:func:`repro.parallel.resolve_jobs`)
+        but changes nothing: the build is serial, each block one BLAS
+        product, and the parameter stays only for callers that still pass
+        it.  ``backend`` selects the pair-distance storage: ``"dense"``
+        materializes ``X`` now, ``"lazy"`` defers to on-demand row blocks
+        (O(n * m) memory), and ``"auto"`` picks lazy above
+        :func:`repro.core.backend.lazy_threshold` objects.
         """
+        from ..parallel.workers import resolve_jobs
+
+        resolve_jobs(n_jobs)
         matrix = np.asarray(matrix)
         validate_label_matrix(matrix)
         if resolve_backend(backend, int(matrix.shape[0])) == "lazy":
@@ -202,7 +192,7 @@ class CorrelationInstance:
                 matrix, p=p, dtype=dtype, missing=missing, weights=weights
             )
         with phase("instance.build", rows=int(matrix.shape[0]), m=int(matrix.shape[1])):
-            X = disagreement_fractions(matrix, p=p, dtype=dtype, missing=missing, n_jobs=n_jobs)
+            X = disagreement_fractions(matrix, p=p, dtype=dtype, missing=missing)
         inc("instance.builds")
         inc("instance.build.rows", float(matrix.shape[0]))
         instance = cls(X, m=matrix.shape[1], validate=False, weights=weights)

@@ -57,9 +57,9 @@ def categorical_table(
 
     ``rock_params`` / ``limbo_params`` are ``(k, theta_or_phi)`` pairs; they
     match the parameter settings the paper cites from the original ROCK and
-    LIMBO papers.  ``n_jobs`` selects the fork-pool parallel backend
-    for the instance build and the per-method runs (``None`` consults
-    ``REPRO_JOBS``); the rows are bit-identical for any worker count.
+    LIMBO papers.  ``n_jobs`` is handed to every per-method
+    :func:`~repro.aggregate` call (``None`` consults ``REPRO_JOBS``); the
+    rows are bit-identical for any worker count.
     """
     matrix = dataset.label_matrix()
     rows: list[TableRow] = []
@@ -77,7 +77,7 @@ def categorical_table(
         )
 
     if instance is None:
-        instance = CorrelationInstance.from_label_matrix(matrix, n_jobs=n_jobs)
+        instance = CorrelationInstance.from_label_matrix(matrix)
     rows.append(TableRow("Lower bound", None, None, instance.lower_bound(), 0.0))
 
     for method in methods:

@@ -8,7 +8,7 @@ A :class:`MetricsRegistry` holds named instruments:
 - **gauges** — last-written values (``portfolio.jobs``);
 - **histograms** — value distributions with count/sum/min/max/mean and
   percentiles in the snapshot (``portfolio.member.cost``,
-  ``parallel.build.block_seconds``).
+  ``shard.member.seconds``).
 
 Instrumentation sites call the module-level helpers :func:`inc`,
 :func:`set_gauge` and :func:`observe`, which write into the default

@@ -36,8 +36,7 @@ from ..registry import (
     register_method,
     resolve_instance_method,
 )
-from .build import WORKER, init_worker, pool
-from .shm import resolve_jobs
+from .workers import WORKER, init_worker, pool, resolve_jobs
 
 __all__ = ["DEFAULT_PORTFOLIO", "AlgorithmRun", "PortfolioResult", "portfolio"]
 
@@ -197,8 +196,7 @@ def portfolio(
     inputs:
         Input clusterings, an ``(n, m)`` label matrix, or a prebuilt
         :class:`CorrelationInstance`.  Label inputs are converted once
-        (honouring ``n_jobs`` for the parallel matrix build) and every
-        portfolio member sees the same shared, read-only ``X``.
+        and every portfolio member sees the same shared, read-only ``X``.
     methods:
         Instance-consuming algorithm names (see
         :func:`repro.registry.resolve_instance_method`); matrix-level methods
@@ -229,9 +227,7 @@ def portfolio(
         instance = inputs
     else:
         matrix = inputs if isinstance(inputs, np.ndarray) else as_label_matrix(inputs)
-        instance = CorrelationInstance.from_label_matrix(
-            matrix, p=p, n_jobs=n_jobs, backend=backend
-        )
+        instance = CorrelationInstance.from_label_matrix(matrix, p=p, backend=backend)
     specs = _method_specs(methods, params, rng)
     jobs = min(resolve_jobs(n_jobs), len(specs))
 

@@ -43,8 +43,7 @@ from ..core.partition import Clustering
 from ..obs.metrics import inc, observe, set_gauge
 from ..obs.profile import export_spans, merge_spans, worker_tracing
 from ..obs.trace import span
-from ..parallel.build import WORKER, init_worker, pool
-from ..parallel.shm import resolve_jobs
+from ..parallel.workers import WORKER, init_worker, pool, resolve_jobs
 from ..registry import (
     SolveContext,
     is_stochastic,
@@ -170,7 +169,7 @@ def _solve_shard(
                 cost = lazy.cost(clustering)
         else:
             instance = CorrelationInstance.from_label_matrix(
-                sub, p=p, weights=sub_weights, n_jobs=1, backend=config["backend"]
+                sub, p=p, weights=sub_weights, backend=config["backend"]
             )
             if is_stochastic(method):
                 kwargs["rng"] = child_rng

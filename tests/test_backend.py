@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro.core.backend as backend_module
 from repro.core import CorrelationInstance, DenseBackend, LazyLabelBackend
@@ -162,15 +164,14 @@ def test_reductions_span_multiple_grid_blocks(monkeypatch) -> None:
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("missing", ["coin-flip", "average"])
 def test_every_tiling_of_x_matches_one_block_build(monkeypatch, dtype, missing) -> None:
-    """Serial, pooled, lazy and streamed X on a multi-block grid equal one kernel call."""
+    """The dense, lazy and streamed X on a multi-block grid equal one kernel call."""
     matrix = label_matrix(150, m=5, missing_frac=0.2, seed=21)
     kwargs = {"p": 0.3, "dtype": dtype, "missing": missing}
     one_block = distance_block(matrix, slice(None), **kwargs)
     shrink_grid(monkeypatch)
     assert list(grid_blocks(150)) == [(0, 64), (64, 128), (128, 150)]
 
-    assert np.array_equal(disagreement_fractions(matrix, n_jobs=1, **kwargs), one_block)
-    assert np.array_equal(disagreement_fractions(matrix, n_jobs=2, **kwargs), one_block)
+    assert np.array_equal(disagreement_fractions(matrix, **kwargs), one_block)
 
     lazy = LazyLabelBackend(matrix, **kwargs)
     dense = DenseBackend(one_block)
@@ -189,6 +190,41 @@ def test_every_tiling_of_x_matches_one_block_build(monkeypatch, dtype, missing) 
     for j in range(matrix.shape[1]):
         stream.observe(matrix[:, j])
     assert np.array_equal(stream.distances(), one_block)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    n=st.integers(min_value=150, max_value=260),
+    m=st.integers(min_value=1, max_value=5),
+    k=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=10_000),
+    missing_frac=st.sampled_from([0.0, 0.25]),
+    p=st.sampled_from([0.5, 0.2]),
+    missing=st.sampled_from(["coin-flip", "average"]),
+    dtype=st.sampled_from([np.float64, np.float32]),
+)
+@example(n=200, m=4, k=3, seed=5, missing_frac=0.3, p=0.2, missing="coin-flip", dtype=np.float64)
+def test_dense_build_on_a_shrunken_grid_matches_one_block(
+    n, m, k, seed, missing_frac, p, missing, dtype
+) -> None:
+    """Any row tiling of the dense build gives the bits of one kernel call."""
+    matrix = label_matrix(n, m=m, k=k, missing_frac=missing_frac, seed=seed)
+    kwargs = {"p": p, "dtype": dtype, "missing": missing}
+    one_block = distance_block(matrix, slice(None), **kwargs)
+    with pytest.MonkeyPatch.context() as patch:
+        shrink_grid(patch)
+        assert len(list(grid_blocks(n))) >= 3
+        tiled = disagreement_fractions(matrix, **kwargs)
+    assert tiled.dtype == one_block.dtype
+    assert np.array_equal(tiled, one_block)
+
+
+def test_disagreement_fractions_rejects_bad_parameters() -> None:
+    matrix = label_matrix(6, m=2, k=2)
+    with pytest.raises(ValueError, match="missing"):
+        disagreement_fractions(matrix, missing="nope")
+    with pytest.raises(ValueError, match="probability"):
+        disagreement_fractions(matrix, p=1.5)
 
 
 def test_argmax_entry_matches_flat_argmax_semantics() -> None:

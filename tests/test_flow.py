@@ -92,7 +92,7 @@ def test_higher_order_edges_map_and_executor() -> None:
         {
             "src/repro/parallel/snippet.py": (
                 "from functools import partial\n"
-                "from repro.parallel.build import pool\n"
+                "from repro.parallel.workers import pool\n"
                 "def work(i):\n    return i\n"
                 "def fan(items):\n"
                 "    with pool(2) as workers:\n"
@@ -100,7 +100,7 @@ def test_higher_order_edges_map_and_executor() -> None:
                 "async def hand_off(loop, x):\n"
                 "    return await loop.run_in_executor(None, partial(work, x))\n"
             ),
-            "src/repro/parallel/build.py": "def pool(jobs):\n    return jobs\n",
+            "src/repro/parallel/workers.py": "def pool(jobs):\n    return jobs\n",
         }
     )
     graph = CallGraph(index)
@@ -231,7 +231,7 @@ _POOL_STUB = "def pool(jobs, initializer=None, initargs=()):\n    return jobs\n"
 def _fanout_source(first: str, second: str) -> dict[str, str]:
     return {
         PARALLEL: (
-            "from repro.parallel.build import pool\n"
+            "from repro.parallel.workers import pool\n"
             "def setup(r):\n    pass\n"
             "def run(i):\n    return i\n"
             "def fanout(work, rng):\n"
@@ -243,7 +243,7 @@ def _fanout_source(first: str, second: str) -> dict[str, str]:
             "        b = workers.map(run, [3, 4])\n"
             "    return a + b\n"
         ),
-        "src/repro/parallel/build.py": _POOL_STUB,
+        "src/repro/parallel/workers.py": _POOL_STUB,
     }
 
 
@@ -261,14 +261,14 @@ def test_rpr011_fires_on_use_after_ship() -> None:
     findings = flow(
         {
             PARALLEL: (
-                "from repro.parallel.build import pool\n"
+                "from repro.parallel.workers import pool\n"
                 "def setup(r):\n    pass\n"
                 "def fanout(rng):\n"
                 "    with pool(2, initializer=setup, initargs=(rng,)) as workers:\n"
                 "        workers.map(setup, [1])\n"
                 "    return rng.integers(10)\n"
             ),
-            "src/repro/parallel/build.py": _POOL_STUB,
+            "src/repro/parallel/workers.py": _POOL_STUB,
         }
     )
     assert [f.rule for f in findings] == ["RPR011"]
@@ -279,14 +279,14 @@ def test_rpr011_fires_on_loop_carried_ship() -> None:
     findings = flow(
         {
             PARALLEL: (
-                "from repro.parallel.build import pool\n"
+                "from repro.parallel.workers import pool\n"
                 "def setup(r):\n    pass\n"
                 "def fanout(jobs_list, rng):\n"
                 "    for jobs in jobs_list:\n"
                 "        with pool(jobs, initializer=setup, initargs=(rng,)) as w:\n"
                 "            w.map(setup, [1])\n"
             ),
-            "src/repro/parallel/build.py": _POOL_STUB,
+            "src/repro/parallel/workers.py": _POOL_STUB,
         }
     )
     assert "RPR011" in [f.rule for f in findings]
@@ -296,7 +296,7 @@ def test_rpr011_fires_through_container_payload() -> None:
     findings = flow(
         {
             PARALLEL: (
-                "from repro.parallel.build import pool\n"
+                "from repro.parallel.workers import pool\n"
                 "def run(spec):\n    return spec\n"
                 "def fanout(methods, rng):\n"
                 "    specs = [(m, rng) for m in methods]\n"
@@ -304,7 +304,7 @@ def test_rpr011_fires_through_container_payload() -> None:
                 "        workers.map(run, specs)\n"
                 "        workers.map(run, specs)\n"
             ),
-            "src/repro/parallel/build.py": _POOL_STUB,
+            "src/repro/parallel/workers.py": _POOL_STUB,
         }
     )
     assert [f.rule for f in findings] == ["RPR011"]
@@ -313,7 +313,7 @@ def test_rpr011_fires_through_container_payload() -> None:
 def test_rpr011_interprocedural_ship_through_callee_param() -> None:
     sources = {
         PARALLEL: (
-            "from repro.parallel.build import pool\n"
+            "from repro.parallel.workers import pool\n"
             "def setup(r):\n    pass\n"
             "def dispatch(generator):\n"
             "    with pool(2, initializer=setup, initargs=(generator,)) as w:\n"
@@ -322,7 +322,7 @@ def test_rpr011_interprocedural_ship_through_callee_param() -> None:
             "    dispatch(rng)\n"
             "    dispatch(rng)\n"
         ),
-        "src/repro/parallel/build.py": _POOL_STUB,
+        "src/repro/parallel/workers.py": _POOL_STUB,
     }
     index = ModuleIndex.from_sources(
         {path: textwrap.dedent(source) for path, source in sources.items()}
@@ -339,7 +339,7 @@ def test_rpr011_portfolio_spawn_list_pattern_is_clean() -> None:
         codes(
             {
                 PARALLEL: (
-                    "from repro.parallel.build import pool\n"
+                    "from repro.parallel.workers import pool\n"
                     "def setup(payload, specs):\n    pass\n"
                     "def run(i):\n    return i\n"
                     "def portfolio(methods, payload, rng):\n"
@@ -349,7 +349,7 @@ def test_rpr011_portfolio_spawn_list_pattern_is_clean() -> None:
                     "        out = w.map(run, range(len(specs)))\n"
                     "    return [(specs[i][0], r) for i, r in enumerate(out)]\n"
                 ),
-                "src/repro/parallel/build.py": _POOL_STUB,
+                "src/repro/parallel/workers.py": _POOL_STUB,
             }
         )
         == []

@@ -159,25 +159,28 @@ class TestProductDeclines:
         self.check(matrix)
 
 
-def test_pooled_build_after_blas_threads_started():
-    """Forked build workers run BLAS after the parent's BLAS pool started.
+def test_forked_shard_builds_after_blas_threads_started():
+    """Forked shard workers run the product after the parent's BLAS pool started.
 
-    Two BLAS threads per process, a parent matmul before the fork; the
-    pooled build must finish and match the serial one bit for bit.
+    Two BLAS threads per process, a parent matmul before the fork; every
+    AGGLOMERATIVE shard builds its instance through the one-hot product,
+    and two shard workers must finish and match the serial run bit for bit.
     """
     script = textwrap.dedent(
-        """
+        f"""
         import numpy as np
-        from repro.core.instance import disagreement_fractions
+        from repro.shard import shard_aggregate
 
         a = np.ones((400, 400))
         a @ a
         rng = np.random.default_rng(0)
-        matrix = rng.integers(0, 12, size=(2500, 8)).astype(np.int32)
+        matrix = rng.integers(0, {ARITY}, size=(4 * {SIZE}, 8)).astype(np.int32)
         matrix[rng.random(matrix.shape) < 0.05] = -1
-        serial = disagreement_fractions(matrix, n_jobs=1)
-        pooled = disagreement_fractions(matrix, n_jobs=2)
-        print(serial.tobytes() == pooled.tobytes())
+        kwargs = dict(n_shards=2, shard_method="agglomerative", rng=0)
+        serial = shard_aggregate(matrix, n_jobs=1, **kwargs)
+        forked = shard_aggregate(matrix, n_jobs=2, **kwargs)
+        labels = serial.clustering.labels
+        print(forked.jobs, labels.tobytes() == forked.clustering.labels.tobytes())
         """
     )
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": str(SRC)}
@@ -186,4 +189,4 @@ def test_pooled_build_after_blas_threads_started():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "True"
+    assert result.stdout.strip() == "2 True"

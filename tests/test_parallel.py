@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.backend as backend_module
-import repro.parallel.build as build_module
+import repro.parallel.workers as workers_module
 import repro.shard.engine as shard_engine
 from repro import aggregate
 from repro.cli import main
@@ -28,6 +28,7 @@ from repro.parallel import (
     portfolio,
     resolve_jobs,
 )
+from repro.registry import aggregate_method_names
 from repro.shard import shard_aggregate
 
 # ``repro.parallel.portfolio`` the attribute is the function; this is the module.
@@ -76,6 +77,22 @@ class TestResolveJobs:
         with pytest.raises(ValueError, match="n_jobs"):
             aggregate(matrix, method="portfolio", n_jobs=0.5, rng=0)
 
+    @pytest.mark.parametrize("value", ["two", 2.5, True])
+    @pytest.mark.parametrize("method", aggregate_method_names())
+    def test_aggregate_checks_n_jobs_for_every_method(self, method, value):
+        matrix = generate_votes(n=30, rng=0).label_matrix()[:, :4]
+        with pytest.raises(ValueError, match="n_jobs"):
+            aggregate(matrix, method=method, n_jobs=value)
+
+    def test_instance_build_checks_but_ignores_n_jobs(self):
+        matrix = build_matrix(40, 3, 3, seed=1)
+        serial = CorrelationInstance.from_label_matrix(matrix)
+        np.testing.assert_array_equal(
+            CorrelationInstance.from_label_matrix(matrix, n_jobs=2).X, serial.X
+        )
+        with pytest.raises(ValueError, match="n_jobs"):
+            CorrelationInstance.from_label_matrix(matrix, n_jobs="two")
+
     def test_without_fork_everything_runs_serially(self, monkeypatch):
         def no_pool(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("pool started without the fork start method")
@@ -120,7 +137,25 @@ def shrink_grid(monkeypatch) -> None:
     monkeypatch.setattr(backend_module, "_BLOCK_ENTRIES", 1)
 
 
+def _build_in_worker(kwargs):
+    return disagreement_fractions(workers_module.WORKER["matrix"], **kwargs)
+
+
+def built_in_workers(matrix, jobs=2, **kwargs):
+    """X as each of ``jobs`` forked workers builds it from the inherited matrix."""
+    workers = workers_module.pool(
+        jobs, initializer=workers_module.init_worker, initargs=({"matrix": matrix},)
+    )
+    try:
+        return workers.map(_build_in_worker, [kwargs] * jobs, chunksize=1)
+    finally:
+        workers.close()
+        workers.join()
+
+
 class TestParallelBuild:
+    """Shard and portfolio workers build X after the fork; it keeps the serial bits."""
+
     @settings(max_examples=10, deadline=None)
     @given(
         problem=build_problems,
@@ -128,58 +163,22 @@ class TestParallelBuild:
         dtype=st.sampled_from([np.float64, np.float32]),
     )
     def test_bit_identical_to_serial(self, problem, missing, dtype):
-        """The tentpole guarantee: any worker count, any row tiling."""
         n, m, k, seed, rate = problem
         matrix = build_matrix(n, m, k, seed, missing_rate=rate)
         with pytest.MonkeyPatch.context() as patch:
             shrink_grid(patch)
-            serial = disagreement_fractions(matrix, dtype=dtype, missing=missing, n_jobs=1)
-            fanned = disagreement_fractions(matrix, dtype=dtype, missing=missing, n_jobs=3)
-        assert fanned.dtype == serial.dtype
-        np.testing.assert_array_equal(fanned, serial)
+            serial = disagreement_fractions(matrix, dtype=dtype, missing=missing)
+            forked = built_in_workers(matrix, dtype=dtype, missing=missing)
+        for X in forked:
+            assert X.dtype == serial.dtype
+            np.testing.assert_array_equal(X, serial)
 
     def test_bit_identical_with_nondefault_p(self, monkeypatch):
         shrink_grid(monkeypatch)
         matrix = build_matrix(200, 4, 3, seed=5, missing_rate=0.3)
-        serial = disagreement_fractions(matrix, p=0.2, n_jobs=1)
-        fanned = disagreement_fractions(matrix, p=0.2, n_jobs=2)
-        np.testing.assert_array_equal(fanned, serial)
-
-    def test_rejects_bad_parameters(self):
-        matrix = build_matrix(6, 2, 2, seed=0)
-        with pytest.raises(ValueError, match="missing"):
-            disagreement_fractions(matrix, missing="nope", n_jobs=2)
-        with pytest.raises(ValueError, match="probability"):
-            disagreement_fractions(matrix, p=1.5, n_jobs=2)
-
-    def test_small_instances_stay_serial(self, monkeypatch):
-        """An n that fits in one grid block never starts a pool."""
-
-        def boom(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("pooled build dispatched for a one-block grid")
-
-        monkeypatch.setattr(build_module, "_pooled_fill", boom)
-        matrix = build_matrix(40, 3, 3, seed=1)
-        X = disagreement_fractions(matrix, n_jobs=4)
-        np.testing.assert_array_equal(X, disagreement_fractions(matrix, n_jobs=1))
-
-    def test_from_label_matrix_honours_n_jobs(self, monkeypatch):
-        """On a multi-block grid, n_jobs>1 routes through the pooled fill."""
-        shrink_grid(monkeypatch)
-        calls = []
-        pooled_fill = build_module._pooled_fill
-
-        def spy(*args, **kwargs):
-            calls.append(args[1])
-            return pooled_fill(*args, **kwargs)
-
-        monkeypatch.setattr(build_module, "_pooled_fill", spy)
-        matrix = build_matrix(150, 3, 3, seed=2)
-        serial = CorrelationInstance.from_label_matrix(matrix, n_jobs=1)
-        fanned = CorrelationInstance.from_label_matrix(matrix, n_jobs=2)
-        np.testing.assert_array_equal(fanned.X, serial.X)
-        assert fanned.m == serial.m
-        assert calls == [[(0, 64), (64, 128), (128, 150)]]
+        serial = disagreement_fractions(matrix, p=0.2)
+        for X in built_in_workers(matrix, p=0.2):
+            np.testing.assert_array_equal(X, serial)
 
 
 class TestParallelAssign:
@@ -195,7 +194,7 @@ class TestParallelAssign:
         serial = tables.assign(rest)
         for jobs, block in ((1, 7), (2, 7), (3, 16)):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(build_module, "ASSIGN_BLOCK", block)
+                patch.setattr(workers_module, "ASSIGN_BLOCK", block)
                 fanned = parallel_assign(tables, rest, n_jobs=jobs)
             np.testing.assert_array_equal(fanned, serial)
 
@@ -352,7 +351,7 @@ def shm_watch(monkeypatch):
     before = set(os.listdir(DEV_SHM))
     gained: set[str] = set()
     started = []
-    real_pool = build_module.pool
+    real_pool = workers_module.pool
 
     def watched_pool(*args, **kwargs):
         workers = real_pool(*args, **kwargs)
@@ -360,7 +359,7 @@ def shm_watch(monkeypatch):
         gained.update(set(os.listdir(DEV_SHM)) - before)
         return workers
 
-    for module in (build_module, portfolio_module, shard_engine):
+    for module in (workers_module, portfolio_module, shard_engine):
         monkeypatch.setattr(module, "pool", watched_pool)
     yield
     gained.update(set(os.listdir(DEV_SHM)) - before)
@@ -370,13 +369,6 @@ def shm_watch(monkeypatch):
 
 class TestNoNamedSharedMemory:
     """No pool path creates a named segment: inputs are fork-inherited."""
-
-    def test_pooled_build(self, shm_watch, monkeypatch):
-        shrink_grid(monkeypatch)
-        matrix = build_matrix(150, 3, 3, seed=2)
-        np.testing.assert_array_equal(
-            disagreement_fractions(matrix, n_jobs=2), disagreement_fractions(matrix, n_jobs=1)
-        )
 
     @pytest.mark.parametrize("backend", ["dense", "lazy"])
     def test_portfolio(self, shm_watch, backend):
@@ -390,7 +382,7 @@ class TestNoNamedSharedMemory:
     def test_parallel_assign(self, shm_watch, monkeypatch):
         from repro.algorithms.agglomerative import agglomerative
 
-        monkeypatch.setattr(build_module, "ASSIGN_BLOCK", 16)
+        monkeypatch.setattr(workers_module, "ASSIGN_BLOCK", 16)
         matrix = generate_votes(n=120, rng=0).label_matrix()
         sample = np.arange(0, 120, 4)
         sub = CorrelationInstance.from_label_matrix(matrix[sample])

@@ -489,7 +489,7 @@ def test_rpr007_suppressible_inline() -> None:
 # RPR008: raw pair-matrix access outside repro.core
 # ---------------------------------------------------------------------------
 
-BUILD = "src/repro/parallel/build.py"
+WORKERS = "src/repro/parallel/workers.py"
 PARALLEL = "src/repro/parallel/portfolio.py"
 
 
@@ -517,8 +517,8 @@ def test_rpr008_flags_matrix_access_outside_core(source: str) -> None:
 )
 def test_rpr008_exempts_core_and_the_shared_memory_fanout(source: str) -> None:
     assert codes(source) == []  # CORE path
-    # Only core/ is exempt: the pooled build gets no exemption either.
-    assert codes(source, path=BUILD) == ["RPR008"]
+    # Only core/ is exempt: the worker module gets no exemption either.
+    assert codes(source, path=WORKERS) == ["RPR008"]
 
 
 def test_rpr008_scoped_to_library_files() -> None:
