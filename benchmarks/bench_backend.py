@@ -20,7 +20,13 @@ Runs three ways:
 - standalone for the committed report: ``python benchmarks/bench_backend.py``
   emits ``reports/BENCH_backend.json`` + ``reports/backend_memory.txt``;
 - CI smoke: ``python benchmarks/bench_backend.py --smoke`` runs only the
-  lazy configurations at n = 20000 (honours ``REPRO_JOBS``).
+  lazy configurations at n = 20000 (honours ``REPRO_JOBS``) and exits
+  non-zero unless the lazy ``matvec(ones)`` and ``lower_bound()`` on that
+  input, with 5% of its entries blanked, have the bits of the base
+  class's blocked pass.
+
+Peak RSS is read before the lower bound is timed, so it covers the build
+and the solve only.
 """
 
 from __future__ import annotations
@@ -29,6 +35,9 @@ import sys
 import time
 
 import fresh  # first: puts src/ on sys.path
+import numpy as np
+from repro.core.backend import LazyLabelBackend, PairDistanceBackend
+from repro.core.kernels import MISSING
 from repro.experiments import banner, render_table
 
 _M = 8
@@ -37,8 +46,10 @@ _ALGORITHMS = ("balls", "sampling")
 _DENSE_SKIP_N = 50_000
 
 
-def measure(backend: str, n: int, algorithm: str) -> dict:
-    """Child-process body: build the instance, run one algorithm, report."""
+def measure(backend: str, n: int, algorithm: str, check: bool = False) -> dict:
+    """Child-process body: build the instance, run one algorithm and the
+    lower bound, report; ``check`` compares the label-native reductions
+    with the blocked pass on a copy of the input with missing labels."""
     from repro.algorithms.agglomerative import agglomerative
     from repro.algorithms.balls import balls
     from repro.algorithms.sampling import sampling
@@ -57,8 +68,13 @@ def measure(backend: str, n: int, algorithm: str) -> dict:
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     solve_seconds = time.perf_counter() - start
+    peak_rss_bytes = fresh.peak_rss_bytes()
 
-    return {
+    start = time.perf_counter()
+    instance.lower_bound()
+    lower_bound_seconds = time.perf_counter() - start
+
+    result = {
         "backend": backend,
         "n": n,
         "m": _M,
@@ -66,8 +82,36 @@ def measure(backend: str, n: int, algorithm: str) -> dict:
         "k": clustering.k,
         "build_seconds": build_seconds,
         "solve_seconds": solve_seconds,
-        "peak_rss_bytes": fresh.peak_rss_bytes(),
+        "lower_bound_seconds": lower_bound_seconds,
+        "peak_rss_bytes": peak_rss_bytes,
     }
+    if check:
+        result["bitwise_equal"] = _matches_blocked_pass(_with_missing(matrix, seed=n))
+    return result
+
+
+def _with_missing(matrix: np.ndarray, seed: int) -> LazyLabelBackend:
+    """A lazy backend over ``matrix`` with 5% of its entries blanked, so
+    the missing self-term and the pairs inside an atom are not 0."""
+    blanked = matrix.copy()
+    blank = np.random.default_rng(seed).random(blanked.shape) < 0.05
+    blank[0] = False  # no entirely missing column
+    blanked[blank] = MISSING
+    return LazyLabelBackend(blanked)
+
+
+def _matches_blocked_pass(backend: LazyLabelBackend) -> bool:
+    """Whether ``matvec(ones)`` and ``lower_bound()`` skip the row blocks
+    and still have the bits of the base class's blocked pass over them."""
+    ones = np.ones(backend.n, dtype=np.float64)
+    matvec = backend.matvec(ones)
+    bound = backend.lower_bound()
+    label_native = backend.cached_block_indices() == ()
+    return (
+        label_native
+        and matvec.tobytes() == PairDistanceBackend.matvec(backend, ones).tobytes()
+        and bound.hex() == PairDistanceBackend.lower_bound(backend).hex()
+    )
 
 
 def _configs(sizes: tuple[int, ...], backends: tuple[str, ...]) -> list[dict]:
@@ -88,7 +132,10 @@ def _configs(sizes: tuple[int, ...], backends: tuple[str, ...]) -> list[dict]:
 CONFIGS = {
     "full": _configs((5_000, 20_000, 50_000), ("dense", "lazy")),
     "quick": _configs((1_500,), ("dense", "lazy")),
-    "smoke": _configs((20_000,), ("lazy",)),
+    "smoke": [
+        {**config, "check": config["algorithm"] == "balls"}
+        for config in _configs((20_000,), ("lazy",))
+    ],
 }
 
 
@@ -118,9 +165,9 @@ def _render(results: list[dict], ratios: list[dict]) -> str:
     rows = []
     for r in results:
         if "skipped" in r:
-            rows.append((r["algorithm"], f"{r['n']:,}", r["backend"], "skipped", "--", "--"))
+            rows.append((r["algorithm"], f"{r['n']:,}", r["backend"], "skipped", "--", "--", "--"))
         elif "error" in r:
-            rows.append((r["algorithm"], f"{r['n']:,}", r["backend"], "error", "--", "--"))
+            rows.append((r["algorithm"], f"{r['n']:,}", r["backend"], "error", "--", "--", "--"))
         else:
             rows.append(
                 (
@@ -130,10 +177,11 @@ def _render(results: list[dict], ratios: list[dict]) -> str:
                     f"{r['peak_rss_bytes'] / 2**20:,.0f} MiB",
                     f"{r['build_seconds']:.2f}",
                     f"{r['solve_seconds']:.2f}",
+                    f"{r['lower_bound_seconds']:.2f}",
                 )
             )
     text = render_table(
-        ("algorithm", "n", "backend", "peak RSS", "build s", "solve s"),
+        ("algorithm", "n", "backend", "peak RSS", "build s", "solve s", "bound s"),
         rows,
         title=banner(f"pair-distance backends — peak memory (m={_M})"),
     )
@@ -151,7 +199,13 @@ def _render(results: list[dict], ratios: list[dict]) -> str:
 def _analyse(results: list[dict]) -> tuple[str, dict, list[str]]:
     ratios = _ratios(results)
     payload = {"m": _M, "k": fresh.PLANTED_K, "results": results, "ratios": ratios}
-    return _render(results, ratios), payload, []
+    violations = [
+        f"{r['algorithm']} n={r['n']} {r['backend']}: the label-native matvec or "
+        "lower bound differs from the blocked pass"
+        for r in results
+        if r.get("bitwise_equal") is False
+    ]
+    return _render(results, ratios), payload, violations
 
 
 def bench_backend(benchmark, report):

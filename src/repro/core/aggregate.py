@@ -30,6 +30,7 @@ import numpy as np
 
 from ..obs.trace import span
 from ..registry import SolveContext, aggregate_method_names, get_method, stochastic_method_names
+from .atoms import _atom_lower_bound, collapse_duplicates
 from .distance import total_disagreement
 from .instance import CorrelationInstance
 from .labels import as_label_matrix, validate_label_matrix
@@ -156,10 +157,15 @@ def aggregate(
     p:
         Missing-value coin-flip probability (Section 2 of the paper).
     compute_lower_bound:
-        Whether to evaluate the pairwise lower bound.  Quadratic: a lazy
-        instance recomputes every row block for it, an O(n²·m) pass.
-        Skipped only when the method builds no instance (e.g.
-        ``"sampling"``, ``"pivot"``).
+        Whether to evaluate the pairwise lower bound.  A dense instance
+        reads its matrix once.  A lazy instance evaluates the bound over
+        its distinct label rows, in O(A²·m) for A of them, when that
+        gives the bits of the blocked pass: coin-flip ``p`` a multiple of
+        2⁻⁸, ``m`` a power of two, integer labels (see
+        :func:`repro.core.kernels._exact_reductions`).  Otherwise it
+        recomputes every row block, an O(n²·m) pass.  With
+        ``collapse=True`` the pairs inside each atom are added back.  Skipped only when the method builds no instance
+        (e.g. ``"sampling"``, ``"pivot"``).
     collapse:
         Collapse duplicate label-matrix rows into weighted atoms before
         clustering (exact for the objective — some optimal solution keeps
@@ -215,8 +221,6 @@ def aggregate(
                     "collapse=True needs a label matrix and is not meaningful for "
                     f"method {method!r}"
                 )
-            from .atoms import collapse_duplicates
-
             atoms = collapse_duplicates(matrix)
             build_span.set(atoms=atoms.n_atoms, objects=atoms.n_objects)
         if instance is None and (spec.kind == "instance" or spec.needs_instance):
@@ -269,18 +273,25 @@ def aggregate(
 
     disagreements: float | None = None
     cost: float | None = None
-    if matrix is not None:
-        disagreements = total_disagreement(matrix, clustering, p=p)
-        cost = disagreements / matrix.shape[1]
-    elif instance is not None:
-        cost = instance.cost(clustering)
-        if instance.m is not None:
-            disagreements = instance.m * cost
+    with span("aggregate.score", method=method):
+        if matrix is not None:
+            disagreements = total_disagreement(matrix, clustering, p=p)
+            cost = disagreements / matrix.shape[1]
+        elif instance is not None:
+            cost = instance.cost(clustering)
+            if instance.m is not None:
+                disagreements = instance.m * cost
 
     lower_bound: float | None = None
     disagreement_lb: float | None = None
     if compute_lower_bound and instance is not None:
-        lower_bound = instance.lower_bound()
+        with span("aggregate.lower_bound", method=method):
+            if atoms is None:
+                lower_bound = instance.lower_bound()
+            else:
+                # The atom instance leaves out the pairs inside each atom,
+                # which are not free for rows with missing labels.
+                lower_bound = _atom_lower_bound(instance.backend, atoms, p)
         m = instance.m if instance.m is not None else (matrix.shape[1] if matrix is not None else None)
         if m is not None:
             disagreement_lb = m * lower_bound

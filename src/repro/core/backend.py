@@ -25,6 +25,14 @@ blocks are bitwise equal to the corresponding rows of the batch-built
 deterministic block grid (:func:`reduction_block_rows`, a function of
 ``n`` only), so their floating-point accumulation order — and therefore
 their results — are bitwise identical between the two backends.
+
+The lazy backend overrides ``matvec`` and ``lower_bound`` with
+label-native forms (count tables, distinct rows) only where
+:func:`repro.core.kernels._exact_reductions` holds.  There every entry,
+product and partial sum is exact, so the blocked pass's result does not
+depend on its order: the count tables and the distinct rows reach the
+same bits, and dense and lazy stay bitwise equal.  Everywhere else the
+lazy backend runs the blocked pass.
 """
 
 from __future__ import annotations
@@ -36,7 +44,16 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 from ..obs.profile import phase
-from .kernels import check_missing_model, default_dtype, distance_block
+from .kernels import (
+    MISSING,
+    _exact_reductions,
+    check_missing_model,
+    default_dtype,
+    distance_block,
+    label_codes,
+    label_histogram,
+    separation_mass,
+)
 from .labels import validate_label_matrix
 
 __all__ = [
@@ -491,3 +508,51 @@ class LazyLabelBackend(PairDistanceBackend):
             missing=self._missing,
             validate=False,
         )
+
+    # ------------------------------------------------------------------
+    # Label-native reductions: the blocked pass's bits from count tables
+    # ------------------------------------------------------------------
+
+    def _exact(self, weights: np.ndarray | None) -> bool:
+        return _exact_reductions(self._matrix, self._p, self._missing, weights)
+
+    def matvec(self, w: np.ndarray) -> np.ndarray:
+        """``X @ w``: O(n * m) from one count table per label column where exact.
+
+        Each column contributes the coin-flip mass of every row against
+        one group holding all rows (:func:`~repro.core.kernels.separation_mass`),
+        less the coin flip a missing row pays against itself, since
+        ``X[u, u]`` is 0.  Outside :func:`~repro.core.kernels._exact_reductions`
+        the blocked pass runs.
+        """
+        w64 = np.asarray(w, dtype=np.float64)
+        if not self._exact(w64):
+            return super().matvec(w64)
+        everyone = np.zeros(self._n, dtype=np.int64)
+        sizes = np.array([w64.sum()], dtype=np.float64)
+        out = np.zeros(self._n, dtype=np.float64)
+        for column in self._matrix.T:
+            codes, arity = label_codes(column)
+            counts = label_histogram(everyone, codes, 1, arity, w64)
+            out += separation_mass(codes, counts, counts.sum(axis=1), sizes, self._p)[:, 0]
+        gaps = (self._matrix == MISSING).sum(axis=1)
+        out -= (1.0 - self._p) * gaps * w64
+        return out / self._m
+
+    def lower_bound(self, weights: np.ndarray | None = None) -> float:
+        """The blocked bound over the distinct label rows where exact: O(A² * m) for A of them.
+
+        :func:`~repro.core.atoms._atom_lower_bound` over a lazy backend of
+        the distinct rows.  Outside
+        :func:`~repro.core.kernels._exact_reductions` the blocked pass
+        runs over ``X`` itself.
+        """
+        if not self._exact(weights):
+            return super().lower_bound(weights)
+        from .atoms import _atom_lower_bound, _group_rows  # atoms imports this module
+
+        atoms = _group_rows(self._matrix)
+        atom_backend = LazyLabelBackend(
+            atoms.matrix, p=self._p, dtype=self._dtype, missing=self._missing, validate=False
+        )
+        return _atom_lower_bound(atom_backend, atoms, self._p, weights)

@@ -18,7 +18,10 @@ integer, or an integer multiple of the dyadic ``p``, far below the
 significand: exact in float32 and float64, so equal to the loop, which
 adds each entry's terms in column order whatever the tile.  Any tiling
 of ``X`` — row blocks, gathers, worker fan-outs, BLAS blocking and
-thread counts — is therefore bitwise identical.
+thread counts — is therefore bitwise identical.  :func:`_exact_reductions`
+carries the same argument from entries to weighted sums over ``X``: where
+it holds, the lazy backend's reductions come from count tables with the
+bits of a pass over every row block.
 
 It is also the one module that turns a label column into a count table:
 :func:`label_codes` is the single indexing rule, :func:`label_histogram`
@@ -105,6 +108,46 @@ _PRODUCT_MAX_WIDTH = 24
 #: The product takes a coin-flip ``p`` only when ``p * _DYADIC`` is an
 #: integer, so every partial sum is an integer multiple of ``1 / _DYADIC``.
 _DYADIC = 256
+#: Units of ``1 / (_DYADIC * m)`` a weighted sum over ``X`` may reach under
+#: :func:`_exact_reductions`: 8x below float64's ``2**53``, the headroom
+#: for the few such sums the reductions add and subtract.
+_EXACT_UNITS = 1 << 50
+
+
+def _exact_reductions(
+    matrix: np.ndarray, p: float, missing: str, weights: np.ndarray | None = None
+) -> bool:
+    """Whether every weighted sum over the ``X`` of ``matrix`` is exact in float32 and float64.
+
+    True under coin-flip with ``p * _DYADIC`` an integer, ``m`` a power of
+    two (below ``2**24 / _DYADIC``), integer labels and integral
+    non-negative ``weights`` (``None`` means ones) with
+    ``(sum w)**2 * m * _DYADIC < _EXACT_UNITS``.  Every entry ``X[u, v]``
+    is then ``s / m`` with ``s`` a multiple of ``1 / _DYADIC`` — exact in
+    either dtype, as is ``1 - X[u, v]`` — and every product ``w_u X[u, v]
+    w_v`` and every partial sum of a row or of all pairs is a multiple of
+    ``1 / (_DYADIC * m)`` well inside float64's significand.  Any
+    summation order, the blocked pass over row blocks or a pass over
+    count tables or distinct rows, gives the same bits.
+    """
+    n, m = matrix.shape
+    if (
+        missing != "coin-flip"
+        or (p * _DYADIC) % 1.0 != 0.0
+        or m < 1
+        or m & (m - 1)
+        or m * _DYADIC >= 1 << 24  # float32's significand
+        or not np.issubdtype(matrix.dtype, np.integer)
+    ):
+        return False
+    if weights is None:
+        total = float(n)
+    else:
+        w = np.asarray(weights, dtype=np.float64)
+        if not (np.all(np.isfinite(w)) and np.all(w >= 0.0) and np.all(w == np.floor(w))):
+            return False
+        total = float(w.sum())
+    return total * total * m * _DYADIC < _EXACT_UNITS
 
 
 def _product_sums(

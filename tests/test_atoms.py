@@ -245,6 +245,30 @@ class TestAggregateCollapse:
             rows = np.flatnonzero(atoms.inverse == atom)
             assert len(set(result.clustering.labels[rows].tolist())) == 1
 
+    @pytest.mark.parametrize("method", ["balls", "agglomerative", "furthest"])
+    def test_collapse_lower_bound_counts_pairs_inside_atoms(self, method):
+        """Two copies of a row with a missing label are (1 - p) * gaps / m
+        apart, not 0, so the collapsed bound keeps their pairs."""
+        matrix = np.array([[0, -1], [0, -1], [1, 1], [1, 1], [0, 0]])
+        direct = aggregate(matrix, method=method)
+        collapsed = aggregate(matrix, method=method, collapse=True)
+        assert direct.disagreement_lower_bound == 3.5
+        assert collapsed.disagreement_lower_bound == 3.5
+        assert collapsed.disagreements == direct.disagreements == 3.5
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("p", [0.5, 0.3])
+    def test_collapse_lower_bound_matches_direct_with_missing_duplicates(self, seed, p):
+        atoms = collapse_duplicates(duplicated_problem(seed))
+        rows = atoms.matrix.copy()
+        blank = np.random.default_rng(seed).random(rows.shape) < 0.3
+        blank[0] = False  # no entirely missing column
+        rows[blank] = -1
+        matrix = rows[atoms.inverse]
+        direct = aggregate(matrix, method="balls", p=p)
+        collapsed = aggregate(matrix, method="balls", p=p, collapse=True)
+        assert collapsed.lower_bound == pytest.approx(direct.lower_bound, rel=1e-12)
+
     def test_collapse_rejected_for_best(self):
         matrix = duplicated_problem(8)
         with pytest.raises(ValueError, match="collapse"):

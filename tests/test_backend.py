@@ -28,6 +28,7 @@ from repro.core.backend import (
 from repro.core.instance import disagreement_fractions
 from repro.core.kernels import distance_block
 from repro.core.objective import MoveEvaluator
+from repro.obs import tracing
 from repro.parallel.portfolio import portfolio
 from repro.stream.instance import IncrementalCorrelationInstance
 
@@ -256,6 +257,94 @@ def test_reduction_block_rows_grid_is_deterministic() -> None:
     assert reduction_block_rows(0) == 2048
     # The grid depends only on n — both backends share it by construction.
     assert reduction_block_rows(50_000) == (1 << 22) // 50_000
+
+
+# ---------------------------------------------------------------------------
+# Label-native reductions: the blocked pass's bits without its blocks
+# ---------------------------------------------------------------------------
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=160),
+    m=st.sampled_from([1, 2, 4, 8]),
+    k=st.integers(min_value=1, max_value=4),
+    p=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 3 / 256]),
+    missing_frac=st.sampled_from([0.0, 0.3]),
+    duplicates=st.booleans(),
+    weighted=st.booleans(),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    shrink=st.booleans(),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+@example(
+    n=150, m=2, k=2, p=0.5, missing_frac=0.3, duplicates=True, weighted=True,
+    dtype=np.float32, shrink=True, seed=0,
+)
+def test_label_native_reductions_equal_the_blocked_pass(
+    n, m, k, p, missing_frac, duplicates, weighted, dtype, shrink, seed
+) -> None:
+    """Under the exactness rule each override has the base class's bits."""
+    rng = np.random.default_rng(seed)
+    matrix = label_matrix(n, m=m, k=k, missing_frac=missing_frac, seed=seed)
+    if duplicates:
+        matrix = matrix[rng.integers(0, max(1, n // 4), size=n)]
+    matrix[0] = rng.integers(0, k, size=m)  # no entirely missing column
+    weights = rng.integers(0, 4, size=n).astype(np.float64) if weighted else None
+    w = np.ones(n) if weights is None else weights
+    base = backend_module.PairDistanceBackend
+    with pytest.MonkeyPatch.context() as patch:
+        if shrink:
+            shrink_grid(patch)
+        lazy = LazyLabelBackend(matrix, p=p, dtype=dtype)
+        native = [lazy.matvec(w), lazy.lower_bound(weights)]
+        assert lazy.cached_block_indices() == ()
+        oracle = LazyLabelBackend(matrix, p=p, dtype=dtype)
+        blocked = [base.matvec(oracle, w), base.lower_bound(oracle, weights)]
+    for value, reference in zip(native, blocked):
+        assert same_bits(value, reference)
+
+
+@pytest.mark.parametrize("case", ["m=3", "p=0.3", "average", "float w"])
+def test_reductions_outside_the_exactness_rule_take_the_blocked_pass(monkeypatch, case) -> None:
+    shrink_grid(monkeypatch)
+    matrix = label_matrix(150, m=3 if case == "m=3" else 4, k=3, missing_frac=0.2, seed=31)
+    matrix = np.vstack([matrix, matrix[:40]])  # duplicate rows, for the lower bound
+    kwargs = {"p": 0.3 if case == "p=0.3" else 0.5}
+    kwargs["missing"] = "average" if case == "average" else "coin-flip"
+    rng = np.random.default_rng(32)
+    w = rng.random(190) if case == "float w" else np.ones(190)
+    dense, _ = backend_pair(matrix, **kwargs)
+    reductions = (
+        lambda backend: backend.matvec(w),
+        lambda backend: backend.lower_bound(w),
+    )
+    for reduction in reductions:
+        lazy = LazyLabelBackend(matrix, **kwargs)
+        with tracing() as trace:
+            value = reduction(lazy)
+        assert len(trace.find("instance.block")) == len(list(lazy.blocks())) == 3
+        assert same_bits(value, reduction(dense))
+
+
+def test_label_native_reductions_compute_no_grid_block(monkeypatch) -> None:
+    shrink_grid(monkeypatch)
+    matrix = label_matrix(300, m=2, k=3, missing_frac=0.05, seed=41)
+    distinct = np.unique(matrix, axis=0).shape[0]
+    lazy = LazyLabelBackend(matrix)
+    assert len(list(lazy.blocks())) == 5
+    with tracing() as trace:
+        lazy.matvec(np.ones(300))
+        assert trace.find("instance.block") == []
+        lazy.lower_bound()
+    assert lazy.cached_block_indices() == ()
+    # The one kernel call left is the distinct rows' pass.
+    (atom_pass,) = trace.find("instance.block")
+    assert atom_pass.attrs["rows"] == distinct < 64
 
 
 # ---------------------------------------------------------------------------

@@ -364,6 +364,8 @@ def test_aggregate_produces_the_documented_span_tree() -> None:
         result = aggregate(matrix, method="local-search")
     (build,) = trace.find("aggregate.build")
     (solve,) = trace.find("aggregate.solve")
+    assert trace.find("aggregate.score")
+    assert trace.find("aggregate.lower_bound")
     assert build.attrs["method"] == "local-search"
     assert solve.attrs["k"] == result.k
     # AlgorithmResult timing fields are read from these very spans.
