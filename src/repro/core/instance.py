@@ -22,6 +22,7 @@ probability ``p``, contributing ``1 - p`` to ``X[u, v]`` in expectation.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +40,15 @@ from .kernels import check_missing_model, default_dtype, distance_block
 from .labels import MISSING, as_label_matrix, check_weights, validate_label_matrix
 from .partition import Clustering
 
-__all__ = ["CorrelationInstance", "disagreement_fractions"]
+__all__ = ["CorrelationInstance", "LabelSource", "disagreement_fractions"]
+
+
+class LabelSource(NamedTuple):
+    """The label matrix and §2 missing-value model an instance was built from."""
+
+    matrix: np.ndarray
+    p: float
+    missing: str
 
 
 def disagreement_fractions(
@@ -95,10 +104,13 @@ class CorrelationInstance:
     computing row blocks on demand from the label matrix (see
     :meth:`lazy_from_label_matrix`), which keeps memory at O(n * m) for
     large ``n``.  On lazy instances the :attr:`X` property raises; go
-    through :attr:`backend` instead.
+    through :attr:`backend` instead.  Instances built from labels, on
+    either backend, keep their :attr:`label_source`, so label-native
+    objectives (:func:`~repro.core.distance.total_disagreement`) can
+    stand in for passes over ``X``.
     """
 
-    __slots__ = ("_backend", "_m", "_weights", "_effective_weights")
+    __slots__ = ("_backend", "_m", "_weights", "_effective_weights", "_source")
 
     def __init__(
         self,
@@ -107,6 +119,7 @@ class CorrelationInstance:
         validate: bool = True,
         weights: np.ndarray | None = None,
         backend: PairDistanceBackend | None = None,
+        source: LabelSource | None = None,
     ) -> None:
         if backend is None:
             if distances is None:
@@ -135,6 +148,7 @@ class CorrelationInstance:
                 raise ValueError("weights must be >= 1 (duplicate multiplicities)")
         self._weights = weights
         self._effective_weights: np.ndarray | None = None
+        self._source = source
 
     @staticmethod
     def _validate(X: np.ndarray) -> None:
@@ -195,7 +209,8 @@ class CorrelationInstance:
             X = disagreement_fractions(matrix, p=p, dtype=dtype, missing=missing)
         inc("instance.builds")
         inc("instance.build.rows", float(matrix.shape[0]))
-        instance = cls(X, m=matrix.shape[1], validate=False, weights=weights)
+        source = LabelSource(matrix, float(p), missing)
+        instance = cls(X, m=matrix.shape[1], validate=False, weights=weights, source=source)
         if (
             contracts_enabled()
             and missing == "coin-flip"
@@ -231,7 +246,8 @@ class CorrelationInstance:
         lazy = LazyLabelBackend(matrix, p=p, dtype=dtype, missing=missing)
         inc("instance.builds")
         inc("instance.build.rows", float(lazy.n))
-        return cls(m=lazy.m, weights=weights, backend=lazy)
+        source = LabelSource(lazy.label_matrix, lazy.p, lazy.missing)
+        return cls(m=lazy.m, weights=weights, backend=lazy, source=source)
 
     @classmethod
     def from_clusterings(
@@ -275,6 +291,14 @@ class CorrelationInstance:
         return self._m
 
     @property
+    def label_source(self) -> LabelSource | None:
+        """The ``(matrix, p, missing)`` of a label-built instance (``None`` for raw
+        distances).  ``matrix`` is the array the instance was built from, not
+        a copy: mutating it afterwards desynchronizes it from ``X``.  A
+        label-built ``X`` is bitwise symmetric."""
+        return self._source
+
+    @property
     def weights(self) -> np.ndarray | None:
         """Per-object multiplicities for atom instances (``None`` = all 1)."""
         return self._weights
@@ -300,8 +324,11 @@ class CorrelationInstance:
         """
         idx = np.asarray(indices)
         weights = None if self._weights is None else self._weights[idx]
+        source = self._source
+        if source is not None:
+            source = source._replace(matrix=source.matrix[idx])
         return CorrelationInstance(
-            m=self._m, weights=weights, backend=self._backend.take(idx)
+            m=self._m, weights=weights, backend=self._backend.take(idx), source=source
         )
 
     # ------------------------------------------------------------------

@@ -108,34 +108,33 @@ _PRODUCT_MAX_WIDTH = 24
 #: The product takes a coin-flip ``p`` only when ``p * _DYADIC`` is an
 #: integer, so every partial sum is an integer multiple of ``1 / _DYADIC``.
 _DYADIC = 256
-#: Units of ``1 / (_DYADIC * m)`` a weighted sum over ``X`` may reach under
-#: :func:`_exact_reductions`: 8x below float64's ``2**53``, the headroom
-#: for the few such sums the reductions add and subtract.
+#: Units of ``1 / (_DYADIC * m)`` a weighted sum over ``X`` (of
+#: ``1 / _DYADIC`` for ``D(C)``) may reach under :func:`_exact_objective`:
+#: 8x below float64's ``2**53``, the headroom for the few such sums the
+#: reductions add and subtract.
 _EXACT_UNITS = 1 << 50
 
 
-def _exact_reductions(
+def _exact_objective(
     matrix: np.ndarray, p: float, missing: str, weights: np.ndarray | None = None
 ) -> bool:
-    """Whether every weighted sum over the ``X`` of ``matrix`` is exact in float32 and float64.
+    """Whether :func:`~repro.core.distance.total_disagreement` of ``matrix`` is exact in float64.
 
-    True under coin-flip with ``p * _DYADIC`` an integer, ``m`` a power of
-    two (below ``2**24 / _DYADIC``), integer labels and integral
-    non-negative ``weights`` (``None`` means ones) with
-    ``(sum w)**2 * m * _DYADIC < _EXACT_UNITS``.  Every entry ``X[u, v]``
-    is then ``s / m`` with ``s`` a multiple of ``1 / _DYADIC`` — exact in
-    either dtype, as is ``1 - X[u, v]`` — and every product ``w_u X[u, v]
-    w_v`` and every partial sum of a row or of all pairs is a multiple of
-    ``1 / (_DYADIC * m)`` well inside float64's significand.  Any
-    summation order, the blocked pass over row blocks or a pass over
-    count tables or distinct rows, gives the same bits.
+    True under coin-flip with ``p * _DYADIC`` an integer, ``m * _DYADIC``
+    below ``2**24``, integer labels and integral non-negative ``weights``
+    (``None`` means ones) with ``(sum w)**2 * m * _DYADIC < _EXACT_UNITS``.
+    Every table entry, pair mass and per-column term of ``D(C)`` is then a
+    multiple of ``1 / _DYADIC`` well inside float64's significand, so
+    ``D(C)`` is the exact expected disagreement count, equal to
+    ``m * d(C)`` in real arithmetic.  Each entry of ``X`` is ``s / m``
+    with the separation sum ``s`` exact in float32 and float64, rounded
+    once by the division.
     """
     n, m = matrix.shape
     if (
         missing != "coin-flip"
         or (p * _DYADIC) % 1.0 != 0.0
         or m < 1
-        or m & (m - 1)
         or m * _DYADIC >= 1 << 24  # float32's significand
         or not np.issubdtype(matrix.dtype, np.integer)
     ):
@@ -148,6 +147,24 @@ def _exact_reductions(
             return False
         total = float(w.sum())
     return total * total * m * _DYADIC < _EXACT_UNITS
+
+
+def _exact_reductions(
+    matrix: np.ndarray, p: float, missing: str, weights: np.ndarray | None = None
+) -> bool:
+    """Whether every weighted sum over the ``X`` of ``matrix`` is exact in float32 and float64.
+
+    :func:`_exact_objective` with ``m`` a power of two.  Every entry
+    ``X[u, v]`` is then ``s / m`` with
+    ``s`` a multiple of ``1 / _DYADIC`` — exact in either dtype, as is
+    ``1 - X[u, v]`` — and every product ``w_u X[u, v] w_v`` and every
+    partial sum of a row or of all pairs is a multiple of
+    ``1 / (_DYADIC * m)`` well inside float64's significand.  Any
+    summation order, the blocked pass over row blocks or a pass over
+    count tables or distinct rows, gives the same bits.
+    """
+    m = matrix.shape[1]
+    return m >= 1 and not m & (m - 1) and _exact_objective(matrix, p, missing, weights)
 
 
 def _product_sums(

@@ -21,6 +21,7 @@ from repro.core.labels import MISSING, as_label_matrix
 __all__ = [
     "far_atoms_problem",
     "grid_matrix",
+    "node_masses",
     "oracle_case",
     "planted_instance",
     "random_aggregation_instance",
@@ -71,6 +72,12 @@ def grid_matrix(n, m, k, seed, missing_rate=0.0) -> np.ndarray:
         dtype=np.int32,
         guard_first_row=False,
     )
+
+
+def node_masses(evaluator) -> np.ndarray:
+    """A :class:`~repro.core.objective.MoveEvaluator`'s masses ``M(v, slot)``
+    as an ``(n, slots)`` view (it stores them slot-major); writable."""
+    return evaluator._mass.T
 
 
 def oracle_case(n: int, m: int, seed: int, missing: float) -> tuple[np.ndarray, int]:

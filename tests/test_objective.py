@@ -9,6 +9,7 @@ from repro.core.labels import MISSING
 from repro.core.objective import ClusterCountTables, MoveEvaluator
 
 from conftest import random_aggregation_instance
+from strategies import node_masses
 
 
 def explicit_mass(instance, labels, v):
@@ -111,7 +112,7 @@ class TestMoveEvaluator:
         for v in range(12):
             masses = explicit_mass(instance, labels, v)
             for slot, mass in masses.items():
-                assert evaluator._mass[v, slot] == pytest.approx(mass)
+                assert node_masses(evaluator)[v, slot] == pytest.approx(mass)
 
     def test_best_placement_prefers_cluster_on_tie(self):
         # Two identical objects: joining is never worse than a singleton.
