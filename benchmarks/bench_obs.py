@@ -40,7 +40,7 @@ from repro.parallel import portfolio
 _N = 1200
 _QUICK_N = 400
 _M = 8
-_REPEATS = 3
+_REPEATS = 9
 _METHODS = ("balls", "agglomerative", "furthest", "local-search", "sampling")
 
 
@@ -56,31 +56,31 @@ def _workload(matrix: np.ndarray) -> None:
     portfolio(matrix, rng=0, n_jobs=1)
 
 
-def _time_workload(matrix: np.ndarray, repeats: int) -> float:
-    """Best-of-``repeats`` wall time of the full workload (seconds)."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        _workload(matrix)
-        best = min(best, time.perf_counter() - start)
-    return best
+def _time_once(matrix: np.ndarray) -> float:
+    """Wall time of one full workload (seconds)."""
+    start = time.perf_counter()
+    _workload(matrix)
+    return time.perf_counter() - start
 
 
 def _run(n: int, repeats: int) -> tuple[str, dict]:
     matrix = _label_matrix(n, seed=n)
     _workload(matrix)  # warm-up: imports, allocator, caches
 
-    disable_metrics()
-    off_seconds = _time_workload(matrix, repeats)
-
-    enable_metrics()
+    # Off and metrics-on repeats alternate, so slow drift of the host
+    # (frequency, other tenants) hits both alike; each keeps its best.
     get_registry().reset()
-    metrics_seconds = _time_workload(matrix, repeats)
+    off_seconds = metrics_seconds = float("inf")
+    for _ in range(repeats):
+        disable_metrics()
+        off_seconds = min(off_seconds, _time_once(matrix))
+        enable_metrics()
+        metrics_seconds = min(metrics_seconds, _time_once(matrix))
     snapshot = get_registry().snapshot()
     disable_metrics()
 
     with tracing() as trace:
-        traced_seconds = _time_workload(matrix, 1)
+        traced_seconds = _time_once(matrix)
     tree = trace.render(min_seconds=0.001)
 
     metrics_overhead = metrics_seconds / off_seconds - 1.0

@@ -51,11 +51,13 @@ class MoveEvaluator:
             raise ValueError("initial labels must cover every object of the instance")
         self._instance = instance
         backend = instance.backend
-        # Dense instances keep the historical float64 alias of X (the
-        # streaming engine refreshes that buffer in place); lazy instances
-        # fetch rows through the backend on demand.
+        # A float64 dense X is aliased (the streaming engine refreshes that
+        # buffer in place); any other X — lazy, or dense float32, which a
+        # float64 alias would duplicate — is read in float64 row blocks.
         self._X: np.ndarray | None = (
-            np.asarray(backend.dense(), dtype=np.float64) if backend.name == "dense" else None
+            backend.dense()
+            if backend.name == "dense" and backend.dtype == np.float64
+            else None
         )
         self._node_weights = instance.effective_weights()
         n = instance.n
@@ -86,7 +88,7 @@ class MoveEvaluator:
                     if members.size:
                         self._mass[slot] = weighted_X[:, members].sum(axis=1)
         else:
-            # Lazy backend: same formulas, one row block at a time.  The
+            # Blocked path: same formulas, one row block at a time.  The
             # per-row axis-1 reductions are independent of the row tiling,
             # so the masses are bitwise identical to the dense init.
             members_by_slot = (
@@ -95,7 +97,12 @@ class MoveEvaluator:
                 else [np.flatnonzero(self._labels == slot) for slot in range(k)]
             )
             for start, stop in backend.blocks():
-                rows = backend.row_block(start, stop).astype(np.float64, copy=False)
+                if singleton_start and instance.label_source is None:
+                    # A user-given X is symmetric only to rounding: column u.
+                    rows = backend.columns(np.arange(start, stop)).T
+                else:
+                    rows = backend.row_block(start, stop)
+                rows = rows.astype(np.float64, copy=False)
                 if members_by_slot is None:
                     if weights is None:
                         self._mass[start:stop] = rows

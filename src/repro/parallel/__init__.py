@@ -3,13 +3,14 @@
 The paper's run-everything-report-the-best experimental pattern
 (:mod:`repro.parallel.portfolio`) runs its members concurrently, and
 SAMPLING's assignment phase fans its row blocks out
-(:func:`parallel_assign`); shard solves use the same pools.  Every pool
-is ``fork``-started by :mod:`repro.parallel.workers`, so read-only
-inputs (label matrix, instance) reach the workers through the pool's
-``initargs`` without being pickled or copied.  Every result is
-bit-identical to its serial counterpart for every worker count.  The
-dense build of ``X`` is serial: each of its blocks is one BLAS product,
-which already uses every core.
+(:func:`parallel_assign`); shard solves fan out the same way.  All three
+go through :func:`repro.parallel.workers.fan_out`, the one place that
+picks serial against pooled, forks, and grafts the workers' spans back:
+read-only inputs (label matrix, instance) are inherited at fork without
+being pickled or copied, and only indices and results cross the pipes.
+Every result is bit-identical to its serial counterpart for every worker
+count.  The dense build of ``X`` is serial: each of its blocks is one
+BLAS product, which already uses every core.
 
 Worker counts follow one convention everywhere, implemented by
 :func:`resolve_jobs`: explicit ``n_jobs`` wins, then the ``REPRO_JOBS``

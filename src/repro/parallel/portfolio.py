@@ -28,7 +28,6 @@ from ..core.instance import CorrelationInstance
 from ..core.labels import as_label_matrix
 from ..core.partition import Clustering
 from ..obs.metrics import inc, observe, set_gauge
-from ..obs.profile import export_spans, merge_spans, worker_tracing
 from ..obs.trace import span
 from ..registry import (
     SolveContext,
@@ -36,12 +35,16 @@ from ..registry import (
     register_method,
     resolve_instance_method,
 )
-from .workers import WORKER, init_worker, pool, resolve_jobs
+from .workers import fan_out
 
 __all__ = ["DEFAULT_PORTFOLIO", "AlgorithmRun", "PortfolioResult", "portfolio"]
 
 #: The paper's §7 line-up: every deterministic heuristic plus LOCALSEARCH.
 DEFAULT_PORTFOLIO = ("balls", "agglomerative", "furthest", "local-search")
+
+#: One member: method name, extra kwargs, child generator (stochastic only).
+_Spec = tuple[str, dict[str, Any], np.random.Generator | None]
+
 
 @dataclass(frozen=True)
 class AlgorithmRun:
@@ -105,7 +108,7 @@ def _method_specs(
     methods: Sequence[str],
     params: dict[str, dict[str, Any]] | None,
     rng: np.random.Generator | int | None,
-) -> list[tuple[str, dict[str, Any], np.random.Generator | None]]:
+) -> list[_Spec]:
     """Validate methods and attach per-position kwargs and child generators."""
     if not methods:
         raise ValueError("portfolio needs at least one method")
@@ -117,12 +120,8 @@ def _method_specs(
         resolve_instance_method(name)  # raises on non-instance methods ("best", ...)
     # One independent child generator per *position* (not per name), spawned
     # before any execution — the seeds cannot depend on scheduling order.
-    if isinstance(rng, np.random.Generator):
-        children = rng.spawn(len(methods))
-    else:
-        children = [
-            np.random.default_rng(s) for s in np.random.SeedSequence(rng).spawn(len(methods))
-        ]
+    root = np.random.default_rng(rng)
+    children = root.spawn(len(methods))
     return [
         (name, dict(params.get(name, {})), children[i] if is_stochastic(name) else None)
         for i, name in enumerate(methods)
@@ -130,11 +129,11 @@ def _method_specs(
 
 
 def _execute(
-    instance: CorrelationInstance,
-    spec: tuple[str, dict[str, Any], np.random.Generator | None],
+    state: tuple[CorrelationInstance, list[_Spec]], index: int
 ) -> tuple[np.ndarray, float, int, float]:
-    """Run one portfolio member; shared by the serial and worker paths."""
-    name, kwargs, child_rng = spec
+    """Run portfolio member ``index``; a :func:`fan_out` task."""
+    instance, specs = state
+    name, kwargs, child_rng = specs[index]
     algorithm = resolve_instance_method(name)
     if child_rng is not None:
         kwargs = {"rng": child_rng, **kwargs}
@@ -146,17 +145,6 @@ def _execute(
     observe("portfolio.member.cost", cost)
     observe("portfolio.member.seconds", solve_span.seconds)
     return clustering.labels, cost, clustering.k, solve_span.seconds
-
-
-def _run_portfolio_member(
-    index: int,
-) -> tuple[int, np.ndarray, float, int, float, list[dict[str, Any]]]:
-    # Spans recorded in a forked worker would vanish with the process, so
-    # each member profiles into a local trace and ships it back with the
-    # result payload (a few hundred bytes) for the parent to graft.
-    with worker_tracing() as trace:
-        labels, cost, k, elapsed = _execute(WORKER["instance"], WORKER["specs"][index])
-    return (index, labels, cost, k, elapsed, export_spans(trace))
 
 
 def _solve_portfolio(ctx: SolveContext) -> Clustering:
@@ -229,37 +217,20 @@ def portfolio(
         matrix = inputs if isinstance(inputs, np.ndarray) else as_label_matrix(inputs)
         instance = CorrelationInstance.from_label_matrix(matrix, p=p, backend=backend)
     specs = _method_specs(methods, params, rng)
-    jobs = min(resolve_jobs(n_jobs), len(specs))
 
-    with span("portfolio", jobs=jobs, n=instance.n, methods=[s[0] for s in specs]) as root:
-        if jobs <= 1:
-            outcomes = [(i, *_execute(instance, spec)) for i, spec in enumerate(specs)]
-        else:
-            workers = pool(
-                jobs,
-                initializer=init_worker,
-                initargs=({"instance": instance, "specs": specs},),
-            )
-            try:
-                worker_outcomes = workers.map(_run_portfolio_member, range(len(specs)))
-            finally:
-                workers.close()
-                workers.join()
-            outcomes = []
-            for index, labels, cost, k, member_elapsed, spans in worker_outcomes:
-                merge_spans(spans)
-                outcomes.append((index, labels, cost, k, member_elapsed))
+    with span("portfolio", n=instance.n, methods=[s[0] for s in specs]) as root:
+        outcomes, jobs = fan_out(_execute, len(specs), (instance, specs), n_jobs)
+        root.set(jobs=jobs)
     elapsed = root.seconds
     inc("portfolio.runs")
     set_gauge("portfolio.jobs", jobs)
 
-    outcomes.sort(key=lambda outcome: outcome[0])
     runs = tuple(
-        AlgorithmRun(method=specs[i][0], cost=cost, k=k, elapsed_seconds=run_elapsed)
-        for i, _, cost, k, run_elapsed in outcomes
+        AlgorithmRun(method=spec[0], cost=cost, k=k, elapsed_seconds=run_elapsed)
+        for spec, (_, cost, k, run_elapsed) in zip(specs, outcomes)
     )
     best_index = min(range(len(runs)), key=lambda i: (runs[i].cost, i))
-    best_labels = outcomes[best_index][1]
+    best_labels = outcomes[best_index][0]
     root.set(winner=runs[best_index].method, cost=runs[best_index].cost)
     return PortfolioResult(
         best=Clustering(best_labels),

@@ -1,4 +1,4 @@
-"""The fork policy: worker counts, the one pool constructor, pooled assignment.
+"""The fork policy: worker counts, the one fan-out, pooled assignment.
 
 :func:`resolve_jobs` centralizes the convention used by every ``n_jobs``
 parameter in the library: an explicit integer wins, then the
@@ -7,11 +7,14 @@ or a negative value means "all cores".  On a platform without the
 ``fork`` start method every count resolves to 1 and the serial path
 runs (with bit-identical results).
 
-Every pool in the library is forked by :func:`pool`, and its read-only
-inputs ride the pool's ``initargs`` into :data:`WORKER`: a forked worker
-inherits them without pickling or copying.  Only the small task payloads
-(row-index blocks, member and shard indices) and the results cross the
-pool's pipes.
+:func:`fan_out` is the one place that picks serial against pooled: it
+runs ``task(state, i)`` for every index, in-process when one worker
+resolves and in a pool forked by :func:`pool` otherwise.  The task and
+its read-only state are inherited at fork without pickling or copying,
+so only the indices and the results cross the pool's pipes; each
+worker's spans ride back with its result and are grafted into the
+caller's trace.  The portfolio, the shard engine and
+:func:`parallel_assign` all fan out through it.
 
 :func:`parallel_assign` is the SAMPLING assignment phase (§4.1): the
 per-block cheapest-cluster scoring against fixed
@@ -24,15 +27,17 @@ from __future__ import annotations
 import multiprocessing
 import numbers
 import os
+from collections.abc import Callable
 from multiprocessing.pool import Pool
-from typing import Any
+from typing import Any, TypeVar
 
 import numpy as np
 
 from ..core.objective import ClusterCountTables
+from ..obs.profile import export_spans, merge_spans, worker_tracing
 from ..obs.trace import span
 
-__all__ = ["JOBS_ENV_VAR", "parallel_assign", "pool", "resolve_jobs"]
+__all__ = ["JOBS_ENV_VAR", "fan_out", "parallel_assign", "pool", "resolve_jobs"]
 
 #: Environment variable consulted when ``n_jobs`` is ``None``.
 JOBS_ENV_VAR = "REPRO_JOBS"
@@ -40,9 +45,12 @@ JOBS_ENV_VAR = "REPRO_JOBS"
 #: Rows scored per batch in SAMPLING's assignment phase, serial or pooled.
 ASSIGN_BLOCK = 8192
 
-#: The current pool's read-only inputs, installed by :func:`init_worker`
+_S = TypeVar("_S")
+_R = TypeVar("_R")
+
+#: The current pool's task and state, installed by :func:`_init_worker`
 #: (set in workers only).
-WORKER: dict[str, Any] = {}
+_WORKER: dict[str, Any] = {}
 
 
 def resolve_jobs(n_jobs: int | None = None) -> int:
@@ -86,14 +94,54 @@ def pool(jobs: int, initializer: Any = None, initargs: tuple[Any, ...] = ()) -> 
     return context.Pool(jobs, initializer=initializer, initargs=initargs)
 
 
-def init_worker(state: dict[str, Any]) -> None:
-    """Pool initializer: install the inherited inputs into :data:`WORKER`."""
-    WORKER.update(state)
+def _init_worker(task: Callable[[Any, int], Any], state: Any) -> None:
+    _WORKER.update(task=task, state=state)
 
 
-def _assign_block(rows: np.ndarray) -> np.ndarray:
-    tables: ClusterCountTables = WORKER["tables"]
-    return tables.assign(rows)
+def _run_task(index: int) -> tuple[Any, list[dict[str, Any]]]:
+    # Spans recorded in a forked worker would vanish with the process, so
+    # each task profiles into a local trace and ships it back with its
+    # result for the caller to graft.
+    with worker_tracing() as trace:
+        result = _WORKER["task"](_WORKER["state"], index)
+    return result, export_spans(trace)
+
+
+def fan_out(
+    task: Callable[[_S, int], _R],
+    count: int,
+    state: _S,
+    n_jobs: int | None = None,
+) -> tuple[list[_R], int]:
+    """Run ``task(state, i)`` for ``i in range(count)``; results in index order.
+
+    ``n_jobs`` follows :func:`resolve_jobs` and is capped at ``count``.
+    With one worker the tasks run in-process, in order; otherwise a
+    forked pool runs them, ``task`` and ``state`` inherited at fork, and
+    every worker's spans are grafted into the caller's trace under the
+    innermost open span.  An exception raised by a task reaches the
+    caller with its type, after the pool is shut down.  Returns
+    ``(results, jobs)`` with ``jobs`` the worker count used.
+    """
+    jobs = min(resolve_jobs(n_jobs), count)
+    if jobs <= 1:
+        return [task(state, index) for index in range(count)], 1
+    workers = pool(jobs, initializer=_init_worker, initargs=(task, state))
+    try:
+        outcomes = workers.map(_run_task, range(count))
+    finally:
+        workers.close()
+        workers.join()
+    results = []
+    for result, spans in outcomes:
+        merge_spans(spans)
+        results.append(result)
+    return results, jobs
+
+
+def _assign_block(state: tuple[ClusterCountTables, list[np.ndarray]], index: int) -> np.ndarray:
+    tables, blocks = state
+    return tables.assign(blocks[index])
 
 
 def parallel_assign(
@@ -114,14 +162,7 @@ def parallel_assign(
     if rows.size == 0:
         return np.empty(0, dtype=np.int64)
     blocks = [rows[start : start + ASSIGN_BLOCK] for start in range(0, rows.size, ASSIGN_BLOCK)]
-    jobs = min(resolve_jobs(n_jobs), len(blocks))
-    with span("parallel.assign", rows=int(rows.size), jobs=jobs, blocks=len(blocks)):
-        if jobs <= 1:
-            return np.concatenate([tables.assign(block) for block in blocks])
-        workers = pool(jobs, initializer=init_worker, initargs=({"tables": tables},))
-        try:
-            assigned = workers.map(_assign_block, blocks)
-        finally:
-            workers.close()
-            workers.join()
+    with span("parallel.assign", rows=int(rows.size), blocks=len(blocks)) as assign_span:
+        assigned, jobs = fan_out(_assign_block, len(blocks), (tables, blocks), n_jobs)
+        assign_span.set(jobs=jobs)
         return np.concatenate(assigned)

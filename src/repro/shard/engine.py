@@ -10,10 +10,10 @@ global quadratic object, so the memory high-water mark is set by the
 largest shard rather than by ``n`` — the first path in the library where
 instance size is bounded per shard.
 
-Execution mirrors the portfolio runner: forked workers inherit the
-label matrix through the pool's ``initargs`` (nothing is pickled or
-copied) and solve their shard, and results (labels, cost, spans) ride
-back on the pool's result channel.  Determinism: one child
+Execution goes through :func:`repro.parallel.workers.fan_out`, like the
+portfolio: forked workers inherit the label matrix (nothing is pickled
+or copied) and solve their shard, and results (labels, cost, spans)
+ride back on the pool's result channel.  Determinism: one child
 generator is spawned per shard *position* (plus one for the partition
 shuffle) before anything runs, and every in-shard solve is pinned to
 ``n_jobs=1``, so the consensus is bit-identical for any worker count —
@@ -41,9 +41,8 @@ from ..core.instance import CorrelationInstance
 from ..core.labels import as_label_matrix, check_weights, validate_label_matrix
 from ..core.partition import Clustering
 from ..obs.metrics import inc, observe, set_gauge
-from ..obs.profile import export_spans, merge_spans, worker_tracing
 from ..obs.trace import span
-from ..parallel.workers import WORKER, init_worker, pool, resolve_jobs
+from ..parallel.workers import fan_out
 from ..registry import (
     SolveContext,
     is_stochastic,
@@ -125,13 +124,10 @@ class ShardResult:
 
 
 def _solve_shard(
-    matrix: np.ndarray,
-    indices: np.ndarray,
-    config: dict[str, Any],
-    child_rng: np.random.Generator,
-    position: int,
+    state: tuple[np.ndarray, list[np.ndarray], list[np.random.Generator], dict[str, Any]],
+    index: int,
 ) -> tuple[np.ndarray, float, int, float]:
-    """Aggregate one shard; shared by the serial and worker paths.
+    """Aggregate shard ``index``; a :func:`~repro.parallel.workers.fan_out` task.
 
     Returns ``(labels, cost, k, seconds)`` with ``cost`` the shard's own
     ``d(C)`` (diagnostic only — the merge layer recomputes everything it
@@ -139,12 +135,14 @@ def _solve_shard(
     parallelism lives at the shard level, and nested pools would both
     oversubscribe and tie results to the worker topology.
     """
+    matrix, plan, children, config = state
+    indices = plan[index]
     method = config["shard_method"]
     p = config["p"]
     weights = config["weights"]
     sub = matrix[indices]
     sub_weights = None if weights is None else weights[indices]
-    with span(f"shard:{position}", rows=int(indices.size), method=method) as shard_span:
+    with span(f"shard:{index}", rows=int(indices.size), method=method) as shard_span:
         kwargs = dict(config["params"])
         if method == "sampling":
             if kwargs.get("sample_size") is not None:
@@ -155,24 +153,18 @@ def _solve_shard(
                 sub,
                 resolve_instance_method(config["inner"]),
                 p=p,
-                rng=child_rng,
+                rng=children[index],
                 weights=sub_weights,
                 n_jobs=1,
                 **kwargs,
             )
-            if sub_weights is None:
-                cost = total_disagreement(sub, clustering, p=p) / sub.shape[1]
-            else:
-                lazy = CorrelationInstance.lazy_from_label_matrix(
-                    sub, p=p, weights=sub_weights
-                )
-                cost = lazy.cost(clustering)
+            cost = total_disagreement(sub, clustering, p=p, weights=sub_weights) / sub.shape[1]
         else:
             instance = CorrelationInstance.from_label_matrix(
                 sub, p=p, weights=sub_weights, backend=config["backend"]
             )
             if is_stochastic(method):
-                kwargs["rng"] = child_rng
+                kwargs["rng"] = children[index]
             clustering = resolve_instance_method(method)(instance, **kwargs)
             cost = instance.cost(clustering)
         shard_span.set(cost=cost, k=clustering.k)
@@ -184,21 +176,6 @@ def _solve_shard(
         int(clustering.k),
         shard_span.seconds,
     )
-
-
-def _run_shard(index: int) -> tuple[int, np.ndarray, float, int, float, list[dict[str, Any]]]:
-    # Spans recorded in a forked worker die with the process, so each
-    # shard profiles into a local trace and ships it back on the result
-    # channel for the parent to graft under `shard.solve`.
-    with worker_tracing() as trace:
-        labels, cost, k, elapsed = _solve_shard(
-            WORKER["matrix"],
-            WORKER["shards"][index],
-            WORKER["config"],
-            WORKER["children"][index],
-            index,
-        )
-    return (index, labels, cost, k, elapsed, export_spans(trace))
 
 
 def _solve_sharded(ctx: SolveContext) -> Clustering:
@@ -310,12 +287,8 @@ def shard_aggregate(
     # for the partition shuffle — spawned before any execution, and spawned
     # identically in contiguous mode (where the shuffle stream goes unused)
     # so the per-shard seeds do not depend on the partition mode.
-    if isinstance(rng, np.random.Generator):
-        streams = list(rng.spawn(shards + 1))
-    else:
-        streams = [
-            np.random.default_rng(s) for s in np.random.SeedSequence(rng).spawn(shards + 1)
-        ]
+    root_rng = np.random.default_rng(rng)
+    streams = root_rng.spawn(shards + 1)
     config = {
         "shard_method": shard_method,
         "inner": inner,
@@ -329,34 +302,17 @@ def shard_aggregate(
         with span("shard.partition", n=n, shards=shards, mode=partition):
             plan = plan_shards(n, shards, mode=partition, rng=streams[0])
         children = streams[1:]
-        jobs = min(resolve_jobs(n_jobs), len(plan))
 
-        with span("shard.solve", shards=len(plan), jobs=jobs) as solve_span:
-            if jobs <= 1:
-                outcomes = [
-                    (i, *_solve_shard(matrix, indices, config, children[i], i))
-                    for i, indices in enumerate(plan)
-                ]
-            else:
-                state = {"matrix": matrix, "shards": plan, "children": children, "config": config}
-                workers = pool(jobs, initializer=init_worker, initargs=(state,))
-                try:
-                    worker_outcomes = workers.map(_run_shard, range(len(plan)))
-                finally:
-                    workers.close()
-                    workers.join()
-                outcomes = []
-                for index, labels, cost, k, elapsed, spans in worker_outcomes:
-                    merge_spans(spans)
-                    outcomes.append((index, labels, cost, k, elapsed))
-            outcomes.sort(key=lambda outcome: outcome[0])
-            solve_span.set(busy_seconds=sum(outcome[4] for outcome in outcomes))
+        with span("shard.solve", shards=len(plan)) as solve_span:
+            state = (matrix, plan, children, config)
+            outcomes, jobs = fan_out(_solve_shard, len(plan), state, n_jobs)
+            solve_span.set(jobs=jobs, busy_seconds=sum(outcome[3] for outcome in outcomes))
 
         # Shard cluster c of shard i becomes atom offset_i + c; canonical
         # shard labels make the offsets a simple running sum.
         atom_of = np.empty(n, dtype=np.int64)
         offset = 0
-        for (_, labels, _, _, _), indices in zip(outcomes, plan):
+        for (labels, _, _, _), indices in zip(outcomes, plan):
             atom_of[indices] = offset + labels
             offset += int(labels.max()) + 1
 
@@ -382,7 +338,7 @@ def shard_aggregate(
             cost=cost,
             elapsed_seconds=elapsed,
         )
-        for i, _, cost, k, elapsed in outcomes
+        for i, (_, cost, k, elapsed) in enumerate(outcomes)
     )
     return ShardResult(
         clustering=merged.clustering,

@@ -333,6 +333,49 @@ def test_rpr011_interprocedural_ship_through_callee_param() -> None:
     assert codes(sources) == ["RPR011"]
 
 
+_FAN_OUT_STUB = (
+    "def pool(jobs, initializer=None, initargs=()):\n    return jobs\n"
+    "def fan_out(task, count, state, n_jobs=None):\n"
+    "    workers = pool(2, initializer=task, initargs=(task, state))\n"
+    "    return workers.map(task, range(count)), 2\n"
+)
+
+
+def _fan_out_source(first: str, second: str) -> dict[str, str]:
+    return {
+        PARALLEL: (
+            "from repro.parallel.workers import fan_out\n"
+            "def run(state, i):\n    return i\n"
+            "def two_fan_outs(payload, rng):\n"
+            f"    {first}\n"
+            "    a, _ = fan_out(run, 2, (payload, first), 2)\n"
+            f"    {second}\n"
+            "    b, _ = fan_out(run, 2, (payload, second), 2)\n"
+            "    return a + b\n"
+        ),
+        "src/repro/parallel/workers.py": _FAN_OUT_STUB,
+    }
+
+
+def test_rpr011_fires_on_generator_in_two_fan_out_states() -> None:
+    sources = _fan_out_source("first = rng", "second = rng")
+    index = ModuleIndex.from_sources(
+        {path: textwrap.dedent(source) for path, source in sources.items()}
+    )
+    ships = compute_ships_params(CallGraph(index))
+    assert "state" in ships["repro.parallel.workers.fan_out"]
+    findings = flow(sources)
+    assert [f.rule for f in findings] == ["RPR011"]
+    assert "second parallel-work site" in findings[0].message
+
+
+def test_rpr011_silent_on_spawned_fan_out_states() -> None:
+    spawned = _fan_out_source(
+        "root = np.random.default_rng(rng); first = root.spawn(2)", "second = root.spawn(2)"
+    )
+    assert codes(spawned) == []
+
+
 def test_rpr011_portfolio_spawn_list_pattern_is_clean() -> None:
     # The repo's portfolio idiom: children spawned up front, shipped once.
     assert (

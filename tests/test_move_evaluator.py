@@ -11,6 +11,7 @@ starts: masses must stay byte-equal and every decision identical.
 import numpy as np
 import pytest
 
+from repro.algorithms.local_search import local_search
 from repro.core.instance import CorrelationInstance
 from repro.core.kernels import MISSING, label_codes, label_histogram, separation_mass
 from repro.core.objective import MoveEvaluator
@@ -412,13 +413,16 @@ def make_instance(kind: str, weighted: bool, seed: int, n: int) -> CorrelationIn
     matrix[rng.random((n, 5)) < 0.15] = MISSING
     matrix[0, np.all(matrix == MISSING, axis=0)] = 0
     weights = rng.integers(1, 5, size=n).astype(np.float64) if weighted else None
-    if kind == "raw":
+    if kind.startswith("raw"):
         # A raw instance whose X is symmetric only to rounding: the
         # singleton start must read its columns, not its rows.
         X = CorrelationInstance.from_label_matrix(matrix).X.copy()
-        upper = np.triu(rng.random((n, n)) * 1e-9, k=1)
+        scale = 1e-6 if kind == "raw32" else 1e-9  # above float32 rounding
+        upper = np.triu(rng.random((n, n)) * scale, k=1)
         X = np.clip(X + upper, 0.0, 1.0)
         np.fill_diagonal(X, 0.0)
+        if kind == "raw32":
+            X = X.astype(np.float32)
         return CorrelationInstance(X, m=5, weights=weights)
     return CorrelationInstance.from_label_matrix(
         matrix,
@@ -492,7 +496,7 @@ def drive(instance: CorrelationInstance, initial: np.ndarray, seed: int, steps: 
     assert new.clustering() == old.clustering()
 
 
-KINDS = ["dense", "dense32", "lazy", "lazy32", "raw"]
+KINDS = ["dense", "dense32", "lazy", "lazy32", "raw", "raw32"]
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -530,3 +534,16 @@ def test_local_search_runs_agree(kind, weighted):
             assert new.relocate_if_better(int(v), 1e-9) == old.relocate_if_better(int(v), 1e-9)
         assert node_masses(new).tobytes() == old._mass.tobytes()
     assert new.clustering() == old.clustering()
+
+
+@pytest.mark.parametrize("start", ["singletons", "arbitrary"])
+def test_dense_float32_reads_float64_row_blocks_like_lazy(start):
+    # A float32 dense X is not copied to a float64 (n, n) alias; it is
+    # read in float64 row blocks, exactly as the lazy float32 backend is.
+    dense = make_instance("dense32", False, 3, 300)
+    lazy = make_instance("lazy32", False, 3, 300)
+    initial = np.arange(300) if start == "singletons" else np.arange(300) % 7
+    evaluator = MoveEvaluator(dense, initial)
+    assert evaluator._X is None
+    assert evaluator._mass.tobytes() == MoveEvaluator(lazy, initial)._mass.tobytes()
+    assert local_search(dense, rng=0) == local_search(lazy, rng=0)

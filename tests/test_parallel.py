@@ -1,6 +1,5 @@
 """Tests for the fork-pool parallel backend (repro.parallel)."""
 
-import importlib
 import json
 import multiprocessing
 import os
@@ -13,7 +12,6 @@ from hypothesis import strategies as st
 
 import repro.core.backend as backend_module
 import repro.parallel.workers as workers_module
-import repro.shard.engine as shard_engine
 from repro import aggregate
 from repro.cli import main
 from repro.core.atoms import collapse_duplicates
@@ -21,6 +19,7 @@ from repro.core.instance import CorrelationInstance, disagreement_fractions
 from repro.core.labels import MISSING
 from repro.core.objective import ClusterCountTables
 from repro.datasets import generate_votes
+from repro.obs.trace import span, tracing
 from repro.parallel import (
     DEFAULT_PORTFOLIO,
     JOBS_ENV_VAR,
@@ -28,11 +27,9 @@ from repro.parallel import (
     portfolio,
     resolve_jobs,
 )
+from repro.parallel.workers import fan_out
 from repro.registry import aggregate_method_names
 from repro.shard import shard_aggregate
-
-# ``repro.parallel.portfolio`` the attribute is the function; this is the module.
-portfolio_module = importlib.import_module("repro.parallel.portfolio")
 
 
 class TestResolveJobs:
@@ -100,7 +97,7 @@ class TestResolveJobs:
         matrix = generate_votes(n=120, rng=0).label_matrix()
         serial = portfolio(matrix, rng=7, n_jobs=1)
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        monkeypatch.setattr(portfolio_module, "pool", no_pool)
+        monkeypatch.setattr(workers_module, "pool", no_pool)
         assert resolve_jobs(2) == 1
         assert resolve_jobs(0) == 1
         fanned = portfolio(matrix, rng=7, n_jobs=2)
@@ -137,20 +134,16 @@ def shrink_grid(monkeypatch) -> None:
     monkeypatch.setattr(backend_module, "_BLOCK_ENTRIES", 1)
 
 
-def _build_in_worker(kwargs):
-    return disagreement_fractions(workers_module.WORKER["matrix"], **kwargs)
+def _build_in_worker(state, index):
+    matrix, kwargs = state
+    return disagreement_fractions(matrix, **kwargs)
 
 
 def built_in_workers(matrix, jobs=2, **kwargs):
     """X as each of ``jobs`` forked workers builds it from the inherited matrix."""
-    workers = workers_module.pool(
-        jobs, initializer=workers_module.init_worker, initargs=({"matrix": matrix},)
-    )
-    try:
-        return workers.map(_build_in_worker, [kwargs] * jobs, chunksize=1)
-    finally:
-        workers.close()
-        workers.join()
+    built, used = fan_out(_build_in_worker, jobs, (matrix, kwargs), jobs)
+    assert used == jobs
+    return built
 
 
 class TestParallelBuild:
@@ -207,6 +200,61 @@ class TestParallelAssign:
         tables = ClusterCountTables(matrix, sample, agglomerative(sub).labels)
         result = parallel_assign(tables, np.empty(0, dtype=np.int64), n_jobs=2)
         assert result.size == 0 and result.dtype == np.int64
+
+
+class TaskFailed(Exception):
+    """Raised by a fan-out task to check the type survives the pool."""
+
+
+def _square_with_span(state, index):
+    offset, fail_at = state
+    with span(f"task:{index}"):
+        if index == fail_at:
+            raise TaskFailed(f"task {index}")
+        return (index + offset) ** 2
+
+
+class TestFanOut:
+    """``workers.fan_out``: the one serial-or-forked runner."""
+
+    @pytest.mark.parametrize(
+        "count, n_jobs, jobs", [(5, 1, 1), (5, 2, 2), (2, 4, 2), (1, 3, 1), (0, 2, 1)]
+    )
+    def test_results_in_index_order(self, count, n_jobs, jobs):
+        results, used = fan_out(_square_with_span, count, (10, -1), n_jobs)
+        assert results == [(i + 10) ** 2 for i in range(count)]
+        assert used == jobs
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_task_exception_reaches_the_caller(self, n_jobs):
+        with pytest.raises(TaskFailed, match="task 2"):
+            fan_out(_square_with_span, 4, (0, 2), n_jobs)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_worker_spans_grafted_once_in_index_order(self, n_jobs):
+        with tracing() as trace:
+            with span("caller"):
+                fan_out(_square_with_span, 3, (0, -1), n_jobs)
+        (caller,) = trace.roots
+        assert [child.name for child in caller.children] == ["task:0", "task:1", "task:2"]
+
+    @pytest.mark.parametrize("value", ["two", 2.5, True])
+    def test_bad_n_jobs_names_it(self, value):
+        with pytest.raises(ValueError, match="n_jobs"):
+            fan_out(_square_with_span, 3, (0, -1), value)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40])
+    def test_spawned_children_match_seed_sequence_children(self, seed):
+        # The portfolio and the shard engine spawn their per-position
+        # streams from default_rng(rng); for an int seed that is the
+        # SeedSequence(seed).spawn construction, draw for draw.
+        spawned = np.random.default_rng(seed).spawn(3)
+        expected = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
+        for child, reference in zip(spawned, expected):
+            np.testing.assert_array_equal(child.random(8), reference.random(8))
+        generator = np.random.default_rng(seed)
+        assert np.random.default_rng(generator) is generator
 
 
 class TestPortfolio:
@@ -359,8 +407,7 @@ def shm_watch(monkeypatch):
         gained.update(set(os.listdir(DEV_SHM)) - before)
         return workers
 
-    for module in (workers_module, portfolio_module, shard_engine):
-        monkeypatch.setattr(module, "pool", watched_pool)
+    monkeypatch.setattr(workers_module, "pool", watched_pool)
     yield
     gained.update(set(os.listdir(DEV_SHM)) - before)
     assert started, "no pool was started"

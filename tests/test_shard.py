@@ -24,6 +24,7 @@ from repro.cli import main
 from repro.core import CorrelationInstance, total_disagreement
 from repro.core.atoms import collapse_duplicates
 from repro.datasets import generate_votes
+from repro.obs.trace import tracing
 from repro.shard import (
     MERGE_METHODS,
     PARTITION_MODES,
@@ -33,6 +34,7 @@ from repro.shard import (
     plan_shards,
     shard_aggregate,
 )
+from repro.shard.engine import _solve_shard
 
 from strategies import far_atoms_problem, planted_instance
 
@@ -389,3 +391,47 @@ class TestShardCli:
         report = json.loads(captured.out)  # tree went to stderr, not stdout
         assert report["n_shards"] == 2
         assert "shard.merge" in captured.err
+
+
+class TestWeightedShardCost:
+    """A weighted SAMPLING shard's diagnostic cost is label-native."""
+
+    @staticmethod
+    def _atoms():
+        _, matrix = planted_instance(n=400, m=5, groups=4, flip=0.3, seed=8)
+        matrix[np.random.default_rng(8).random(matrix.shape) < 0.05] = -1
+        return collapse_duplicates(matrix)
+
+    def test_cost_matches_the_lazy_instance_cost(self):
+        atoms = self._atoms()
+        weights = atoms.weights.astype(np.float64)
+        plan = plan_shards(atoms.n_atoms, 2)
+        config = {
+            "shard_method": "sampling",
+            "inner": "agglomerative",
+            "p": 0.5,
+            "weights": weights,
+            "backend": "auto",
+            "params": {"sample_size": 60},
+        }
+        children = np.random.default_rng(0).spawn(2)
+        for index, indices in enumerate(plan):
+            labels, cost, _, _ = _solve_shard((atoms.matrix, plan, children, config), index)
+            lazy = CorrelationInstance.lazy_from_label_matrix(
+                atoms.matrix[indices], weights=weights[indices]
+            )
+            assert cost == pytest.approx(lazy.cost(Clustering(labels)), rel=1e-12)
+
+    def test_solving_computes_no_row_block(self):
+        atoms = self._atoms()
+        with tracing() as trace:
+            result = shard_aggregate(
+                atoms.matrix,
+                n_shards=2,
+                weights=atoms.weights.astype(np.float64),
+                sample_size=60,
+                rng=0,
+                n_jobs=1,
+            )
+        assert len(result.shards) == 2
+        assert trace.find("shard:0") and not trace.find("instance.block")
