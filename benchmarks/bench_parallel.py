@@ -5,7 +5,11 @@ entry points — the algorithm portfolio and SAMPLING's assignment phase
 (:func:`repro.parallel.parallel_assign`) — and verifies bit-identity
 between them while at it.  The assignment fans out only when the rows to
 assign span more than one :data:`~repro.parallel.workers.ASSIGN_BLOCK`
-block, so every assignment size here is above that.  Speedup is
+block, so every assignment size here is above that.  It runs on three
+inputs, since the tables score each distinct tuple of label codes once:
+uniform labels (nearly every row distinct), planted m=5 (many duplicate
+rows) and planted m=24, whose code tuples overflow a 62-bit key and are
+re-ranked on the way.  Speedup is
 *reported, not asserted*: the ratio is a property of the host (worker
 count, cores, memory bandwidth), and CI containers are routinely
 single-core, where the honest ratio is ≤ 1.
@@ -29,6 +33,7 @@ import time
 
 import numpy as np
 
+from fresh import planted  # first: puts src/ on sys.path
 from repro.algorithms.agglomerative import agglomerative
 from repro.core.instance import CorrelationInstance
 from repro.core.objective import ClusterCountTables
@@ -51,6 +56,14 @@ def _label_matrix(n: int, seed: int) -> np.ndarray:
     return rng.integers(0, 12, size=(n, _M)).astype(np.int32)
 
 
+#: SAMPLING's assignment inputs, by name: ``(n, seed) -> matrix``.
+_ASSIGN_INPUTS = {
+    "uniform m=8": _label_matrix,
+    "planted m=5": lambda n, seed: planted(n, 5, seed),
+    "planted m=24": lambda n, seed: planted(n, 24, seed),
+}
+
+
 def _time_portfolio(n: int, jobs: int) -> tuple[float, float, bool]:
     """(serial seconds, parallel seconds, bit-identical?) for one size."""
     matrix = _label_matrix(n, seed=n + 1)
@@ -67,8 +80,8 @@ def _time_portfolio(n: int, jobs: int) -> tuple[float, float, bool]:
     return serial_seconds, parallel_seconds, identical
 
 
-def _time_assign(n: int, jobs: int) -> tuple[float, float, bool]:
-    matrix = _label_matrix(n, seed=n)
+def _time_assign(matrix: np.ndarray, jobs: int) -> tuple[float, float, bool]:
+    n = matrix.shape[0]
     sample = np.arange(_SAMPLE)
     labels = agglomerative(CorrelationInstance.from_label_matrix(matrix[sample])).labels
     tables = ClusterCountTables(matrix, sample, labels)
@@ -86,15 +99,17 @@ def _run(portfolio_size: int, assign_size: int, jobs: int) -> tuple[str, bool]:
     """Run the sweep; returns (report text, all outputs bit-identical?)."""
     rows = []
     all_identical = True
-    for name, timer, n in (
-        ("portfolio", _time_portfolio, portfolio_size),
-        ("parallel_assign", _time_assign, assign_size),
-    ):
-        serial_s, parallel_s, identical = timer(n, jobs)
+    runs = [(f"portfolio n={portfolio_size}", _time_portfolio, portfolio_size)]
+    runs += [
+        (f"parallel_assign {name} n={assign_size}", _time_assign, make(assign_size, assign_size))
+        for name, make in _ASSIGN_INPUTS.items()
+    ]
+    for name, timer, data in runs:
+        serial_s, parallel_s, identical = timer(data, jobs)
         all_identical &= identical
         rows.append(
             (
-                f"{name} n={n}",
+                name,
                 f"{serial_s:.2f}",
                 f"{parallel_s:.2f}",
                 f"{serial_s / parallel_s:.2f}x",

@@ -10,8 +10,10 @@ large datasets.  SAMPLING wraps any of them:
 2. **Assignment** — every non-sampled object is placed into the cheapest
    sample cluster, or into a singleton when no cluster is attractive
    (average distance below 1/2).  Costs come from
-   :class:`~repro.core.objective.ClusterCountTables`, so this phase is
-   linear in the data size and never materializes a full distance matrix.
+   :class:`~repro.core.objective.ClusterCountTables`: per label column a
+   lookup table of masses by label code, against the sample clusters, and
+   each distinct tuple of codes scored once.  So this phase is linear in
+   the data size and never materializes a full distance matrix.
 3. **Singleton round-up** — objects left as singletons (the paper observed
    there are too many of them) are collected and aggregated again among
    themselves; if even the singleton set is too large, SAMPLING recurses.

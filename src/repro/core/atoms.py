@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backend import PairDistanceBackend
-from .kernels import MISSING
+from .kernels import MISSING, distinct_codes, label_codes
 from .labels import validate_label_matrix
 from .partition import Clustering
 
@@ -77,17 +77,15 @@ def collapse_duplicates(matrix: np.ndarray) -> AtomCollapse:
 
 
 def _group_rows(matrix: np.ndarray) -> AtomCollapse:
-    """:func:`collapse_duplicates` without validating ``matrix``."""
-    unique, inverse, counts = np.unique(
-        matrix, axis=0, return_inverse=True, return_counts=True
-    )
-    # numpy 2.0.x returns the axis-0 inverse shaped (n, 1) (reverted to
-    # (n,) in 2.1); a 2-D inverse silently broadcasts expand() into an
-    # (n, n) label matrix, so flatten unconditionally.
-    inverse = inverse.reshape(-1)
+    """:func:`collapse_duplicates` without validating ``matrix``.
+
+    The atoms come in ``np.unique(matrix, axis=0)``'s sorted row order
+    (see :func:`~repro.core.kernels.distinct_codes`).
+    """
+    first, inverse = distinct_codes([label_codes(column) for column in matrix.T])
     return AtomCollapse(
-        matrix=np.ascontiguousarray(unique),
-        weights=counts.astype(np.int64),
+        matrix=np.ascontiguousarray(matrix[first]),
+        weights=np.bincount(inverse, minlength=first.size).astype(np.int64),
         inverse=inverse.astype(np.int64),
     )
 

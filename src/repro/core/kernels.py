@@ -28,6 +28,8 @@ It is also the one module that turns a label column into a count table:
 the weighted group-by-label table, and :func:`separation_mass` the
 coin-flip mass of rows against groups read off such a table — behind
 D(C), SAMPLING's assignment phase and the streaming mass updates.
+:func:`distinct_codes` groups rows by their tuple of codes, so work that
+depends only on a row's labels runs once per distinct row.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ __all__ = [
     "check_missing_model",
     "default_dtype",
     "distance_block",
+    "distinct_codes",
     "label_codes",
     "label_histogram",
     "normalize",
@@ -380,3 +383,40 @@ def separation_mass(
             sizes - concrete
         )
     return mass
+
+
+#: A mixed-radix key of :func:`distinct_codes` is re-ranked before a
+#: multiply would reach this, far from int64's ``2**63``.
+_KEY_LIMIT = 1 << 62
+
+
+def distinct_codes(
+    code_columns: list[tuple[np.ndarray, int]], rows: slice | np.ndarray = _ALL
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, inverse)``: the distinct tuples of label codes over ``rows``.
+
+    ``code_columns`` holds one :func:`label_codes` pair ``(codes, arity)``
+    per label column.  Each row's tuple becomes one int64 mixed-radix key
+    of ``codes + 1`` with radix ``arity + 1``; before a multiply would
+    reach ``2**62`` the key is re-ranked to its ``np.unique`` inverse, so
+    it never overflows.  Both steps keep the lexicographic order of the
+    tuples, and :func:`label_codes` keeps the order of the labels, so the
+    distinct tuples come out in ``np.unique(matrix, axis=0)``'s row order.
+    ``first[t]`` is the position in ``rows`` of tuple ``t``'s first row and
+    ``inverse[i]`` the tuple of position ``i``.
+    """
+    codes, arity = code_columns[0]
+    key = codes[rows].astype(np.int64)
+    key += 1
+    bound = arity + 1  # every key is below this
+    for codes, arity in code_columns[1:]:
+        radix = arity + 1
+        if bound * radix >= _KEY_LIMIT:
+            ranks, key = np.unique(key, return_inverse=True)
+            bound = ranks.size
+        key *= radix
+        key += codes[rows]
+        key += 1
+        bound *= radix
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)  # 1-D on every numpy 2.x

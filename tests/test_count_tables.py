@@ -5,16 +5,27 @@ The ``previous_*`` functions below are verbatim copies of the per-site
 implementations the kernel replaced; they serve as differential oracles.
 The huge-label cases check that no count table grows with the label
 values: 2**40 and 2**62 labels give the same results as their compacted
-codes.
+codes.  ``ClusterCountTables.assign`` scores each distinct tuple of label
+codes once; it must equal the oracle's argmin over every row, and
+``_group_rows`` must equal ``np.unique(axis=0)``.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro import Clustering, aggregate
+from repro.core.atoms import _group_rows
 from repro.core.distance import expected_column_distance, pairs_within, total_disagreement
 from repro.core.instance import CorrelationInstance
-from repro.core.kernels import check_missing_model, label_codes, label_histogram
+from repro.core.kernels import (
+    check_missing_model,
+    label_codes,
+    label_histogram,
+    separation_mass,
+)
 from repro.core.labels import MISSING, as_label_matrix, compact_columns, validate_label_matrix
 from repro.core.objective import ClusterCountTables, MoveEvaluator
 from repro.stream import StreamingAggregator
@@ -203,6 +214,15 @@ class PreviousClusterCountTables:
         return total
 
 
+def previous_assign(tables: PreviousClusterCountTables, rows: np.ndarray) -> np.ndarray:
+    """The argmin rule over every row's scores, singleton (0) on a loss."""
+    scores = 2.0 * tables.masses(rows) - tables._sizes[None, :]
+    best = np.argmin(scores, axis=1)
+    out = best.astype(np.int64)
+    out[scores[np.arange(best.size), best] > 0.0] = -1
+    return out
+
+
 def previous_apply_stream_update(
     self: MoveEvaluator, column: np.ndarray, p: float, scale: float, factor: float
 ) -> None:
@@ -313,6 +333,18 @@ class TestAgainstPreviousCountTables:
             assert new.masses(rows[::-1]).tobytes() == old.masses(rows[::-1]).tobytes()
 
     @pytest.mark.parametrize("p", PS)
+    def test_assign_matches_previous_argmin(self, n, m, k, missing_rate, seed, p):
+        matrix, clustering, weights = grid_case(n, m, k, missing_rate, seed)
+        rng = np.random.default_rng(seed)
+        members = np.sort(rng.choice(n, size=max(1, n // 2), replace=False))
+        member_labels = Clustering(clustering.labels[members]).labels
+        rows = rng.permutation(n)
+        for member_weights in (None, weights[members]):
+            new = ClusterCountTables(matrix, members, member_labels, p, member_weights)
+            old = PreviousClusterCountTables(matrix, members, member_labels, p, member_weights)
+            assert np.array_equal(new.assign(rows), previous_assign(old, rows))
+
+    @pytest.mark.parametrize("p", PS)
     def test_apply_stream_update_bitwise(self, n, m, k, missing_rate, seed, p):
         matrix, clustering, _ = grid_case(n, m, k, missing_rate, seed)
         instance = CorrelationInstance.from_label_matrix(matrix[:, :-1] if m > 1 else matrix, p=p)
@@ -348,6 +380,94 @@ def test_all_missing_column_matches_previous():
             previous_weighted_total_disagreement(matrix, clustering, weights=weights, p=p),
             rel=1e-12,
         )
+
+
+def reranking_case(seed: int) -> np.ndarray:
+    """A 26-column matrix whose code tuples overflow a 62-bit mixed-radix
+    key (arity 7 per column): many duplicate rows, 10% holes, and one
+    column of labels above the row count (label_codes' np.unique branch)."""
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, 7, size=(60, 26))
+    matrix = base[rng.integers(0, 60, size=500)]
+    matrix[rng.random(matrix.shape) < 0.1] = MISSING
+    matrix[:, 3] = np.where(matrix[:, 3] == MISSING, MISSING, matrix[:, 3] * 1000 + 5)
+    return matrix
+
+
+@pytest.mark.parametrize("case", ["grid", "all-missing-members", "reranked-key"])
+def test_tables_on_any_row_set_match_previous(case):
+    """masses byte-equal and assign equal to the oracle on rows in any
+    order, with repeats, sample members included, and on no rows."""
+    rng = np.random.default_rng(7)
+    if case == "reranked-key":
+        matrix = reranking_case(seed=3)
+        arities = [label_codes(column)[1] for column in matrix.T]
+        assert np.prod([a + 1 for a in arities], dtype=float) > 2.0**62
+    else:  # the last column's labels run past n
+        matrix, _, _ = grid_case(400, 4, 3, 0.2, seed=11)
+    n = matrix.shape[0]
+    members = np.sort(rng.choice(n, size=80, replace=False))
+    if case == "all-missing-members":
+        matrix[members, 2] = MISSING  # concrete elsewhere: zero counts, arity > 0
+    member_labels = Clustering(rng.integers(0, 6, size=members.size)).labels
+    weights = rng.integers(1, 4, size=members.size).astype(np.float64)
+    rows = np.concatenate([rng.integers(0, n, size=700), members[::-1], np.arange(n)])
+    for p in (0.5, 0.3, 0.25):
+        for member_weights in (None, weights):
+            new = ClusterCountTables(matrix, members, member_labels, p, member_weights)
+            old = PreviousClusterCountTables(matrix, members, member_labels, p, member_weights)
+            for subset in (rows, rows[::-1], rows[:0], members):
+                assert new.masses(subset).tobytes() == old.masses(subset).tobytes()
+                assert np.array_equal(new.assign(subset), previous_assign(old, subset))
+
+
+def test_all_missing_column_has_a_one_row_lookup_table():
+    codes, arity = label_codes(np.full(5, MISSING))
+    groups = np.array([0, 1, 1, 0, 2])
+    counts = label_histogram(groups, codes, 3, arity)
+    sizes = np.bincount(groups).astype(np.float64)
+    table = separation_mass(np.arange(MISSING, arity), counts, counts.sum(axis=1), sizes, 0.3)
+    assert table.shape == (1, 3)
+    per_row = separation_mass(codes, counts, counts.sum(axis=1), sizes, 0.3)
+    assert table[codes + 1].tobytes() == per_row.tobytes()
+
+
+LABEL_VALUES = {
+    np.int32: [MISSING, 0, 1, 2, 5, 2**31 - 1],
+    np.int64: [MISSING, 0, 1, 3, 2**31 - 1, 2**40, 2**62],
+}
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_group_rows_equals_unique_rows(dtype, data):
+    n = data.draw(st.integers(1, 40))
+    m = data.draw(st.integers(1, 30))
+    matrix = data.draw(
+        arrays(dtype, (n, m), elements=st.sampled_from(LABEL_VALUES[dtype]))
+    )
+    if data.draw(st.booleans()):  # many duplicates
+        matrix = matrix[data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))]
+    unique, inverse, counts = np.unique(
+        matrix, axis=0, return_inverse=True, return_counts=True
+    )
+    atoms = _group_rows(matrix)
+    assert atoms.matrix.dtype == matrix.dtype
+    assert np.array_equal(atoms.matrix, unique)
+    assert np.array_equal(atoms.inverse, inverse.reshape(-1))
+    assert np.array_equal(atoms.weights, counts)
+
+
+def test_group_rows_with_a_reranked_key_equals_unique_rows():
+    matrix = reranking_case(seed=4)
+    unique, inverse, counts = np.unique(
+        matrix, axis=0, return_inverse=True, return_counts=True
+    )
+    atoms = _group_rows(matrix)
+    assert np.array_equal(atoms.matrix, unique)
+    assert np.array_equal(atoms.inverse, inverse.reshape(-1))
+    assert np.array_equal(atoms.weights, counts)
 
 
 class TestLabelCodes:
