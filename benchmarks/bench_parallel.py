@@ -3,12 +3,13 @@
 Times the serial vs process-parallel paths of the two repro.parallel
 entry points — the algorithm portfolio and SAMPLING's assignment phase
 (:func:`repro.parallel.parallel_assign`) — and verifies bit-identity
-between them while at it.  The assignment fans out only when the rows to
-assign span more than one :data:`~repro.parallel.workers.ASSIGN_BLOCK`
-block, so every assignment size here is above that.  It runs on three
-inputs, since the tables score each distinct tuple of label codes once:
-uniform labels (nearly every row distinct), planted m=5 (many duplicate
-rows) and planted m=24, whose code tuples overflow a 62-bit key and are
+between them while at it.  The assignment groups the rows by their tuple
+of label codes once and fans out only when the *distinct* rows span more
+than one :data:`~repro.parallel.workers.ASSIGN_BLOCK` block; each row of
+the table prints both counts.  It runs on three inputs: uniform labels
+(nearly every row distinct, several blocks at every size here, so the
+forked path always runs), planted m=5 (many duplicate rows, one block)
+and planted m=24, whose code tuples overflow a 62-bit key and are
 re-ranked on the way.  Speedup is
 *reported, not asserted*: the ratio is a property of the host (worker
 count, cores, memory bandwidth), and CI containers are routinely
@@ -39,6 +40,7 @@ from repro.core.instance import CorrelationInstance
 from repro.core.objective import ClusterCountTables
 from repro.experiments import banner, render_table
 from repro.parallel import parallel_assign, portfolio, resolve_jobs
+from repro.parallel.workers import ASSIGN_BLOCK
 
 from conftest import once
 
@@ -64,8 +66,8 @@ _ASSIGN_INPUTS = {
 }
 
 
-def _time_portfolio(n: int, jobs: int) -> tuple[float, float, bool]:
-    """(serial seconds, parallel seconds, bit-identical?) for one size."""
+def _time_portfolio(n: int, jobs: int) -> tuple[float, float, bool, str, str]:
+    """(serial seconds, parallel seconds, bit-identical?, "-", "-") for one size."""
     matrix = _label_matrix(n, seed=n + 1)
     start = time.perf_counter()
     serial = portfolio(matrix, rng=0, n_jobs=1)
@@ -77,10 +79,11 @@ def _time_portfolio(n: int, jobs: int) -> tuple[float, float, bool]:
         np.array_equal(serial.best.labels, fanned.best.labels)
         and serial.best_method == fanned.best_method
     )
-    return serial_seconds, parallel_seconds, identical
+    return serial_seconds, parallel_seconds, identical, "-", "-"
 
 
-def _time_assign(matrix: np.ndarray, jobs: int) -> tuple[float, float, bool]:
+def _time_assign(matrix: np.ndarray, jobs: int) -> tuple[float, float, bool, str, str]:
+    """As :func:`_time_portfolio`, with the distinct-row and block counts."""
     n = matrix.shape[0]
     sample = np.arange(_SAMPLE)
     labels = agglomerative(CorrelationInstance.from_label_matrix(matrix[sample])).labels
@@ -92,7 +95,10 @@ def _time_assign(matrix: np.ndarray, jobs: int) -> tuple[float, float, bool]:
     start = time.perf_counter()
     fanned = parallel_assign(tables, rest, n_jobs=jobs)
     parallel_seconds = time.perf_counter() - start
-    return serial_seconds, parallel_seconds, bool(np.array_equal(serial, fanned))
+    distinct = tables.distinct(rest)[0].size
+    blocks = -(-distinct // ASSIGN_BLOCK)
+    identical = bool(np.array_equal(serial, fanned))
+    return serial_seconds, parallel_seconds, identical, str(distinct), str(blocks)
 
 
 def _run(portfolio_size: int, assign_size: int, jobs: int) -> tuple[str, bool]:
@@ -105,11 +111,13 @@ def _run(portfolio_size: int, assign_size: int, jobs: int) -> tuple[str, bool]:
         for name, make in _ASSIGN_INPUTS.items()
     ]
     for name, timer, data in runs:
-        serial_s, parallel_s, identical = timer(data, jobs)
+        serial_s, parallel_s, identical, distinct, blocks = timer(data, jobs)
         all_identical &= identical
         rows.append(
             (
                 name,
+                distinct,
+                blocks,
                 f"{serial_s:.2f}",
                 f"{parallel_s:.2f}",
                 f"{serial_s / parallel_s:.2f}x",
@@ -117,7 +125,15 @@ def _run(portfolio_size: int, assign_size: int, jobs: int) -> tuple[str, bool]:
             )
         )
     text = render_table(
-        ("workload", "serial (s)", f"{jobs} workers (s)", "speedup", "bit-identical"),
+        (
+            "workload",
+            "distinct rows",
+            "blocks",
+            "serial (s)",
+            f"{jobs} workers (s)",
+            "speedup",
+            "bit-identical",
+        ),
         rows,
         title=banner(f"repro.parallel — portfolio + parallel_assign ({jobs} workers)"),
     )

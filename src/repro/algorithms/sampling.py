@@ -234,7 +234,9 @@ def sampling(
     # ------------------------------------------------------------------
     # Phase 2: assign every non-sampled object to the cheapest cluster.
     # ------------------------------------------------------------------
-    rest = np.setdiff1d(np.arange(n), sample, assume_unique=True)
+    unsampled = np.ones(n, dtype=bool)
+    unsampled[sample] = False
+    rest = np.flatnonzero(unsampled)
     with span("sampling.phase2", rest=int(rest.size)):
         if rest.size:
             from ..parallel.workers import ASSIGN_BLOCK, parallel_assign

@@ -181,7 +181,9 @@ def rock(
     labels[sample] = sample_labels
     cluster_count = int(sample_labels.max()) + 1
     cluster_sizes = np.bincount(sample_labels, minlength=cluster_count)
-    rest = np.setdiff1d(np.arange(n), sample, assume_unique=True)
+    unsampled = np.ones(n, dtype=bool)
+    unsampled[sample] = False
+    rest = np.flatnonzero(unsampled)
     if rest.size:
         from ..cluster.distances import jaccard_cross_similarity
 

@@ -388,6 +388,27 @@ def separation_mass(
 #: A mixed-radix key of :func:`distinct_codes` is re-ranked before a
 #: multiply would reach this, far from int64's ``2**63``.
 _KEY_LIMIT = 1 << 62
+#: Keys below ``max(_TABLE_ROWS * rows, _TABLE_FLOOR)`` are ranked by
+#: counting over a table of every possible key; larger bounds sort.
+_TABLE_ROWS = 4
+_TABLE_FLOOR = 1 << 16
+
+
+def _ranks(key: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
+    """``(inverse, count)``: ``np.unique``'s inverse ranks and distinct count
+    of keys in ``0..bound-1``.
+
+    Counting over a table of all ``bound`` keys when it is at most
+    proportional to the number of keys, ``np.unique`` above that.
+    """
+    if bound > max(_TABLE_ROWS * key.size, _TABLE_FLOOR):
+        uniq, inverse = np.unique(key, return_inverse=True)
+        return inverse.reshape(-1), int(uniq.size)  # 1-D on every numpy 2.x
+    seen = np.zeros(bound, dtype=bool)
+    seen[key] = True
+    ranks = np.cumsum(seen)
+    ranks -= 1
+    return ranks[key], int(ranks[-1]) + 1 if bound else 0  # bound 0: no keys
 
 
 def distinct_codes(
@@ -398,12 +419,15 @@ def distinct_codes(
     ``code_columns`` holds one :func:`label_codes` pair ``(codes, arity)``
     per label column.  Each row's tuple becomes one int64 mixed-radix key
     of ``codes + 1`` with radix ``arity + 1``; before a multiply would
-    reach ``2**62`` the key is re-ranked to its ``np.unique`` inverse, so
-    it never overflows.  Both steps keep the lexicographic order of the
-    tuples, and :func:`label_codes` keeps the order of the labels, so the
-    distinct tuples come out in ``np.unique(matrix, axis=0)``'s row order.
-    ``first[t]`` is the position in ``rows`` of tuple ``t``'s first row and
-    ``inverse[i]`` the tuple of position ``i``.
+    reach ``2**62`` the key is re-ranked, so it never overflows.  Both
+    re-ranking and the final ranking count over a table of every key
+    when its bound is at most proportional to the rows, and sort only
+    above that.  Ranking keeps the lexicographic order of the tuples,
+    and :func:`label_codes` keeps the order of the labels, so the
+    distinct tuples come out in ``np.unique(matrix, axis=0)``'s row
+    order.  ``first[t]`` is the position in ``rows`` of tuple ``t``'s
+    first row and ``inverse[i]`` the tuple of position ``i``: exactly
+    ``np.unique(key, return_index=True, return_inverse=True)``'s.
     """
     codes, arity = code_columns[0]
     key = codes[rows].astype(np.int64)
@@ -412,11 +436,12 @@ def distinct_codes(
     for codes, arity in code_columns[1:]:
         radix = arity + 1
         if bound * radix >= _KEY_LIMIT:
-            ranks, key = np.unique(key, return_inverse=True)
-            bound = ranks.size
+            key, bound = _ranks(key, bound)
         key *= radix
         key += codes[rows]
         key += 1
         bound *= radix
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    return first, inverse.reshape(-1)  # 1-D on every numpy 2.x
+    inverse, count = _ranks(key, bound)
+    first = np.full(count, key.size, dtype=np.int64)
+    np.minimum.at(first, inverse, np.arange(key.size))
+    return first, inverse

@@ -453,7 +453,10 @@ class ClusterCountTables:
     label column keeps one ``(arity + 1, k)`` lookup table of masses by
     label code, built once, so a row's masses are ``m`` table rows summed
     in column order.  :meth:`assign` keys rows by their tuple of codes in
-    ``O(m)`` per row and scores each distinct tuple once in ``O(m * k)``.
+    ``O(m)`` per row (:meth:`distinct`) and scores each distinct tuple once
+    in ``O(m * k)``, in chunks whose ``(rows, k)`` temporaries stay in
+    cache; :func:`~repro.parallel.workers.parallel_assign` fans the same
+    scoring out over blocks of distinct rows.
 
     Parameters
     ----------
@@ -522,11 +525,23 @@ class ClusterCountTables:
     def masses(self, rows: np.ndarray) -> np.ndarray:
         """``M(v, C_l)`` for each row ``v`` in ``rows``: an ``(len(rows), k)`` array."""
         rows = np.asarray(rows, dtype=np.int64)
-        total = np.zeros((rows.size, self._k), dtype=np.float64)
+        return self._masses_into(rows, np.empty((rows.size, self._k), dtype=np.float64))
+
+    def _masses_into(self, rows: np.ndarray, total: np.ndarray) -> np.ndarray:
+        """:meth:`masses` written to ``total``: the rows' lookup-table rows
+        added to zeros in column order, then ``/ m``."""
+        total.fill(0.0)
         for (codes, _), table in zip(self._columns, self._tables):
             total += table[codes[rows] + 1]
         total /= self._m
         return total
+
+    def _scores_into(self, rows: np.ndarray, scores: np.ndarray) -> np.ndarray:
+        """``2 * M(v, C_l) - |C_l|`` written to ``scores``."""
+        self._masses_into(rows, scores)
+        scores *= 2.0
+        scores -= self._sizes
+        return scores
 
     def placement_scores(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Relative placement costs for each row, as in :class:`MoveEvaluator`.
@@ -535,9 +550,14 @@ class ClusterCountTables:
         of putting row ``i`` into cluster ``l`` minus the common term, i.e.
         ``2 * M(v, C_l) - |C_l|``; the singleton score is identically 0.
         """
-        mass = self.masses(rows)
-        scores = 2.0 * mass - self._sizes[None, :]
-        return scores, np.zeros(len(scores), dtype=np.float64)
+        rows = np.asarray(rows, dtype=np.int64)
+        scores = self._scores_into(rows, np.empty((rows.size, self._k), dtype=np.float64))
+        return scores, np.zeros(rows.size, dtype=np.float64)
+
+    def distinct(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(first, inverse)``: the distinct tuples of label codes over
+        ``rows`` (:func:`~repro.core.kernels.distinct_codes`)."""
+        return distinct_codes(self._columns, rows)
 
     def assign(self, rows: np.ndarray) -> np.ndarray:
         """Cheapest placement for each row: cluster label, or -1 for singleton.
@@ -546,10 +566,28 @@ class ClusterCountTables:
         distinct tuple of codes is scored once.
         """
         rows = np.asarray(rows, dtype=np.int64)
-        first, inverse = distinct_codes(self._columns, rows)
-        scores, singleton = self.placement_scores(rows[first])
-        best = np.argmin(scores, axis=1)
-        best_scores = scores[np.arange(len(best)), best]
-        out = best.astype(np.int64)
-        out[best_scores > singleton] = -1
-        return out[inverse]
+        first, inverse = self.distinct(rows)
+        return self._place(rows[first])[inverse]
+
+    #: Scores per chunk of :meth:`_place` (256 KiB of float64), so each
+    #: ``(rows, k)`` temporary stays in cache.
+    _SCORE_ENTRIES = 1 << 15
+
+    def _place(self, rows: np.ndarray) -> np.ndarray:
+        """:meth:`assign` without grouping ``rows``: every row is scored.
+
+        Rows go in chunks of ``_SCORE_ENTRIES // k``; a row's scores are
+        the same column-order sum in any chunk, so the placements are
+        those of one pass over every row.
+        """
+        out = np.empty(rows.size, dtype=np.int64)
+        step = max(1, self._SCORE_ENTRIES // self._k)
+        buffer = np.empty((min(step, rows.size), self._k), dtype=np.float64)
+        for start in range(0, rows.size, step):
+            chunk = rows[start : start + step]
+            scores = self._scores_into(chunk, buffer[: chunk.size])
+            best = np.argmin(scores, axis=1)
+            placed = out[start : start + chunk.size]
+            placed[:] = best
+            placed[scores[np.arange(chunk.size), best] > 0.0] = -1
+        return out

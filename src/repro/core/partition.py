@@ -19,17 +19,26 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from ..analysis.contracts import check_canonical_labels, contracts_enabled
+from .kernels import label_codes
 
 __all__ = ["Clustering"]
 
 
 def _canonicalize(labels: np.ndarray) -> np.ndarray:
-    """Relabel ``labels`` to ``0..k-1`` in order of first appearance."""
-    _, first_index, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    # np.unique sorts by value; re-rank unique values by first appearance so
-    # that the object with the smallest index always belongs to cluster 0.
-    order = np.argsort(np.argsort(first_index))
-    return order[inverse].astype(np.int32)
+    """Relabel non-negative ``labels`` to int32 ``0..k-1`` in order of first appearance.
+
+    :func:`~repro.core.kernels.label_codes` gives each label a code below
+    ``n`` (the labels themselves when they are, ``np.unique`` ranks
+    otherwise); the first appearance of each code comes from one pass,
+    and only the ``k`` codes present are sorted by it.
+    """
+    codes, arity = label_codes(labels)
+    first = np.full(arity, labels.size, dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(labels.size))
+    present = np.flatnonzero(first < labels.size)
+    canonical = np.zeros(arity, dtype=np.int32)
+    canonical[present[np.argsort(first[present])]] = np.arange(present.size, dtype=np.int32)
+    return canonical[codes]
 
 
 class Clustering:

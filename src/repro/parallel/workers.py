@@ -16,8 +16,9 @@ worker's spans ride back with its result and are grafted into the
 caller's trace.  The portfolio, the shard engine and
 :func:`parallel_assign` all fan out through it.
 
-:func:`parallel_assign` is the SAMPLING assignment phase (§4.1): the
-per-block cheapest-cluster scoring against fixed
+:func:`parallel_assign` is the SAMPLING assignment phase (§4.1): rows
+are grouped once by their label codes, and the cheapest-cluster scoring
+of the distinct rows against fixed
 :class:`~repro.core.objective.ClusterCountTables` is independent per
 block, so blocks are scored concurrently and reassembled in order.
 """
@@ -42,7 +43,8 @@ __all__ = ["JOBS_ENV_VAR", "fan_out", "parallel_assign", "pool", "resolve_jobs"]
 #: Environment variable consulted when ``n_jobs`` is ``None``.
 JOBS_ENV_VAR = "REPRO_JOBS"
 
-#: Rows scored per batch in SAMPLING's assignment phase, serial or pooled.
+#: Rows scored per batch in SAMPLING's assignment phase, serial or pooled:
+#: distinct rows of the label matrix on the count-table path.
 ASSIGN_BLOCK = 8192
 
 _S = TypeVar("_S")
@@ -141,7 +143,7 @@ def fan_out(
 
 def _assign_block(state: tuple[ClusterCountTables, list[np.ndarray]], index: int) -> np.ndarray:
     tables, blocks = state
-    return tables.assign(blocks[index])
+    return tables._place(blocks[index])
 
 
 def parallel_assign(
@@ -151,18 +153,27 @@ def parallel_assign(
 ) -> np.ndarray:
     """Cheapest-cluster assignment of ``rows``, fanned out over a pool.
 
-    ``rows`` is cut into :data:`ASSIGN_BLOCK`-row blocks, each scored
-    independently against the fixed ``tables`` (inherited by every
-    worker at fork), so the concatenated result is bit-identical to
-    ``tables.assign(rows)`` regardless of worker count.  With one worker
-    (or one block) the blocks are scored in-process, preserving the
-    serial path's bounded per-batch temporaries.
+    ``rows`` are grouped once by their tuple of label codes
+    (:meth:`~repro.core.objective.ClusterCountTables.distinct`); the
+    distinct rows are cut into :data:`ASSIGN_BLOCK`-row blocks, each
+    scored independently against the fixed ``tables`` (inherited by
+    every worker at fork), and the placements are spread back over
+    ``rows``.  A row's placement depends only on its codes, so the result
+    is bit-identical to ``tables.assign(rows)`` regardless of worker
+    count.  With one worker (or one block) the blocks are scored
+    in-process.
     """
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         return np.empty(0, dtype=np.int64)
-    blocks = [rows[start : start + ASSIGN_BLOCK] for start in range(0, rows.size, ASSIGN_BLOCK)]
-    with span("parallel.assign", rows=int(rows.size), blocks=len(blocks)) as assign_span:
+    first, inverse = tables.distinct(rows)
+    distinct = rows[first]
+    blocks = [
+        distinct[start : start + ASSIGN_BLOCK] for start in range(0, distinct.size, ASSIGN_BLOCK)
+    ]
+    with span(
+        "parallel.assign", rows=int(rows.size), distinct=int(distinct.size), blocks=len(blocks)
+    ) as assign_span:
         assigned, jobs = fan_out(_assign_block, len(blocks), (tables, blocks), n_jobs)
         assign_span.set(jobs=jobs)
-        return np.concatenate(assigned)
+        return np.concatenate(assigned)[inverse]

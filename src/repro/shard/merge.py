@@ -128,6 +128,12 @@ def atom_distances(
 
     total_mass = np.outer(atom_w, atom_w)
     separated = np.zeros((n_atoms, n_atoms), dtype=np.float64)
+    # Two (K, K) scratch matrices shared by every column: each column's
+    # (conc_A conc_B - agree) + (1 - p) (W_A W_B - conc_A conc_B) is built
+    # in place, one operation at a time in that order, so the bits are
+    # those of the plain expression.
+    concrete_mass = np.empty_like(separated)
+    term = np.empty_like(separated)
     one_minus_p = 1.0 - p
     for j in range(m):
         column = matrix[:, j]
@@ -140,9 +146,13 @@ def atom_distances(
         inverse = inverse.reshape(-1)  # numpy 2.0.x returns (c, 1)
         counts = label_histogram(atom_of[concrete], inverse, n_atoms, uniq.size, w[concrete])
         concrete_w = counts.sum(axis=1)
-        concrete_mass = np.outer(concrete_w, concrete_w)
-        agree = counts @ counts.T
-        separated += (concrete_mass - agree) + one_minus_p * (total_mass - concrete_mass)
+        np.outer(concrete_w, concrete_w, out=concrete_mass)
+        np.matmul(counts, counts.T, out=term)
+        np.subtract(concrete_mass, term, out=term)
+        np.subtract(total_mass, concrete_mass, out=concrete_mass)
+        concrete_mass *= one_minus_p
+        term += concrete_mass
+        separated += term
     distances = separated / (m * total_mass)
     # The column kernels are symmetric in exact arithmetic; BLAS products
     # are not bitwise so, and the intra-atom diagonal is by definition not

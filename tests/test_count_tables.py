@@ -7,7 +7,9 @@ The huge-label cases check that no count table grows with the label
 values: 2**40 and 2**62 labels give the same results as their compacted
 codes.  ``ClusterCountTables.assign`` scores each distinct tuple of label
 codes once; it must equal the oracle's argmin over every row, and
-``_group_rows`` must equal ``np.unique(axis=0)``.
+``_group_rows`` must equal ``np.unique(axis=0)``.  ``distinct_codes``
+ranks its keys by counting where a table of every key is small enough;
+it must equal ``previous_distinct_codes``, which always sorts.
 """
 
 import numpy as np
@@ -22,6 +24,7 @@ from repro.core.distance import expected_column_distance, pairs_within, total_di
 from repro.core.instance import CorrelationInstance
 from repro.core.kernels import (
     check_missing_model,
+    distinct_codes,
     label_codes,
     label_histogram,
     separation_mass,
@@ -221,6 +224,25 @@ def previous_assign(tables: PreviousClusterCountTables, rows: np.ndarray) -> np.
     out = best.astype(np.int64)
     out[scores[np.arange(best.size), best] > 0.0] = -1
     return out
+
+
+def previous_distinct_codes(code_columns, rows=slice(None)):
+    """``distinct_codes`` with every ranking done by ``np.unique``."""
+    codes, arity = code_columns[0]
+    key = codes[rows].astype(np.int64)
+    key += 1
+    bound = arity + 1
+    for codes, arity in code_columns[1:]:
+        radix = arity + 1
+        if bound * radix >= 1 << 62:
+            ranks, key = np.unique(key, return_inverse=True)
+            bound = ranks.size
+        key *= radix
+        key += codes[rows]
+        key += 1
+        bound *= radix
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
 
 
 def previous_apply_stream_update(
@@ -468,6 +490,80 @@ def test_group_rows_with_a_reranked_key_equals_unique_rows():
     assert np.array_equal(atoms.matrix, unique)
     assert np.array_equal(atoms.inverse, inverse.reshape(-1))
     assert np.array_equal(atoms.weights, counts)
+
+
+def distinct_case(n: int, m: int, arity: int, seed: int) -> np.ndarray:
+    """Duplicate-heavy labels below ``arity`` with 10% holes."""
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, arity, size=(max(1, n // 8), m))
+    matrix = base[rng.integers(0, base.shape[0], size=n)]
+    matrix[rng.random(matrix.shape) < 0.1] = MISSING
+    return matrix
+
+
+def assert_distinct_codes_match(matrix: np.ndarray, rows) -> None:
+    columns = [label_codes(column) for column in matrix.T]
+    first, inverse = distinct_codes(columns, rows)
+    old_first, old_inverse = previous_distinct_codes(columns, rows)
+    assert first.dtype == old_first.dtype and inverse.dtype == old_inverse.dtype
+    assert np.array_equal(first, old_first)
+    assert np.array_equal(inverse, old_inverse)
+
+
+@pytest.mark.parametrize(
+    "n, m, arity",
+    [
+        (500, 3, 5),  # bound 216, below the 2**16 floor: counts
+        (3000, 6, 9),  # bound 10**6 above 4 * 3000 rows: sorts
+        (50000, 5, 10),  # bound 11**5 above the floor, below 4 * rows: counts
+    ],
+)
+def test_distinct_codes_equals_the_unique_rule(n, m, arity):
+    matrix = distinct_case(n, m, arity, seed=n)
+    rng = np.random.default_rng(1)
+    assert_distinct_codes_match(matrix, slice(None))
+    scattered = rng.integers(0, n, size=n // 2)  # unsorted, with repeats
+    assert_distinct_codes_match(matrix, scattered)
+    assert_distinct_codes_match(matrix, scattered[:1])
+    assert_distinct_codes_match(matrix, scattered[:0])
+
+
+@pytest.mark.parametrize("m", [26, 22])
+def test_distinct_codes_with_a_reranked_key_equals_the_unique_rule(m):
+    # Radix 8 per column: the key re-ranks (by sorting) at column 20.  With
+    # 26 columns the final bound, rows * 8**6, sorts; with 22 it is rows * 64,
+    # under the table floor, and counts.
+    matrix = reranking_case(seed=5)[:, :m]
+    for rows in (slice(None), np.arange(matrix.shape[0])[::-3], np.arange(40), np.arange(0)):
+        assert_distinct_codes_match(matrix, rows)
+
+
+def test_distinct_codes_with_an_all_missing_column_equals_the_unique_rule():
+    matrix = distinct_case(2000, 4, 6, seed=9)
+    matrix[:, 1] = MISSING  # arity 0: the column adds nothing to the key
+    for rows in (slice(None), np.arange(1999, -1, -7), np.array([3])):
+        assert_distinct_codes_match(matrix, rows)
+
+
+def test_assign_with_many_clusters_matches_previous():
+    """k >= 300: ``_place`` scores 2**15 // k rows per chunk, so the
+    distinct rows span many chunks; weights and missing labels on."""
+    rng = np.random.default_rng(23)
+    matrix = distinct_case(6000, 5, 12, seed=23)
+    matrix[:, 4] = np.where(matrix[:, 4] == MISSING, MISSING, matrix[:, 4] * 997 + 3)
+    members = np.sort(rng.choice(6000, size=1200, replace=False))
+    member_labels = Clustering(np.arange(members.size) % 320).labels
+    weights = rng.integers(1, 5, size=members.size).astype(np.float64)
+    rows = np.concatenate([np.arange(6000), rng.integers(0, 6000, size=500)])
+    for p in (0.5, 0.3):
+        for member_weights in (None, weights):
+            new = ClusterCountTables(matrix, members, member_labels, p, member_weights)
+            old = PreviousClusterCountTables(matrix, members, member_labels, p, member_weights)
+            assert new.k == 320
+            first, _ = new.distinct(rows)
+            assert first.size > 4 * ((1 << 15) // new.k)
+            assert np.array_equal(new.assign(rows), previous_assign(old, rows))
+            assert new.masses(rows).tobytes() == old.masses(rows).tobytes()
 
 
 class TestLabelCodes:

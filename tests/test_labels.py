@@ -76,6 +76,53 @@ class TestValidate:
             validate_label_matrix(np.zeros((0, 2), dtype=np.int32))
 
 
+def previous_validate_label_matrix(matrix: np.ndarray) -> None:
+    """The boolean-reduction checks ``validate_label_matrix`` made before (oracle)."""
+    if matrix.ndim != 2:
+        raise ValueError(f"label matrix must be 2-D, got shape {matrix.shape}")
+    if matrix.shape[0] == 0 or matrix.shape[1] == 0:
+        raise ValueError("label matrix must have at least one row and one column")
+    if not np.issubdtype(matrix.dtype, np.integer):
+        raise TypeError(f"label matrix must be integer, got dtype {matrix.dtype}")
+    if np.any(matrix < MISSING):
+        raise ValueError("label matrix labels must be >= -1 (-1 denotes a missing entry)")
+    all_missing = np.all(matrix == MISSING, axis=0)
+    if np.any(all_missing):
+        bad = np.flatnonzero(all_missing).tolist()
+        raise ValueError(f"columns {bad} are entirely missing and carry no information")
+
+
+def _raised(check, matrix):
+    try:
+        check(matrix)
+    except (TypeError, ValueError) as error:
+        return type(error), str(error)
+    return None
+
+
+VALIDATION_CASES = {
+    "well-formed": np.array([[0, 1, 2], [1, MISSING, 0], [2, 1, MISSING]]),
+    "below-missing": np.array([[0, 1, 2], [1, -2, 0], [2, 1, MISSING]]),
+    "all-missing": np.array([[MISSING, 1, MISSING], [MISSING, 0, MISSING], [MISSING, 1, MISSING]]),
+    "one-row": np.array([[MISSING, 3]]),
+    "one-column": np.array([[MISSING], [MISSING]]),
+    "empty": np.zeros((0, 3), dtype=np.int64),
+    "1-d": np.array([0, 1]),
+    "float": np.array([[0.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("case", list(VALIDATION_CASES))
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_validate_raises_the_previous_errors(case, dtype, order):
+    matrix = VALIDATION_CASES[case]
+    if np.issubdtype(matrix.dtype, np.integer):
+        matrix = matrix.astype(dtype)
+    matrix = np.asarray(matrix, order=order)
+    assert _raised(validate_label_matrix, matrix) == _raised(previous_validate_label_matrix, matrix)
+
+
 class TestColumnsAsClusterings:
     def test_round_trip(self, figure1_clusterings):
         matrix = as_label_matrix(figure1_clusterings)

@@ -2,12 +2,44 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro import Clustering
+from repro.core.partition import _canonicalize
 
 label_lists = st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=40)
+
+
+def previous_canonicalize(labels: np.ndarray) -> np.ndarray:
+    """The ``np.unique`` rule ``_canonicalize`` used before counting (oracle)."""
+    _, first_index, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    order = np.argsort(np.argsort(first_index))
+    return order[inverse].astype(np.int32)
+
+
+#: Label values per dtype: small ones (below n), ones at or above n, and
+#: the largest the dtype holds (near 2**62 for int64).
+CANONICAL_VALUES = {
+    np.int8: st.integers(0, 127),
+    np.int16: st.integers(0, 2**15 - 1),
+    np.int32: st.integers(0, 2**31 - 1),
+    np.int64: st.one_of(st.integers(0, 2**63 - 1), st.integers(2**62 - 8, 2**62 + 8)),
+}
+
+
+@pytest.mark.parametrize("dtype", list(CANONICAL_VALUES))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_canonicalize_equals_the_unique_rule(dtype, data):
+    n = data.draw(st.integers(1, 60))
+    top = data.draw(st.sampled_from([1, n - 1, n, n + 1, None]))
+    values = CANONICAL_VALUES[dtype] if top is None else st.integers(0, max(top, 0))
+    labels = data.draw(arrays(dtype, n, elements=values))
+    canonical = _canonicalize(labels)
+    assert canonical.dtype == np.int32
+    assert np.array_equal(canonical, previous_canonicalize(labels))
 
 
 class TestConstruction:

@@ -23,6 +23,8 @@ from repro import Clustering, aggregate
 from repro.cli import main
 from repro.core import CorrelationInstance, total_disagreement
 from repro.core.atoms import collapse_duplicates
+from repro.core.kernels import label_histogram
+from repro.core.labels import MISSING
 from repro.datasets import generate_votes
 from repro.obs.trace import tracing
 from repro.shard import (
@@ -101,7 +103,51 @@ def brute_force_atom_distances(matrix, atom_of, p=0.5, weights=None):
     return out
 
 
+def previous_atom_distances(matrix, atom_of, p=0.5, weights=None):
+    """The per-column expression ``atom_distances`` used before it
+    accumulated in place, verbatim after validation (oracle)."""
+    n, m = matrix.shape
+    n_atoms = int(atom_of.max()) + 1
+    w = np.ones(n, dtype=np.float64) if weights is None else np.asarray(weights, float)
+    atom_w = np.bincount(atom_of, weights=w, minlength=n_atoms)
+    total_mass = np.outer(atom_w, atom_w)
+    separated = np.zeros((n_atoms, n_atoms), dtype=np.float64)
+    one_minus_p = 1.0 - p
+    for j in range(m):
+        column = matrix[:, j]
+        concrete = np.flatnonzero(column != MISSING)
+        uniq, inverse = np.unique(column[concrete], return_inverse=True)
+        inverse = inverse.reshape(-1)
+        counts = label_histogram(atom_of[concrete], inverse, n_atoms, uniq.size, w[concrete])
+        concrete_w = counts.sum(axis=1)
+        concrete_mass = np.outer(concrete_w, concrete_w)
+        agree = counts @ counts.T
+        separated += (concrete_mass - agree) + one_minus_p * (total_mass - concrete_mass)
+    distances = separated / (m * total_mass)
+    distances = 0.5 * (distances + distances.T)
+    np.clip(distances, 0.0, 1.0, out=distances)
+    np.fill_diagonal(distances, 0.0)
+    return distances, atom_w
+
+
 class TestAtomDistances:
+    @pytest.mark.parametrize("n_atoms", [3, 40, 400])
+    def test_in_place_accumulation_is_bitwise_previous(self, n_atoms):
+        rng = np.random.default_rng(n_atoms)
+        n = 6 * n_atoms
+        matrix = rng.integers(0, 9, size=(n, 5))
+        matrix[:, 3] = matrix[:, 3] * 1000 + 11  # labels above n
+        matrix[rng.random(matrix.shape) < 0.2] = MISSING
+        matrix[0] = 0  # keep every column informative
+        atom_of = np.concatenate([np.arange(n_atoms), rng.integers(0, n_atoms, n - n_atoms)])
+        weights = rng.random(n) * 4.0 + 0.25
+        for p in (0.5, 0.3, 0.0):
+            for w in (None, weights):
+                new, new_w = atom_distances(matrix, atom_of, p=p, weights=w)
+                old, old_w = previous_atom_distances(matrix, atom_of, p=p, weights=w)
+                assert new.tobytes() == old.tobytes()
+                assert new_w.tobytes() == old_w.tobytes()
+
     def test_matches_brute_force(self):
         _, matrix = planted_instance(n=30, m=5, groups=3, flip=0.3, seed=0)
         atom_of = np.arange(30) % 7
