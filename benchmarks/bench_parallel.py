@@ -3,7 +3,8 @@
 Times the serial vs process-parallel paths of the two repro.parallel
 entry points — the algorithm portfolio and SAMPLING's assignment phase
 (:func:`repro.parallel.parallel_assign`) — and verifies bit-identity
-between them while at it.  The assignment groups the rows by their tuple
+between them while at it: the portfolio's best labels and method and
+every member's cost and ``k``, and the assigned labels.  The assignment groups the rows by their tuple
 of label codes once and fans out only when the *distinct* rows span more
 than one :data:`~repro.parallel.workers.ASSIGN_BLOCK` block; each row of
 the table prints both counts.  It runs on three inputs: uniform labels
@@ -39,7 +40,7 @@ from repro.algorithms.agglomerative import agglomerative
 from repro.core.instance import CorrelationInstance
 from repro.core.objective import ClusterCountTables
 from repro.experiments import banner, render_table
-from repro.parallel import parallel_assign, portfolio, resolve_jobs
+from repro.parallel import PortfolioResult, parallel_assign, portfolio, resolve_jobs
 from repro.parallel.workers import ASSIGN_BLOCK
 
 from conftest import once
@@ -66,6 +67,11 @@ _ASSIGN_INPUTS = {
 }
 
 
+def _member_records(result: PortfolioResult) -> list[tuple[str, str, int]]:
+    """Every member's method, cost (as its exact float64 bits) and k."""
+    return [(run.method, run.cost.hex(), run.k) for run in result.runs]
+
+
 def _time_portfolio(n: int, jobs: int) -> tuple[float, float, bool, str, str]:
     """(serial seconds, parallel seconds, bit-identical?, "-", "-") for one size."""
     matrix = _label_matrix(n, seed=n + 1)
@@ -78,6 +84,7 @@ def _time_portfolio(n: int, jobs: int) -> tuple[float, float, bool, str, str]:
     identical = bool(
         np.array_equal(serial.best.labels, fanned.best.labels)
         and serial.best_method == fanned.best_method
+        and _member_records(serial) == _member_records(fanned)
     )
     return serial_seconds, parallel_seconds, identical, "-", "-"
 

@@ -67,6 +67,22 @@ __all__ = ["agglomerative"]
 _COMPACT_MIN_SLOTS = 64
 
 
+def _check_count(name: str, value: int | None, n: int | None = None) -> None:
+    """Reject a cluster-count argument unless it is ``None`` or an integer in ``1..n``.
+
+    A bool, a float or any other non-integer raises, as does a count
+    below 1 or above ``n`` (no upper limit when ``n`` is ``None``); numpy
+    integers pass.  Shared with FURTHEST's ``max_k`` and ``force_k``.
+    """
+    if value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer or None, got {value!r}")
+    if value < 1 or (n is not None and value > n):
+        allowed = "a positive integer" if n is None else f"in 1..{n}"
+        raise ValueError(f"{name} must be {allowed}, got {value}")
+
+
 @register_method("agglomerative", kind="instance", supports_weights=True)
 def agglomerative(
     instance: CorrelationInstance,
@@ -94,11 +110,7 @@ def agglomerative(
         or not math.isfinite(threshold)
     ):
         raise ValueError(f"threshold must be a finite real number, got {threshold!r}")
-    if force_k is not None:
-        if isinstance(force_k, bool) or not isinstance(force_k, numbers.Integral):
-            raise ValueError(f"force_k must be an integer or None, got {force_k!r}")
-        if not 1 <= force_k <= n:
-            raise ValueError(f"force_k must be in 1..{n}, got {force_k}")
+    _check_count("force_k", force_k, n)
     if n == 1:
         return Clustering.single_cluster(1)
 

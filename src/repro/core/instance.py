@@ -36,6 +36,7 @@ from .backend import (
     grid_blocks,
     resolve_backend,
 )
+from .distance import total_disagreement
 from .kernels import check_missing_model, default_dtype, distance_block
 from .labels import MISSING, as_label_matrix, check_weights, validate_label_matrix
 from .partition import Clustering
@@ -105,9 +106,8 @@ class CorrelationInstance:
     :meth:`lazy_from_label_matrix`), which keeps memory at O(n * m) for
     large ``n``.  On lazy instances the :attr:`X` property raises; go
     through :attr:`backend` instead.  Instances built from labels, on
-    either backend, keep their :attr:`label_source`, so label-native
-    objectives (:func:`~repro.core.distance.total_disagreement`) can
-    stand in for passes over ``X``.
+    either backend, keep their :attr:`label_source`, from which
+    :meth:`cost` reads ``D(C)`` without a pass over ``X``.
     """
 
     __slots__ = ("_backend", "_m", "_weights", "_effective_weights", "_source")
@@ -338,24 +338,28 @@ class CorrelationInstance:
     def cost(self, clustering: Clustering | np.ndarray) -> float:
         """The correlation-clustering cost ``d(C)`` of a candidate clustering.
 
-        Evaluated without materializing the pair masks:
-
-            d(C) = T - S_all + 2 * S_within - P_within
-
-        with ``T`` the pair count, ``S_all`` the sum of all distances,
-        ``S_within`` the within-cluster distance sum and ``P_within`` the
-        within-cluster pair count.  On weighted (atom) instances every
-        pair ``(u, v)`` counts ``w_u * w_v`` times and intra-atom pairs
-        contribute zero, making the value equal to the cost of the same
-        clustering on the expanded (duplicate-bearing) instance.
+        A label array is taken as ``Clustering(labels)``, so it must hold
+        ``n`` non-negative integers.  An instance built from labels under
+        the coin-flip model returns ``D(C) / m`` with ``D(C)`` the
+        label-native objective :func:`~repro.core.distance.total_disagreement`,
+        ``O(n m)`` on either backend and never reading ``X``, since there
+        ``D(C) = m * d(C)`` (§2–3).  Raw distance instances, and
+        ``missing="average"`` ones (whose ``X`` breaks ``D = m d``), take
+        the blocked pass :meth:`~repro.core.backend.PairDistanceBackend.cost`
+        over ``X``.  On weighted (atom) instances every pair ``(u, v)``
+        counts ``w_u * w_v`` times and intra-atom pairs contribute zero,
+        which is the cost of the same clustering on the expanded
+        (duplicate-bearing) instance.
         """
-        if isinstance(clustering, Clustering):
-            labels = clustering.labels
-        else:
-            labels = np.asarray(clustering)
-        if labels.shape != (self.n,):
+        if not isinstance(clustering, Clustering):
+            clustering = Clustering(clustering)
+        if clustering.n != self.n:
             raise ValueError("clustering size must match the instance size")
-        return self._backend.cost(labels, self._weights)
+        source = self._source
+        if source is not None and source.missing == "coin-flip":
+            disagreements = total_disagreement(source.matrix, clustering, source.p, self._weights)
+            return disagreements / source.matrix.shape[1]
+        return self._backend.cost(clustering.labels, self._weights)
 
     def disagreements(self, clustering: Clustering | np.ndarray) -> float:
         """The aggregation objective ``D(C) = m * d(C)`` (requires known ``m``)."""

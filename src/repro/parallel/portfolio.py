@@ -48,7 +48,12 @@ _Spec = tuple[str, dict[str, Any], np.random.Generator | None]
 
 @dataclass(frozen=True)
 class AlgorithmRun:
-    """Observability record for one portfolio member."""
+    """Observability record for one portfolio member.
+
+    ``cost`` is :meth:`~repro.core.instance.CorrelationInstance.cost` of the
+    member's clustering: read off the labels in ``O(n m)`` on a coin-flip
+    instance built from labels, a blocked pass over ``X`` otherwise.
+    """
 
     method: str
     cost: float

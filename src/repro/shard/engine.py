@@ -62,7 +62,11 @@ QUALITY_ENVELOPE = 1.15
 
 @dataclass(frozen=True)
 class ShardRun:
-    """Observability record for one solved shard."""
+    """Observability record for one solved shard.
+
+    ``cost`` is the shard clustering's ``d(C) = D(C) / m`` over the shard's
+    rows, from :func:`~repro.core.distance.total_disagreement`.
+    """
 
     index: int
     size: int
@@ -130,8 +134,9 @@ def _solve_shard(
     """Aggregate shard ``index``; a :func:`~repro.parallel.workers.fan_out` task.
 
     Returns ``(labels, cost, k, seconds)`` with ``cost`` the shard's own
-    ``d(C)`` (diagnostic only — the merge layer recomputes everything it
-    needs from the labels).  In-shard solves are pinned to ``n_jobs=1``:
+    ``d(C) = D(C) / m``, read off the shard's labels whatever the method
+    (diagnostic only — the merge layer recomputes everything it needs
+    from the labels).  In-shard solves are pinned to ``n_jobs=1``:
     parallelism lives at the shard level, and nested pools would both
     oversubscribe and tie results to the worker topology.
     """
@@ -158,7 +163,6 @@ def _solve_shard(
                 n_jobs=1,
                 **kwargs,
             )
-            cost = total_disagreement(sub, clustering, p=p, weights=sub_weights) / sub.shape[1]
         else:
             instance = CorrelationInstance.from_label_matrix(
                 sub, p=p, weights=sub_weights, backend=config["backend"]
@@ -166,7 +170,7 @@ def _solve_shard(
             if is_stochastic(method):
                 kwargs["rng"] = children[index]
             clustering = resolve_instance_method(method)(instance, **kwargs)
-            cost = instance.cost(clustering)
+        cost = total_disagreement(sub, clustering, p=p, weights=sub_weights) / sub.shape[1]
         shard_span.set(cost=cost, k=clustering.k)
     observe("shard.member.cost", cost)
     observe("shard.member.seconds", shard_span.seconds)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import Clustering
+from repro import Clustering, aggregate
 from repro.core import CorrelationInstance
 from repro.algorithms import agglomerative, furthest, local_search
 
@@ -56,6 +56,31 @@ class TestFurthest:
             furthest(instance, force_k=11)
         with pytest.raises(ValueError):
             furthest(instance, max_k=3, force_k=3)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"force_k": 2.5},
+            {"force_k": True},
+            {"max_k": 0},
+            {"max_k": -2},
+            {"max_k": 2.5},
+            {"max_k": True},
+        ],
+    )
+    def test_non_integer_or_non_positive_counts_rejected(self, kwargs):
+        matrix, instance = random_aggregation_instance(n=10, m=3, k=3, seed=4)
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
+            furthest(instance, **kwargs)
+        with pytest.raises(ValueError, match=name):
+            aggregate(matrix, method="furthest", **kwargs)
+
+    def test_numpy_integer_counts_accepted(self):
+        matrix, instance = random_aggregation_instance(n=25, m=5, k=5, seed=3)
+        assert furthest(instance, force_k=np.int32(4)).k == 4
+        assert furthest(instance, max_k=np.int64(2)) == furthest(instance, max_k=2)
+        assert aggregate(matrix, method="furthest", force_k=np.int64(3)).clustering.k == 3
 
     def test_force_k_one_is_single_cluster(self):
         _, instance = random_aggregation_instance(n=8, m=3, k=3, seed=5)

@@ -1,10 +1,11 @@
-"""FURTHEST's running nearest-center minimum and exact label stop rule.
+"""FURTHEST's running nearest-center minimum, and the blocked cost's rounding bound.
 
-``previous_furthest`` below is a verbatim copy of the loop it replaced
-(every round reads all center columns and scores with
-``instance.cost``); it is the differential oracle.  The new loop must
-return the same labels bit for bit on every input, including exact cost
-ties, float32 ``X``, non-dyadic ``p`` and raw distance instances.
+``previous_furthest`` below is a verbatim copy of the loop that
+introduced the running minimum (every round reads all center columns
+and scores with ``instance.cost``); it is the differential oracle.  The
+loop must return the same labels bit for bit on every input, including
+exact cost ties, float32 ``X``, non-dyadic ``p`` and raw distance
+instances.
 """
 
 import numpy as np
@@ -12,14 +13,44 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.furthest import cost_error_bound, furthest
+from repro.algorithms.furthest import furthest
 from repro.core.distance import total_disagreement
 from repro.core.instance import CorrelationInstance
 from repro.core.kernels import _exact_objective
 from repro.core.labels import MISSING
 from repro.core.partition import Clustering
 from repro.datasets import generate_mushrooms
-from repro.obs.metrics import collecting
+
+
+def cost_error_bound(dtype: np.dtype, n: int, m: int, total_weight: float) -> float:
+    """A bound on ``|m * backend.cost(C) - D(C)|`` for a label-built instance.
+
+    :meth:`~repro.core.backend.PairDistanceBackend.cost` evaluates
+    ``d(C) = T - A/2 + B - P`` with ``A`` (``B``) the float64 sum of
+    ``w_u X[u, v] w_v`` over all (co-clustered) ordered pairs; ``T`` and
+    ``P`` are exact pair counts.  With ``W = sum w``, ``A, B <= W**2``.
+    Under :func:`~repro.core.kernels._exact_objective`:
+
+    * each entry ``X[u, v]`` is ``s / m`` with ``s`` exact, rounded once
+      to ``dtype``: relative error at most ``u_X``, that dtype's unit
+      roundoff;
+    * each sum reaches any term through at most ``K = n**2 + 3 n + 8``
+      roundings (the summation tree of a row block, the weight products,
+      the running sum over blocks), so its error is at most
+      ``gamma_K * A`` with ``gamma_K = K u / (1 - K u)``, ``u = 2**-53``;
+    * the three additions of the formula round results below
+      ``1.5 W**2`` (at most ``2.5 u W**2`` in all), and the product with
+      ``m`` adds ``u m W**2 / 2``.
+
+    Altogether ``|m * cost - D| <= m W**2 (1.5 (u_X + gamma_K) + 3 u)``,
+    which ``2 m W**2 (u_X + gamma_K)`` covers since ``gamma_K >= 8 u``.
+    ``D(C)`` itself is exact (:func:`~repro.core.distance.total_disagreement`).
+    """
+    u = np.finfo(np.float64).eps / 2.0
+    steps = float(n) * n + 3.0 * n + 8.0
+    gamma = steps * u / (1.0 - steps * u)
+    return 2.0 * m * total_weight * total_weight * (np.finfo(dtype).eps / 2.0 + gamma)
+
 
 # ----------------------------------------------------------------------
 # Oracle: the previous implementation, verbatim.
@@ -167,7 +198,8 @@ def test_scaled_cost_within_half_the_bound(seed, n, m, clusters, p, dtype, weigh
     for _ in range(3):
         clustering = Clustering(rng.integers(0, clusters, size=n))
         exact = total_disagreement(matrix, clustering, p, weights)
-        assert abs(m * instance.cost(clustering) - exact) <= bound / 2
+        blocked = instance.backend.cost(clustering.labels, weights)
+        assert abs(m * blocked - exact) <= bound / 2
 
 
 def test_scaled_cost_within_half_the_bound_on_float32_mushrooms():
@@ -177,35 +209,28 @@ def test_scaled_cost_within_half_the_bound_on_float32_mushrooms():
     for seed in range(3):
         clustering = Clustering(np.random.default_rng(seed).integers(0, 8, size=3000))
         exact = total_disagreement(matrix, clustering, 0.5)
-        assert abs(matrix.shape[1] * instance.cost(clustering) - exact) <= bound / 2
+        blocked = instance.backend.cost(clustering.labels)
+        assert abs(matrix.shape[1] * blocked - exact) <= bound / 2
 
 
 def test_exact_tie_takes_the_cost_compare():
     # The first split {0, 1} | {2, 3} agrees with the first column and
     # disagrees with the second on the same 4 pairs the single cluster
-    # disagrees with the first: D = 4 both ways, so only the float compare
-    # of instance.cost decides, and an equal cost stops.
+    # disagrees with the first: D = 4 both ways, so the split does not
+    # strictly lower the cost and the loop stops.
     matrix = np.array([[0, 0], [0, 0], [1, 0], [1, 0]])
     instance = CorrelationInstance.from_label_matrix(matrix)
     split = Clustering([0, 0, 1, 1])
     single = Clustering.single_cluster(4)
     assert total_disagreement(matrix, split, 0.5) == total_disagreement(matrix, single, 0.5) == 4
-    with collecting() as registry:
-        before = registry.snapshot()["counters"].get("furthest.cost_calls", 0.0)
-        result = furthest(instance)
-        after = registry.snapshot()["counters"].get("furthest.cost_calls", 0.0)
-    assert after - before == 1
+    result = furthest(instance)
     assert result == single == previous_furthest(instance)
 
 
 def test_clear_rounds_skip_the_cost_compare():
     matrix = generate_mushrooms(rng=0).data[:400]
     instance = CorrelationInstance.from_label_matrix(matrix)
-    with collecting() as registry:
-        before = registry.snapshot()["counters"].get("furthest.cost_calls", 0.0)
-        result = furthest(instance)
-        after = registry.snapshot()["counters"].get("furthest.cost_calls", 0.0)
-    assert after == before
+    result = furthest(instance)
     assert result == previous_furthest(instance)
 
 

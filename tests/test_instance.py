@@ -11,6 +11,7 @@ from repro import Clustering
 from repro.core import CorrelationInstance, total_disagreement
 from repro.core.instance import disagreement_fractions
 from repro.core.labels import MISSING, as_label_matrix
+from repro.obs.trace import tracing
 
 from conftest import random_aggregation_instance
 
@@ -210,6 +211,79 @@ class TestCost:
     def test_size_mismatch_rejected(self, figure1_instance):
         with pytest.raises(ValueError):
             figure1_instance.cost(Clustering([0, 1]))
+
+
+class TestOneObjective:
+    """``cost`` reads ``D(C) / m`` off the labels of a coin-flip instance,
+    and takes the blocked pass over ``X`` everywhere else."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(2, 40),
+        m=st.integers(1, 6),
+        missing_rate=st.sampled_from([0.0, 0.2]),
+        p=st.sampled_from([0.5, 0.25, 0.3]),
+        kind=st.sampled_from(["dense", "lazy", "raw", "average"]),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        weighting=st.sampled_from(["none", "ones", "integral"]),
+        sub=st.booleans(),
+    )
+    def test_cost_is_the_label_objective_or_the_blocked_pass(
+        self, seed, n, m, missing_rate, p, kind, dtype, weighting, sub
+    ):
+        rng = np.random.default_rng(seed)
+        matrix = rng.integers(0, 4, size=(n, m))
+        matrix[rng.random((n, m)) < missing_rate] = MISSING
+        matrix[0, np.all(matrix == MISSING, axis=0)] = 0
+        weights = {
+            "none": None,
+            "ones": np.ones(n),
+            "integral": rng.integers(1, 6, size=n).astype(np.float64),
+        }[weighting]
+        missing = "average" if kind == "average" else "coin-flip"
+        instance = CorrelationInstance.from_label_matrix(
+            matrix,
+            p=p,
+            dtype=dtype,
+            missing=missing,
+            weights=weights,
+            backend="lazy" if kind == "lazy" else "dense",
+        )
+        if kind == "raw":
+            instance = CorrelationInstance(instance.X, m=m, weights=weights)
+        if sub:
+            idx = np.sort(rng.choice(n, size=max(1, n // 2), replace=False))
+            instance = instance.subinstance(idx)
+            matrix = matrix[idx]
+            weights = None if weights is None else weights[idx]
+        candidate = Clustering(rng.integers(0, 4, size=instance.n))
+        if kind in ("raw", "average"):
+            expected = instance.backend.cost(candidate.labels, weights)
+            assert instance.cost(candidate).hex() == expected.hex()
+            return
+        expected = total_disagreement(matrix, candidate, p, weights) / m
+        with tracing() as trace:
+            cost = instance.cost(candidate)
+        assert cost.hex() == expected.hex()
+        assert trace.find("instance.block") == []
+        if kind == "lazy":
+            assert instance.backend.cached_block_indices() == ()
+
+    @pytest.mark.parametrize("kind", ["raw", "dense", "lazy"])
+    def test_label_arrays_are_clusterings(self, kind):
+        matrix = np.array([[0, 0], [0, 1], [1, 1], [1, 1]])
+        instance = CorrelationInstance.from_label_matrix(
+            matrix, backend="lazy" if kind == "lazy" else "dense"
+        )
+        if kind == "raw":
+            instance = CorrelationInstance(instance.X, m=2)
+        labels = np.array([7, 7, 3, 3])
+        assert instance.cost(labels) == instance.cost(Clustering(labels))
+        with pytest.raises(ValueError):
+            instance.cost(np.array([0, 0, -1, 1]))
+        with pytest.raises(TypeError):
+            instance.cost(np.array([0.0, 0.0, 1.0, 1.0]))
 
 
 class TestBoundsAndStructure:
