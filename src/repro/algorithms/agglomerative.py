@@ -16,7 +16,8 @@ Lance–Williams recurrence
     d(A ∪ B, C) = (|A| d(A,C) + |B| d(B,C)) / (|A| + |B|)
 
 so each merge costs one vectorized row (and column) update plus cache
-repair, over the *slots* of the matrix still in use:
+repair, over the *slots* of the matrix still in use.  Each step writes
+into preallocated scratch rows (``out=``), so a merge allocates no row:
 
 * A retired cluster's row and column are never overwritten.  A per-slot
   ``penalty`` (0 for active slots, +inf for retired ones) is added to every
@@ -24,15 +25,23 @@ repair, over the *slots* of the matrix still in use:
   the first-index tie-breaking are those of a matrix whose retired entries
   were set to infinity.
 * The rows whose cached neighbour was one of the merged pair are
-  recomputed together, in one ``argmin`` over the gathered block — except
-  those whose distance to the merged cluster still equals their cached
-  minimum (ties, mostly duplicates at distance 0): their neighbour simply
-  becomes the merged cluster, as a full ``argmin`` would find.
+  recomputed one by one, each with one ``argmin`` — except those whose
+  distance to the merged cluster still equals their cached minimum (ties,
+  mostly duplicates at distance 0): their neighbour simply becomes the
+  merged cluster, as a full ``argmin`` would find.
+* Any other row now closer to the merged cluster than its cached minimum
+  moves to it.  In exact arithmetic average linkage never does that, but
+  the rounded average can land an ulp below a row's minimum, and it does
+  on real inputs (the span's ``improved`` attribute counts those rows).
+* The strided write of the merged column is the largest single cost left,
+  about 40% of the loop on 2000 mushrooms rows; every other step is a
+  contiguous row operation.
 * When the active clusters fall to half the slots, their submatrix is
-  gathered row by row into the leading block of the same buffer, and the
-  cache, sizes and slot ids follow.  Compaction keeps the relative order of
-  the slots, so ties still break towards the same cluster, and every later
-  step works on at most twice as many slots as there are clusters.
+  gathered, 64 rows at a time, into the leading block of the same buffer,
+  and the cache, sizes and slot ids follow.  Compaction keeps the relative
+  order of the slots, so ties still break towards the same cluster, and
+  every later step works on at most twice as many slots as there are
+  clusters.
 * Membership is a parent array over the objects, written once per merge
   and resolved to labels at the end.
 
@@ -65,6 +74,8 @@ __all__ = ["agglomerative"]
 # Below this many slots the matrix is small enough that compacting it again
 # costs more than it saves.
 _COMPACT_MIN_SLOTS = 64
+# Rows gathered per call when compacting.
+_COMPACT_CHUNK = 64
 
 
 def _check_count(name: str, value: int | None, n: int | None = None) -> None:
@@ -139,21 +150,36 @@ def agglomerative(
 
     remaining = n
     repairs = 0
+    improved = 0
     compactions = 0
     target = 1 if force_k is None else force_k
+    # Scratch rows over the slots in use (re-sliced at each compaction): the
+    # Lance-Williams terms in float64, as a float64 size times a float32 row
+    # is float64; row i and a repaired row with the penalty added; and two
+    # stale masks.
+    terms = np.empty((2, n), dtype=np.float64)
+    rows = np.empty((2, n), dtype=D.dtype)
+    masks = np.empty((2, n), dtype=bool)
+    term_i, term_j = terms
+    row_i, row_r = rows
+    mask_i, mask_j = masks
     with phase("agglomerative.merge", n=n) as merge_span:
         while remaining > target:
             # i is the first slot with the smallest cached distance; its
             # neighbour j has that distance too, so j comes after i.
-            i = int(np.argmin(nn_val))
+            i = int(nn_val.argmin())
             j = int(nn_idx[i])
-            value = float(nn_val[i])
-            if force_k is None and value >= threshold:
+            if force_k is None and float(nn_val[i]) >= threshold:
                 break
 
-            # Merge j into i with the average-linkage Lance-Williams update.
+            # Merge j into i with the average-linkage Lance-Williams update,
+            # (si * D[i] + sj * D[j]) / (si + sj) in float64, rounded once
+            # into the stored row.
             si, sj = sizes[i], sizes[j]
-            D[i] = (si * D[i] + sj * D[j]) / (si + sj)
+            np.multiply(D[i], si, out=term_i)
+            np.multiply(D[j], sj, out=term_j)
+            np.add(term_i, term_j, out=term_i)
+            np.divide(term_i, si + sj, out=D[i])
             D[i, i] = np.inf
             # Column i mirrors the stored (possibly float32) row.
             D[:, i] = D[i]
@@ -172,30 +198,41 @@ def agglomerative(
             # towards i.  A stale row whose distance to the merged cluster
             # equals its cached minimum keeps that minimum, now first reached
             # at i: every slot before its old neighbour (i or j, and i < j)
-            # was farther.  The other stale rows are recomputed in one batch.
-            stale = np.flatnonzero((nn_idx == i) | (nn_idx == j))
-            same = D[i, stale] == nn_val[stale]
-            nn_idx[stale[same]] = i
-            stale = stale[~same]
-            block = D[stale] + penalty
-            best = np.argmin(block, axis=1)
-            nn_idx[stale] = best
-            nn_val[stale] = block[np.arange(stale.size), best]
-            repairs += stale.size
+            # was farther.  The other stale rows are recomputed one by one.
+            np.add(D[i], penalty, out=row_i)
+            np.equal(nn_idx, i, out=mask_i)
+            np.equal(nn_idx, j, out=mask_j)
+            np.logical_or(mask_i, mask_j, out=mask_i)
+            for r in mask_i.nonzero()[0].tolist():
+                if row_i[r] == nn_val[r]:
+                    nn_idx[r] = i
+                    continue
+                np.add(D[r], penalty, out=row_r)
+                best = int(row_r.argmin())
+                nn_idx[r] = best
+                nn_val[r] = row_r[best]
+                repairs += 1
 
-            row_i = D[i] + penalty
-            improved = np.flatnonzero(row_i < nn_val)
-            nn_idx[improved] = i
-            nn_val[improved] = row_i[improved]
+            np.less(row_i, nn_val, out=mask_i)
+            closer = mask_i.nonzero()[0]
+            if closer.size:
+                nn_idx[closer] = i
+                nn_val[closer] = row_i[closer]
+                improved += closer.size
 
             slots = penalty.size
             if remaining <= slots // 2 and slots > _COMPACT_MIN_SLOTS:
-                # Gather the active submatrix, row by row in slot order, into
-                # the front of the buffer.  Row ``new`` of the result ends
-                # before any row ``old >= new + 1`` still to be read starts.
+                # Gather the active submatrix, _COMPACT_CHUNK rows at a time in
+                # slot order, into the front of the buffer.  A chunk is read
+                # whole before it is written, and its rows ``new .. stop - 1``
+                # end before the next chunk's first row ``keep[stop]`` starts,
+                # as ``keep[stop] >= stop`` and ``slots > remaining``.
                 keep = np.flatnonzero(penalty == 0)
-                for new, old in enumerate(keep):
-                    buffer[new * remaining : (new + 1) * remaining] = D[old, keep]
+                for new in range(0, remaining, _COMPACT_CHUNK):
+                    chunk = keep[new : new + _COMPACT_CHUNK, None]
+                    buffer[new * remaining : (new + chunk.size) * remaining] = D[
+                        chunk, keep
+                    ].reshape(-1)
                 D = buffer[: remaining * remaining].reshape(remaining, remaining)
                 # Active rows' neighbours are active, so all are found in keep.
                 nn_idx = np.searchsorted(keep, nn_idx[keep])
@@ -203,10 +240,17 @@ def agglomerative(
                 sizes = sizes[keep]
                 slot_obj = slot_obj[keep]
                 penalty = np.zeros(remaining, dtype=D.dtype)
+                term_i, term_j = terms[:, :remaining]
+                row_i, row_r = rows[:, :remaining]
+                mask_i, mask_j = masks[:, :remaining]
                 compactions += 1
         merges = n - remaining
         merge_span.set(
-            merges=merges, clusters=remaining, repairs=repairs, compactions=compactions
+            merges=merges,
+            clusters=remaining,
+            repairs=repairs,
+            improved=improved,
+            compactions=compactions,
         )
     inc("agglomerative.merges", merges)
     # Pointer jumping: every object ends at the root of its merge tree.

@@ -278,9 +278,7 @@ def aggregate(
             disagreements = total_disagreement(matrix, clustering, p=p)
             cost = disagreements / matrix.shape[1]
         elif instance is not None:
-            cost = instance.cost(clustering)
-            if instance.m is not None:
-                disagreements = instance.m * cost
+            cost, disagreements = instance._score(clustering)
 
     lower_bound: float | None = None
     disagreement_lb: float | None = None

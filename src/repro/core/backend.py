@@ -289,8 +289,11 @@ class PairDistanceBackend:
         total = 0.0
         for start, stop in self.blocks():
             rows = self.row_block(start, stop)
-            one = rows.dtype.type(1.0)
-            per_pair = np.minimum(rows, one - rows).astype(np.float64, copy=False)
+            # min(X, 1 - X) in one temporary: on a dense instance the single
+            # block is all of X, and a second one would set the peak memory.
+            per_pair = np.subtract(rows.dtype.type(1.0), rows)
+            np.minimum(rows, per_pair, out=per_pair)
+            per_pair = per_pair.astype(np.float64, copy=False)
             if w is None:
                 total += float(per_pair.sum(dtype=np.float64))
             else:

@@ -351,6 +351,21 @@ class CorrelationInstance:
         which is the cost of the same clustering on the expanded
         (duplicate-bearing) instance.
         """
+        return self._score(clustering)[0]
+
+    def disagreements(self, clustering: Clustering | np.ndarray) -> float:
+        """The aggregation objective ``D(C) = m * d(C)`` (requires known ``m``).
+
+        On a coin-flip label-built instance this is
+        :func:`~repro.core.distance.total_disagreement` itself, not ``m``
+        times its quotient by ``m``; elsewhere it is ``m * cost(C)``.
+        """
+        if self._m is None:
+            raise ValueError("instance was not built from clusterings; m is unknown")
+        return self._score(clustering)[1]
+
+    def _score(self, clustering: Clustering | np.ndarray) -> tuple[float, float | None]:
+        """``(d(C), D(C))`` from one scoring pass; ``D`` is ``None`` when ``m`` is unknown."""
         if not isinstance(clustering, Clustering):
             clustering = Clustering(clustering)
         if clustering.n != self.n:
@@ -358,14 +373,9 @@ class CorrelationInstance:
         source = self._source
         if source is not None and source.missing == "coin-flip":
             disagreements = total_disagreement(source.matrix, clustering, source.p, self._weights)
-            return disagreements / source.matrix.shape[1]
-        return self._backend.cost(clustering.labels, self._weights)
-
-    def disagreements(self, clustering: Clustering | np.ndarray) -> float:
-        """The aggregation objective ``D(C) = m * d(C)`` (requires known ``m``)."""
-        if self._m is None:
-            raise ValueError("instance was not built from clusterings; m is unknown")
-        return self._m * self.cost(clustering)
+            return disagreements / source.matrix.shape[1], disagreements
+        cost = self._backend.cost(clustering.labels, self._weights)
+        return cost, None if self._m is None else self._m * cost
 
     def lower_bound(self) -> float:
         """Pairwise lower bound ``sum_{u<v} min(X_uv, 1 - X_uv)`` on ``d(C)``.

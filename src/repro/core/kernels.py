@@ -347,10 +347,11 @@ def label_histogram(
     """Float64 ``(k, arity)`` table: summed ``weights`` (default 1) of the
     objects in group ``g`` with concrete label ``v``, in object order."""
     present = values != MISSING
-    flat = groups[present].astype(np.int64, copy=False) * arity + values[present]
-    counts = np.bincount(
-        flat, weights=None if weights is None else weights[present], minlength=k * arity
-    )
+    if not present.all():  # copy the column only when entries are missing
+        groups, values = groups[present], values[present]
+        weights = None if weights is None else weights[present]
+    flat = groups.astype(np.int64, copy=False) * arity + values
+    counts = np.bincount(flat, weights=weights, minlength=k * arity)
     return counts.astype(np.float64, copy=False).reshape(k, arity)
 
 

@@ -298,3 +298,30 @@ class TestAgainstPreviousLoop:
         instance = CorrelationInstance.from_label_matrix(matrix)
         assert default_dtype(instance.n) == np.float32
         assert agglomerative(instance) == previous_agglomerative(instance)
+
+    def test_improved_scan_fires_on_rounding(self):
+        # In exact arithmetic average linkage is reducible: a merged cluster
+        # is never closer to a row than that row's cached minimum.  Rounding
+        # of the Lance-Williams average breaks that here, once.
+        instance = CorrelationInstance.from_label_matrix(mushrooms_rows(30, seed=8))
+        ours, attrs = traced_agglomerative(instance)
+        assert attrs["improved"] >= 1
+        assert ours == previous_agglomerative(instance)
+
+
+class TestAgainstScipy:
+    """The cut below 1/2 of SciPy's average linkage, on tie-free instances."""
+
+    @pytest.mark.parametrize("n, seed", [(12, 0), (25, 1), (40, 2), (60, 3), (90, 4), (150, 5)])
+    def test_cut_below_half_matches_scipy_average_linkage(self, n, seed):
+        sch = pytest.importorskip("scipy.cluster.hierarchy")
+        from scipy.spatial.distance import squareform
+
+        instance = random_float_instance(n, seed)
+        Z = sch.linkage(squareform(instance.X, checks=False), method="average")
+        if np.any(np.abs(Z[:, 2] - 0.5) < 1e-9):
+            pytest.skip("a merge height lies within 1e-9 of 1/2")
+        cut = sch.fcluster(Z, np.nextafter(0.5, 0), criterion="distance")
+        ours = agglomerative(instance)
+        assert 1 < ours.k < n
+        assert ours == Clustering(cut)

@@ -311,6 +311,39 @@ def test_label_native_reductions_equal_the_blocked_pass(
         assert same_bits(value, reference)
 
 
+def two_temporary_lower_bound(backend, weights=None) -> float:
+    """The blocked bound as ``np.minimum(rows, 1 - rows)``, two temporaries a block."""
+    w = None if weights is None else np.asarray(weights, dtype=np.float64)
+    total = 0.0
+    for start, stop in backend.blocks():
+        rows = backend.row_block(start, stop)
+        one = rows.dtype.type(1.0)
+        per_pair = np.minimum(rows, one - rows).astype(np.float64, copy=False)
+        if w is None:
+            total += float(per_pair.sum(dtype=np.float64))
+        else:
+            total += float(w[start:stop] @ (per_pair @ w))
+    return total / 2.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("shrink", [False, True])
+def test_blocked_lower_bound_keeps_the_two_temporary_bits(
+    monkeypatch, dtype, weighted, shrink
+) -> None:
+    if shrink:
+        shrink_grid(monkeypatch)
+    rng = np.random.default_rng(7)
+    matrix = label_matrix(150, m=5, missing_frac=0.2, seed=7)
+    weights = rng.integers(1, 5, size=150).astype(np.float64) if weighted else None
+    base = backend_module.PairDistanceBackend
+    for backend in backend_pair(matrix, p=0.3, dtype=dtype):
+        expected = two_temporary_lower_bound(backend, weights)
+        assert same_bits(base.lower_bound(backend, weights), expected)
+        assert same_bits(backend.lower_bound(weights), expected)
+
+
 @pytest.mark.parametrize("case", ["m=3", "p=0.3", "average", "float w"])
 def test_reductions_outside_the_exactness_rule_take_the_blocked_pass(monkeypatch, case) -> None:
     shrink_grid(monkeypatch)

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Clustering
-from repro.core import CorrelationInstance, total_disagreement
+from repro.core import CorrelationInstance, aggregate, total_disagreement
 from repro.core.instance import disagreement_fractions
 from repro.core.labels import MISSING, as_label_matrix
+from repro.datasets import generate_mushrooms
 from repro.obs.trace import tracing
 
 from conftest import random_aggregation_instance
@@ -285,6 +286,36 @@ class TestOneObjective:
         with pytest.raises(TypeError):
             instance.cost(np.array([0.0, 0.0, 1.0, 1.0]))
 
+    def test_disagreements_is_the_label_objective(self):
+        rows = np.random.default_rng(0).choice(8124, size=1500, replace=False)
+        matrix = generate_mushrooms(rng=0).data[rows]
+        instance = CorrelationInstance.from_label_matrix(matrix)
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            candidate = Clustering(rng.integers(0, int(rng.integers(1, 6)), size=1500))
+            expected = total_disagreement(matrix, candidate)
+            assert instance.disagreements(candidate).hex() == expected.hex()
+        result = aggregate(instance)
+        expected = total_disagreement(matrix, result.clustering)
+        assert result.disagreements.hex() == expected.hex()
+        assert result.cost.hex() == (expected / matrix.shape[1]).hex()
+
+    @pytest.mark.parametrize("kind", ["raw", "average"])
+    def test_disagreements_elsewhere_is_m_times_cost(self, kind):
+        rng = np.random.default_rng(2)
+        matrix = rng.integers(0, 4, size=(60, 5))
+        matrix[rng.random((60, 5)) < 0.2] = MISSING
+        matrix[0] = 0
+        instance = CorrelationInstance.from_label_matrix(
+            matrix, missing="average" if kind == "average" else "coin-flip"
+        )
+        if kind == "raw":
+            instance = CorrelationInstance(instance.X, m=5)
+        candidate = Clustering(rng.integers(0, 5, size=60))
+        assert instance.disagreements(candidate) == 5 * instance.cost(candidate)
+        result = aggregate(instance)
+        assert result.cost == instance.cost(result.clustering)
+        assert result.disagreements == 5 * result.cost
 
 class TestBoundsAndStructure:
     def test_lower_bound_below_all_candidates(self, figure1_instance):

@@ -190,3 +190,25 @@ def test_forked_shard_builds_after_blas_threads_started():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "2 True"
+
+
+@pytest.mark.parametrize("missing_frac", [0.0, 0.2])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("groups_dtype", [np.int32, np.int64])
+def test_label_histogram_matches_the_masked_count(missing_frac, weighted, groups_dtype):
+    """With or without missing entries, the table has the bits of a count
+    over the masked copies of the column."""
+    rng = np.random.default_rng(3)
+    n, k, arity = 5000, 40, 7
+    groups = rng.integers(0, k, size=n).astype(groups_dtype)
+    values = rng.integers(0, arity, size=n)
+    values[rng.random(n) < missing_frac] = MISSING
+    weights = rng.uniform(0.5, 3.0, size=n) if weighted else None
+    present = values != MISSING
+    flat = groups[present].astype(np.int64) * arity + values[present]
+    expected = np.bincount(
+        flat, weights=None if weights is None else weights[present], minlength=k * arity
+    ).astype(np.float64)
+    table = kernels.label_histogram(groups, values, k, arity, weights)
+    assert table.shape == (k, arity) and table.dtype == np.float64
+    assert table.tobytes() == expected.reshape(k, arity).tobytes()
