@@ -16,6 +16,10 @@ Runs two ways:
 - standalone for the committed report: ``python benchmarks/bench_obs.py``
   emits ``reports/BENCH_obs.json`` + ``reports/obs_overhead.txt``;
   ``--quick`` runs a smaller size and writes nothing.
+
+The overhead is a paired ratio: every repeat times the workload off, with
+metrics and traced, and each configuration is compared with the off run
+of its own repeat.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ _QUICK_N = 400
 _M = 8
 _REPEATS = 9
 _METHODS = ("balls", "agglomerative", "furthest", "local-search", "sampling")
+_CONFIGS = ("off", "metrics", "traced")
 
 
 def _label_matrix(n: int, seed: int) -> np.ndarray:
@@ -63,50 +68,80 @@ def _time_once(matrix: np.ndarray) -> float:
     return time.perf_counter() - start
 
 
+def _time_config(config: str, matrix: np.ndarray) -> float:
+    """:func:`_time_once` with metrics off, metrics on, or inside ``tracing()``."""
+    if config == "traced":
+        with tracing():
+            return _time_once(matrix)
+    if config == "metrics":
+        enable_metrics()
+    try:
+        return _time_once(matrix)
+    finally:
+        disable_metrics()
+
+
 def _run(n: int, repeats: int) -> tuple[str, dict]:
     matrix = _label_matrix(n, seed=n)
     _workload(matrix)  # warm-up: imports, allocator, caches
 
-    # Off and metrics-on repeats alternate, so slow drift of the host
-    # (frequency, other tenants) hits both alike; each keeps its best.
+    # Each repeat times the three configurations back to back, starting
+    # from a different one each time, and the overhead is the median of
+    # the per-repeat ratios to the repeat's own off run: a slow spell of
+    # the host lands on one repeat's three runs, not on one configuration.
     get_registry().reset()
-    off_seconds = metrics_seconds = float("inf")
-    for _ in range(repeats):
-        disable_metrics()
-        off_seconds = min(off_seconds, _time_once(matrix))
-        enable_metrics()
-        metrics_seconds = min(metrics_seconds, _time_once(matrix))
+    seconds: dict[str, list[float]] = {config: [] for config in _CONFIGS}
+    for repeat in range(repeats):
+        shift = repeat % len(_CONFIGS)
+        for config in _CONFIGS[shift:] + _CONFIGS[:shift]:
+            seconds[config].append(_time_config(config, matrix))
     snapshot = get_registry().snapshot()
-    disable_metrics()
 
     with tracing() as trace:
-        traced_seconds = _time_once(matrix)
+        _time_once(matrix)
     tree = trace.render(min_seconds=0.001)
 
-    metrics_overhead = metrics_seconds / off_seconds - 1.0
-    traced_overhead = traced_seconds / off_seconds - 1.0
+    off = np.array(seconds["off"])
+    ratios = {config: np.array(seconds[config]) / off for config in ("metrics", "traced")}
+    quartiles = {
+        config: np.percentile(ratio, [25, 50, 75]) - 1.0 for config, ratio in ratios.items()
+    }
+    medians = {config: float(np.median(values)) for config, values in seconds.items()}
     payload = {
         "n": n,
         "m": _M,
         "methods": list(_METHODS),
         "repeats": repeats,
-        "off_seconds": off_seconds,
-        "metrics_seconds": metrics_seconds,
-        "traced_seconds": traced_seconds,
-        "metrics_overhead": metrics_overhead,
-        "traced_overhead": traced_overhead,
+        "seconds": seconds,
+        "off_seconds": medians["off"],
+        "metrics_seconds": medians["metrics"],
+        "traced_seconds": medians["traced"],
+        "metrics_overhead": float(quartiles["metrics"][1]),
+        "traced_overhead": float(quartiles["traced"][1]),
+        "metrics_overhead_quartiles": [float(q) for q in quartiles["metrics"][::2]],
+        "traced_overhead_quartiles": [float(q) for q in quartiles["traced"][::2]],
         "metrics_snapshot": snapshot,
         "trace": trace.to_dict(),
     }
+
+    def overhead(config: str) -> tuple[str, str]:
+        low, mid, high = 100.0 * quartiles[config]
+        return f"{mid:+.1f}%", f"[{low:+.1f}%, {high:+.1f}%]"
+
     rows = [
-        ("off (baseline)", f"{off_seconds:.3f}", "--"),
-        ("metrics on", f"{metrics_seconds:.3f}", f"{100.0 * metrics_overhead:+.1f}%"),
-        ("tracing on", f"{traced_seconds:.3f}", f"{100.0 * traced_overhead:+.1f}%"),
+        ("off (baseline)", f"{medians['off']:.3f}", "--", "--"),
+        ("metrics on", f"{medians['metrics']:.3f}", *overhead("metrics")),
+        ("tracing on", f"{medians['traced']:.3f}", *overhead("traced")),
     ]
     text = render_table(
-        ("configuration", "seconds", "overhead"),
+        ("configuration", "median seconds", "overhead", "quartiles"),
         rows,
         title=banner(f"repro.obs — instrumentation overhead (n={n}, m={_M})"),
+    )
+    text += (
+        f"\n\n{repeats} repeats of one workload run per configuration; the"
+        "\noverhead is the median, over repeats, of each run's ratio to the same"
+        "\nrepeat's off run, minus one."
     )
     text += "\n\nspan tree of one traced run (>= 1 ms):\n" + tree
     return text, payload

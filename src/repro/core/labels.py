@@ -99,7 +99,12 @@ def validate_label_matrix(matrix: np.ndarray) -> None:
     # No entry is below MISSING, so a column is entirely missing exactly
     # when its largest entry is MISSING: one max() per column, far cheaper
     # than a boolean reduction along axis 0 of a row-major matrix.
-    bad = [j for j in range(matrix.shape[1]) if matrix[:, j].max() == MISSING]
+    reject_missing_columns([j for j in range(matrix.shape[1]) if matrix[:, j].max() == MISSING])
+
+
+def reject_missing_columns(bad: list[int]) -> None:
+    """Raise :func:`validate_label_matrix`'s error if ``bad`` lists any
+    entirely missing column."""
     if bad:
         raise ValueError(f"columns {bad} are entirely missing and carry no information")
 

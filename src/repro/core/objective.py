@@ -32,7 +32,7 @@ from .kernels import (
     label_histogram,
     separation_mass,
 )
-from .labels import check_weights, validate_label_matrix
+from .labels import check_label_entries, check_weights, reject_missing_columns
 from .partition import Clustering
 
 __all__ = ["MoveEvaluator", "ClusterCountTables"]
@@ -478,7 +478,11 @@ class ClusterCountTables:
         p: float = 0.5,
         member_weights: np.ndarray | None = None,
     ) -> None:
-        validate_label_matrix(matrix)
+        check_label_entries(matrix)
+        # label_codes gives an entirely missing column arity 0, so these
+        # codes finish validate_label_matrix's checks without another pass.
+        columns = [label_codes(matrix[:, j]) for j in range(matrix.shape[1])]
+        reject_missing_columns([j for j, (_, arity) in enumerate(columns) if arity == 0])
         member_rows = np.asarray(member_rows, dtype=np.int64)
         member_labels = np.asarray(member_labels, dtype=np.int64)
         if member_rows.shape != member_labels.shape or member_rows.ndim != 1:
@@ -502,12 +506,10 @@ class ClusterCountTables:
         # 1 + code holds the coin-flip separation mass of a row with that
         # code against each cluster (row 0: a missing label), read off the
         # members' weighted label counts.
-        self._columns: list[tuple[np.ndarray, int]] = []
+        self._columns = columns
         self._tables: list[np.ndarray] = []
-        for j in range(self._m):
-            codes, arity = label_codes(matrix[:, j])
+        for codes, arity in columns:
             counts = label_histogram(member_labels, codes[member_rows], k, arity, weights)
-            self._columns.append((codes, arity))
             self._tables.append(
                 separation_mass(
                     np.arange(MISSING, arity), counts, counts.sum(axis=1), self._sizes, p

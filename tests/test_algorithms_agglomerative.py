@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Clustering, aggregate
 from repro.core import CorrelationInstance
 from repro.core.atoms import collapse_duplicates
 from repro.core.kernels import default_dtype
+from repro.core.labels import MISSING
 from repro.algorithms import agglomerative
+from repro.algorithms.agglomerative import _height0_firsts, _merge, _start
 from repro.datasets import generate_mushrooms
-from repro.obs import tracing
+from repro.obs import collecting, get_registry, tracing
 
 from conftest import planted_instance, random_aggregation_instance
 
@@ -230,6 +234,98 @@ def traced_agglomerative(instance, **params):
     return result, merge.attrs
 
 
+def init_attrs(instance, **params):
+    """The ``agglomerative.init`` span attributes of one run."""
+    with tracing() as trace:
+        agglomerative(instance, **params)
+    (init,) = trace.find("agglomerative.init")
+    return init.attrs
+
+
+def bit_rows(text: str) -> np.ndarray:
+    """A label matrix written as one string of 0/1 digits per row."""
+    return np.array([[int(c) for c in row] for row in text.split()], dtype=np.int32)
+
+
+@st.composite
+def duplicate_heavy_cases(draw):
+    """A label-built instance with few label values, so rows repeat, and
+    the arguments of one agglomerative() call on it."""
+    n = draw(st.integers(2, 150))
+    m = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = rng.integers(0, draw(st.integers(1, 3)), size=(n, m)).astype(np.int32)
+    model = draw(st.sampled_from(["complete", "holes", "average"]))
+    p = 0.5
+    if model == "holes":
+        p = draw(st.sampled_from([0.0, 0.25, 0.5]))
+        holes = rng.random((n, m)) < 0.15
+        holes[0] = False  # no column entirely missing
+        matrix[holes] = MISSING
+    weights = None
+    if draw(st.booleans()):
+        weights = rng.integers(1, 5, size=n).astype(np.float64)
+        if draw(st.booleans()):
+            weights += rng.random(n)
+    instance = CorrelationInstance.from_label_matrix(
+        matrix,
+        p=p,
+        missing="average" if model == "average" else "coin-flip",
+        weights=weights,
+    )
+    threshold = draw(st.sampled_from([0.0, 0.2, 0.5, 0.75]))
+    force_k = draw(st.none() | st.integers(1, n))
+    return instance, threshold, force_k
+
+
+def height0_state(instance, dtype, replay):
+    """The loop's state once the height-0 merges are done, over the objects
+    left: ``(objects, sizes, neighbour objects, minima, distances, parent)``.
+
+    ``replay`` computes it on atom slots as agglomerative() does; otherwise
+    the row loop itself runs the ``n - atoms`` merges on every row slot.
+    ``dtype`` is the working matrix's, whatever ``n``.
+    """
+    n = instance.n
+    firsts = _height0_firsts(instance, 0.5, None)
+    atoms = int(np.count_nonzero(firsts == np.arange(n)))
+    buffer = instance.backend.materialize(dtype, copy=True).reshape(-1)
+    D = buffer.reshape(n, n)
+    np.fill_diagonal(D, np.inf)
+    sizes = instance.effective_weights().copy()
+    parent = np.arange(n, dtype=np.int64)
+    if replay:
+        state = _start(buffer, D, sizes, parent, firsts)
+    else:
+        state = _start(buffer, D, sizes, parent, np.arange(n, dtype=np.int64))
+        state, _ = _merge(buffer, state, parent, atoms, None)
+    active = np.flatnonzero(state.penalty == 0)
+    assert active.size == atoms
+    return (
+        state.slot_obj[active],
+        state.sizes[active],
+        state.slot_obj[state.nn_idx[active]],
+        state.nn_val[active],
+        state.D[np.ix_(active, active)],
+        parent,
+    )
+
+
+def assert_same_height0_state(instance, dtype):
+    """Replay and row loop reach the same state, bit for bit.
+
+    With one atom left the row loop stops before repairing its cache, so
+    only the distances, sizes and parents are compared then.
+    """
+    replayed = height0_state(instance, dtype, replay=True)
+    row_loop = height0_state(instance, dtype, replay=False)
+    compared = range(6) if replayed[0].size > 1 else (0, 1, 4, 5)
+    for index in compared:
+        ours, theirs = replayed[index], row_loop[index]
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+        assert ours.tobytes() == theirs.tobytes(), index
+
+
 def mushrooms_rows(n: int, seed: int) -> np.ndarray:
     rows = np.random.default_rng(seed).choice(8124, size=n, replace=False)
     return generate_mushrooms(rng=0).data[rows]
@@ -307,6 +403,119 @@ class TestAgainstPreviousLoop:
         ours, attrs = traced_agglomerative(instance)
         assert attrs["improved"] >= 1
         assert ours == previous_agglomerative(instance)
+
+    # The height-0 merges of duplicate rows, replayed on atom slots.
+
+    @settings(max_examples=200, deadline=None)
+    @given(duplicate_heavy_cases())
+    def test_duplicate_heavy_inputs(self, case):
+        # Against the row loop itself on the same distances: a raw instance
+        # has no labels, so its duplicates merge row by row.  (On about 2 in
+        # 1000 such inputs previous_agglomerative breaks a tie otherwise:
+        # the row loop keeps a stale row's equal minimum at the merged slot
+        # where the oracle's full argmin finds an earlier one.)
+        instance, threshold, force_k = case
+        rows = CorrelationInstance(instance.X, weights=instance.weights)
+        params = {"threshold": threshold, "force_k": force_k}
+        assert init_attrs(rows, **params)["replayed"] == 0
+        assert agglomerative(instance, **params) == agglomerative(rows, **params)
+
+    @settings(max_examples=200, deadline=None)
+    @given(duplicate_heavy_cases(), st.sampled_from([np.float32, np.float64]))
+    def test_replay_reaches_the_row_loops_cache(self, case, dtype):
+        # The labels can hide a cache that differs only on a tie; the state
+        # after the height-0 merges cannot: distances, sizes, parents and
+        # every active row's cached neighbour and minimum.
+        instance, _, _ = case
+        assert_same_height0_state(instance, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_replay_reaches_the_row_loops_cache_on_planted_input(self, dtype, weighted):
+        matrix = planted_matrix(600, 2, seed=4)
+        weights = None
+        if weighted:
+            weights = np.random.default_rng(4).integers(1, 4, size=600) + 0.3
+        instance = CorrelationInstance.from_label_matrix(matrix, weights=weights)
+        assert_same_height0_state(instance, dtype)
+
+    @pytest.mark.parametrize(
+        "rows, weights, threshold, force_k",
+        [
+            (
+                "11100 10110 10011 11011 11011 00001 11011 10001 01000",
+                [3, 2, 1, 3, 3, 2, 2, 1, 2],
+                0.2,
+                5,
+            ),
+            (
+                "00100 00100 01011 11010 00101 10000 00001 01101 01011 11011 10110 00101"
+                " 11110 00101 00001 00101 10110 00111 01111 10101 01110 11101 10100 00000"
+                " 00100 10110 00100 11001 11100 11010 11001 10111 01111 10011",
+                None,
+                0.75,
+                9,
+            ),
+        ],
+    )
+    def test_pending_duplicate_wins_a_tie(self, rows, weights, threshold, force_k):
+        # While a group merges, a row whose cache is recomputed can find its
+        # minimum at a duplicate still waiting to merge (at its distance
+        # before the group's turn) and at a later atom; the duplicate comes
+        # first.  Replaying without those waiting duplicates changes the
+        # caches and the labels of both inputs.
+        matrix = bit_rows(rows)
+        weights = None if weights is None else np.array(weights, dtype=np.float64)
+        instance = CorrelationInstance.from_label_matrix(matrix, weights=weights)
+        assert init_attrs(instance, threshold=threshold, force_k=force_k)["replayed"] > 0
+        assert_same_height0_state(instance, np.float64)
+        ours = agglomerative(instance, threshold=threshold, force_k=force_k)
+        assert ours == previous_agglomerative(instance, threshold=threshold, force_k=force_k)
+
+    @pytest.mark.no_contracts
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_float32_duplicates(self, weighted):
+        matrix = planted_matrix(4200, 2, seed=6)
+        weights = None
+        if weighted:
+            weights = np.random.default_rng(6).integers(1, 4, size=4200).astype(np.float64)
+        instance = CorrelationInstance.from_label_matrix(matrix, weights=weights)
+        assert default_dtype(instance.n) == np.float32
+        attrs = init_attrs(instance, force_k=7)
+        assert attrs["replayed"] == 4200 - attrs["atoms"] > 4000
+        assert agglomerative(instance, force_k=7) == previous_agglomerative(instance, force_k=7)
+
+    @pytest.mark.parametrize("p, missing", [(1.0, "coin-flip"), (0.5, "average")])
+    def test_zero_distance_without_identical_rows_keeps_the_row_loop(self, p, missing):
+        # With a missing entry, p = 1 and "average" put rows that differ at
+        # distance 0: no duplicate group is formed, every merge runs row by row.
+        matrix = planted_matrix(300, 3, seed=2)
+        matrix[::7, 1] = MISSING
+        instance = CorrelationInstance.from_label_matrix(matrix, p=p, missing=missing)
+        assert init_attrs(instance) == {"n": 300, "atoms": 300, "replayed": 0}
+        assert agglomerative(instance) == previous_agglomerative(instance)
+
+    def test_force_k_above_the_atoms_keeps_the_row_loop(self):
+        matrix = planted_matrix(300, 2, seed=3)
+        atoms = collapse_duplicates(matrix).n_atoms
+        instance = CorrelationInstance.from_label_matrix(matrix)
+        for force_k, replayed in ((atoms + 1, 0), (atoms, 300 - atoms), (atoms - 1, 300 - atoms)):
+            assert init_attrs(instance, force_k=force_k)["replayed"] == replayed
+            ours = agglomerative(instance, force_k=force_k)
+            assert ours.k == force_k
+            assert ours == previous_agglomerative(instance, force_k=force_k)
+
+    def test_every_merge_is_counted(self):
+        instance = CorrelationInstance.from_label_matrix(planted_matrix(500, 3, seed=1))
+        with collecting():
+            get_registry().reset()
+            with tracing() as trace:
+                result = agglomerative(instance)
+            merges = get_registry().snapshot()["counters"]["agglomerative.merges"]
+        (init,) = trace.find("agglomerative.init")
+        (merge,) = trace.find("agglomerative.merge")
+        assert 0 < init.attrs["replayed"] == 500 - init.attrs["atoms"]
+        assert merges == merge.attrs["merges"] == 500 - result.k
 
 
 class TestAgainstScipy:

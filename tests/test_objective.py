@@ -1,11 +1,13 @@
 """Tests for the incremental-cost machinery (repro.core.objective)."""
 
+import re
+
 import numpy as np
 import pytest
 
 from repro import Clustering
 from repro.core import CorrelationInstance
-from repro.core.labels import MISSING
+from repro.core.labels import MISSING, validate_label_matrix
 from repro.core.objective import ClusterCountTables, MoveEvaluator
 
 from conftest import random_aggregation_instance
@@ -188,6 +190,29 @@ class TestClusterCountTables:
         matrix, members, labels = self.make_case(5)
         with pytest.raises(ValueError):
             ClusterCountTables(matrix, members, labels, p=2.0)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.zeros(6, dtype=np.int32),
+            np.zeros((0, 2), dtype=np.int32),
+            np.zeros((6, 0), dtype=np.int32),
+            np.zeros((6, 2)),
+            np.array([[0, 1], [1, -2], [0, 0], [1, 1], [0, 1], [1, 0]], dtype=np.int32),
+            np.array([[0, MISSING]] * 6, dtype=np.int32),
+            np.array([[MISSING, 0, MISSING]] * 6, dtype=np.int64),
+            # Labels at or beyond the column length take the compacting codes.
+            np.array([[9, MISSING], [7, MISSING]] * 3, dtype=np.int32),
+        ],
+    )
+    def test_rejects_bad_matrices_as_validate_label_matrix_does(self, bad):
+        """The constructor derives the label-matrix checks from its own label
+        codes; a bad matrix raises exactly validate_label_matrix's error,
+        before any check of the members."""
+        with pytest.raises((TypeError, ValueError)) as expected:
+            validate_label_matrix(bad)
+        with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+            ClusterCountTables(bad, np.arange(-1, 1), np.array([0, 2]))
 
     def test_all_missing_row_is_indifferent(self):
         matrix = np.array(
