@@ -15,61 +15,39 @@ Lance–Williams recurrence
 
     d(A ∪ B, C) = (|A| d(A,C) + |B| d(B,C)) / (|A| + |B|)
 
-so each merge costs one vectorized row (and column) update plus cache
-repair, over the *slots* of the matrix still in use.  Each step writes
-into preallocated scratch rows (``out=``), so a merge allocates no row:
+so each merge costs one row (and column) update plus cache repair, over
+the *slots* of the matrix still in use.  The loop runs compiled
+(``_merge.c``, built on first use by :mod:`._native`) where a C compiler is
+found, and as the numpy loop :func:`_merge` otherwise; the two make the
+same float operations in the same order, so their merges, caches and
+counters are equal bit for bit, and the ``agglomerative.merge`` span
+records the ``engine`` that ran (``"c"`` or ``"numpy"``).  One merge:
 
 * A retired cluster's row and column are never overwritten.  A per-slot
   ``penalty`` (0 for active slots, +inf for retired ones) is added to every
   row before its ``argmin``; ``x + 0 == x`` exactly, so the distances and
   the first-index tie-breaking are those of a matrix whose retired entries
   were set to infinity.
-* The rows whose cached neighbour was one of the merged pair are
-  recomputed one by one, each with one ``argmin`` — except those whose
-  distance to the merged cluster still equals their cached minimum (ties,
-  mostly duplicates at distance 0): their neighbour simply becomes the
-  merged cluster, as a full ``argmin`` would find.
+* The merged row is the Lance–Williams average computed in float64 and
+  rounded once to the working dtype; column ``i`` mirrors the stored row.
+* The rows whose cached neighbour was one of the merged pair are stale.
+  One whose distance to the merged cluster equals its cached minimum keeps
+  that minimum, now at the merged slot; every other stale row is
+  recomputed with one ``argmin`` (counted as ``repairs``).  A cache holds
+  *a* slot at the row's minimum, not always the first: after a keep, or
+  after a move below, an earlier slot can sit at the same distance, and a
+  full ``argmin`` would find that one instead.
 * Any other row now closer to the merged cluster than its cached minimum
   moves to it.  In exact arithmetic average linkage never does that, but
   the rounded average can land an ulp below a row's minimum, and it does
   on real inputs (the span's ``improved`` attribute counts those rows).
-* The strided write of the merged column is the largest single cost left,
-  about 40% of the loop on 2000 mushrooms rows; every other step is a
-  contiguous row operation.
 * When the active clusters fall to half the slots, their submatrix is
-  gathered, 64 rows at a time, into the leading block of the same buffer,
-  and the cache, sizes and slot ids follow.  Compaction keeps the relative
-  order of the slots, so ties still break towards the same cluster, and
-  every later step works on at most twice as many slots as there are
-  clusters.
+  gathered into the leading block of the same buffer, and the cache, sizes
+  and slot ids follow.  Compaction keeps the relative order of the slots,
+  so ties still break towards the same cluster, and every later step works
+  on at most twice as many slots as there are clusters.
 * Membership is a parent array over the objects, written once per merge
   and resolved to labels at the end.
-
-On a label-built instance the loop starts on atom slots.  Rows with equal
-label tuples and no missing label (a duplicate group) are at distance 0
-from each other and from nothing else, so the row loop merges each group
-into its first row, group by group in order of first row, before any other
-merge.  Those height-0 merges are replayed instead of run:
-
-* The duplicates are retired at once through ``penalty``, and the atom
-  submatrix is gathered as above when it fills at most half the slots.
-* A group's row takes the loop's steps ``v = (s v + w y) / (s + w)`` in
-  float64 with their rounding to the working dtype, each member in row
-  order, ``y`` being the row when the group's turn starts; an entry's path
-  depends only on its starting value, so large groups step the row's
-  distinct values.  Row and column are written once, after the last step.
-* Every other row's cache follows the loop's stale, keep and ``improved``
-  rules after each step, including a recomputed minimum that ties at a
-  duplicate still waiting to merge, which can come before a later atom.
-  Only the rows that point at the group on a changing path, or that a step
-  brings below their cached minimum, can change; they are stepped through
-  a four-state transition table against their best atom outside the group.
-
-The replay gives the row loop's caches, merges and labels bit for bit.  It
-does not apply on raw instances, where zero distance does not mean an
-identical row (``p = 1`` or ``"average"`` with a missing entry), with
-``force_k`` above the number of atoms, or with ``threshold <= 0`` and no
-``force_k``; there every merge runs row by row.
 
 The merges, their order and the output are those of the textbook loop over
 an ``n x n`` matrix.  Time is ``O(n^2)`` in practice; memory is one working
@@ -83,18 +61,20 @@ If the user insists on a fixed number of clusters (as the paper notes in
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-from typing import NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from ..core.instance import CorrelationInstance
-from ..core.kernels import MISSING, default_dtype, distinct_codes, label_codes
+from ..core.kernels import default_dtype
 from ..core.partition import Clustering
 from ..obs.metrics import inc
 from ..obs.profile import phase
 from ..registry import register_method
+from ._native import merge_loops
 
 __all__ = ["agglomerative"]
 
@@ -103,15 +83,6 @@ __all__ = ["agglomerative"]
 _COMPACT_MIN_SLOTS = 64
 # Rows gathered per call when compacting.
 _COMPACT_CHUNK = 64
-# Duplicate groups with more merges than this find their path over the
-# distinct values of their row, which bounds the path to (merges x distinct
-# values) entries.  Up to here the path over every entry is at most 8 rows,
-# and it is faster: on 470-slot rows of planted input with about 10
-# distinct values, 22 against 56 us at one merge and 75 against 107 us at
-# eight; the two cost the same from about 48 merges on.
-_FEW_MERGES = 8
-# Bound on the (merges x rows) temporaries of one _follow call.
-_FOLLOW_BLOCK = 1 << 16
 
 
 def _check_count(name: str, value: int | None, n: int | None = None) -> None:
@@ -128,11 +99,6 @@ def _check_count(name: str, value: int | None, n: int | None = None) -> None:
     if value < 1 or (n is not None and value > n):
         allowed = "a positive integer" if n is None else f"in 1..{n}"
         raise ValueError(f"{name} must be {allowed}, got {value}")
-
-
-def _worth_compacting(remaining: int, slots: int) -> bool:
-    """Whether ``remaining`` active clusters are few enough to compact ``slots`` slots."""
-    return remaining <= slots // 2 and slots > _COMPACT_MIN_SLOTS
 
 
 def _gather(buffer: np.ndarray, D: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -161,242 +127,20 @@ class _Slots(NamedTuple):
     sizes: np.ndarray
     #: An object of the cluster in each slot.
     slot_obj: np.ndarray
-    #: Nearest-neighbour cache: the first slot at the row's minimum (-1 for
-    #: a retired slot) and that minimum (+inf for a retired slot).
+    #: Nearest-neighbour cache: a slot at the row's minimum, not always the
+    #: first (-1 for a retired slot), and that minimum (+inf when retired).
     nn_idx: np.ndarray
     nn_val: np.ndarray
 
 
-def _height0_firsts(
-    instance: CorrelationInstance, threshold: float, force_k: int | None
-) -> np.ndarray:
-    """``first[u]``: the row of ``u``'s duplicate group that absorbs it at height 0.
-
-    A duplicate group is a set of rows with equal label tuples and no
-    missing label; exactly those pairs are at distance 0, and the row
-    loop merges each group into its first row before any other merge.
-    Every row is its own group (``first[u] = u``) where that replay does
-    not apply: on raw instances, when zero distance does not mean an
-    identical row (``p = 1`` or ``"average"`` with a missing entry), and
-    when the loop stops before its height-0 merges end (``force_k`` above
-    the number of groups, or ``threshold <= 0`` without ``force_k``).
-    """
-    rows = np.arange(instance.n, dtype=np.int64)
-    source = instance.label_source
-    if source is None or (force_k is None and threshold <= 0):
-        return rows
-    matrix = source.matrix
-    incomplete = (matrix == MISSING).any(axis=1)
-    if incomplete.any() and (source.missing == "average" or source.p == 1.0):
-        return rows
-    first, inverse = distinct_codes([label_codes(column) for column in matrix.T])
-    first = first[inverse]
-    first[incomplete] = rows[incomplete]
-    if force_k is not None and force_k > np.count_nonzero(first == rows):
-        return rows
-    return first
-
-
-def _start(
-    buffer: np.ndarray,
-    D: np.ndarray,
-    sizes: np.ndarray,
-    parent: np.ndarray,
-    firsts: np.ndarray,
-) -> _Slots:
-    """The row loop's state after its height-0 merges, computed on atom slots.
-
-    ``firsts`` is :func:`_height0_firsts`.  The rows it absorbs are retired
-    at once through ``penalty``, the atom submatrix is gathered when it
-    fills at most half the slots, and :func:`_absorb` replays each group's
-    merges, group by group in order of first row as the row loop does.
-    ``parent`` is updated in place.
-    """
-    n = firsts.size
-    absorbed = np.flatnonzero(firsts != np.arange(n))
-    # The row loop's order: by group, each group's rows in row order.
-    absorbed = absorbed[np.argsort(firsts[absorbed], kind="stable")]
-    weights = sizes[absorbed]
-    parent[absorbed] = firsts[absorbed]
+def _start(D: np.ndarray, sizes: np.ndarray) -> _Slots:
+    """The loop's state before its first merge: every slot active, each
+    row's cache at its first nearest slot."""
+    n = D.shape[0]
+    nn_idx = np.argmin(D, axis=1).astype(np.int64, copy=False)
+    nn_val = D[np.arange(n), nn_idx]
     penalty = np.zeros(n, dtype=D.dtype)
-    penalty[absorbed] = np.inf
-    slot_obj = np.arange(n, dtype=np.int64)
-    if _worth_compacting(n - absorbed.size, n):
-        slot_obj = np.flatnonzero(penalty == 0)
-        D = _gather(buffer, D, slot_obj)
-        penalty = np.zeros(slot_obj.size, dtype=D.dtype)
-        sizes = sizes[slot_obj]
-    # Nearest-neighbour cache: nn_val[s] = min_t D[s, t], nn_idx[s] =
-    # argmin.  A retired slot has nn_val inf and nn_idx -1.  A duplicate
-    # is never the first of equal distances, as its group's first row
-    # comes before it, so only that first row's argmin can be retired.
-    nn_idx = np.argmin(D, axis=1)
-    nn_val = D[np.arange(penalty.size), nn_idx]
-    nn_idx[penalty != 0] = -1
-    nn_val[penalty != 0] = np.inf
-    # Until its turn a group's first row is at distance 0 from its next
-    # duplicate; no other row's merge changes that cache.
-    groups, starts = np.unique(firsts[absorbed], return_index=True)
-    slots = np.searchsorted(slot_obj, groups)
-    nn_idx[slots] = -1
-    nn_val[slots] = 0
-    bounds = np.append(starts, absorbed.size).tolist()
-    for first, g, start, stop in zip(groups.tolist(), slots.tolist(), bounds, bounds[1:]):
-        group = slice(start, stop)
-        _absorb(
-            D, penalty, sizes, slot_obj, nn_idx, nn_val, first, g, absorbed[group], weights[group]
-        )
-    return _Slots(D, penalty, sizes, slot_obj, nn_idx, nn_val)
-
-
-def _absorb(
-    D: np.ndarray,
-    penalty: np.ndarray,
-    sizes: np.ndarray,
-    slot_obj: np.ndarray,
-    nn_idx: np.ndarray,
-    nn_val: np.ndarray,
-    first: int,
-    g: int,
-    members: np.ndarray,
-    weights: np.ndarray,
-) -> None:
-    """Replay the row loop's merges of ``members`` (rows) into slot ``g`` (row ``first``).
-
-    Before the group's turn every member's row equals ``y = D[g]``.  Each
-    merge sets ``v = (s * v + w * y) / (s + w)`` in float64, rounded to
-    ``D``'s dtype, so an entry's path depends on its starting value only:
-    ``path[t, e]`` is the value after ``t + 1`` merges of an entry that
-    started at ``values[e]`` (the distinct values of ``y`` on large groups,
-    all of ``y`` on small ones).  Row and column ``g`` are written once.
-
-    Only two kinds of row have a cache the loop would change: those that
-    point at ``g`` on a changing path, and those that some step brings
-    below their cached minimum.  :func:`_follow` steps them through the
-    group's merges; every other cache stays as it is.
-    """
-    if members.size > _FEW_MERGES:
-        values, where = np.unique(D[g], return_inverse=True)
-    else:
-        values, where = D[g].copy(), np.arange(D.shape[0])
-    path = np.empty((members.size, values.size), dtype=D.dtype)
-    scaled = np.empty(values.size, dtype=np.float64)
-    added = np.empty(values.size, dtype=np.float64)
-    current = values
-    size = sizes[g]
-    for step, weight in enumerate(weights):
-        np.multiply(current, size, out=scaled)
-        np.multiply(values, weight, out=added)
-        np.add(scaled, added, out=scaled)
-        np.divide(scaled, size + weight, out=path[step])
-        current = path[step]
-        size = size + weight
-    sizes[g] = size
-
-    moved = (path != values).any(axis=0)
-    if moved.any():
-        lowest = path.min(axis=0)[where] < nn_val
-        rows = np.flatnonzero((lowest | (moved[where] & (nn_idx == g))) & (penalty == 0))
-        block = max(1, _FOLLOW_BLOCK // members.size)
-        for start in range(0, rows.size, block):
-            chunk = rows[start : start + block]
-            chunk_path = path[:, where[chunk]]
-            _follow(D, penalty, slot_obj, nn_idx, nn_val, first, g, members, chunk_path, chunk)
-        np.take(path[-1], where, out=D[g])
-        D[g, g] = np.inf
-        D[:, g] = D[g]
-    row = D[g] + penalty
-    nn_idx[g] = row.argmin()
-    nn_val[g] = row[nn_idx[g]]
-
-
-# A followed row's cache during a group's turn: the atom it held before
-# the turn, the best atom outside the group, the group's first row, or the
-# next member still to merge.
-_AT_CACHED, _AT_BEST, _AT_FIRST, _AT_NEXT = range(4)
-
-
-def _transition_table() -> np.ndarray:
-    """``table[state, event]``: a followed row's cache after one merge.
-
-    ``event = 12 * closer + 6 * still + 3 * still_next + redo``: whether
-    the new distance ``v`` to the first row is below the best atom's, is
-    unchanged, equals ``y``, and where a recomputed cache lands (0 best
-    atom, 1 first row, 2 next member).  A row at an atom moves to the
-    first row when ``v`` is below it (the ``improved`` rule).  A row at the
-    first row, or at the member just merged, is stale: it keeps its
-    minimum, now at the first row, when ``v`` equals it, and is recomputed
-    otherwise.
-    """
-    event = np.arange(24)
-    closer, still, still_next = event // 12, event // 6 % 2, event // 3 % 2
-    redo = _AT_BEST + event % 3
-    return np.stack(
-        [
-            np.where(closer, _AT_FIRST, _AT_CACHED),
-            np.where(closer, _AT_FIRST, _AT_BEST),
-            np.where(still, _AT_FIRST, redo),
-            np.where(still_next, _AT_FIRST, redo),
-        ]
-    ).astype(np.intp)
-
-
-_TRANSITIONS = _transition_table()
-
-
-def _follow(
-    D: np.ndarray,
-    penalty: np.ndarray,
-    slot_obj: np.ndarray,
-    nn_idx: np.ndarray,
-    nn_val: np.ndarray,
-    first: int,
-    g: int,
-    members: np.ndarray,
-    path: np.ndarray,
-    rows: np.ndarray,
-) -> None:
-    """Step ``rows``' caches through the merges of :func:`_absorb`.
-
-    ``path[t, r]`` is row ``rows[r]``'s distance to ``g`` after ``t + 1``
-    merges.  Outside the group a row's distances stay fixed during the
-    turn, so its best atom there, the first slot of smallest distance, is
-    found once.  A recomputed cache takes the first of the best atom,
-    ``g`` and the next member still to merge, in row order, at the
-    smallest distance: that member sits at ``y``, the distance before the
-    turn, and can win a tie against a later atom.  The minimum itself is
-    always the smallest distance, so only the cache's slot is followed.
-    """
-    best_slot = np.empty(rows.size, dtype=np.int64)
-    best_val = np.empty(rows.size, dtype=D.dtype)
-    for start in range(0, rows.size, _COMPACT_CHUNK):
-        chunk = D[rows[start : start + _COMPACT_CHUNK]] + penalty
-        chunk[:, g] = np.inf
-        best = chunk.argmin(axis=1)
-        best_slot[start : start + best.size] = best
-        best_val[start : start + best.size] = chunk[np.arange(best.size), best]
-    y = D[g, rows]
-    previous = np.vstack([y, path[:-1]])
-    # The recomputed minimum: the next member still waits at y until the
-    # last merge.
-    low = np.minimum(path, best_val)
-    np.minimum(low[:-1], y, out=low[:-1])
-    next_key = np.append(members[1:], np.iinfo(np.int64).max)[:, None]
-    at_best = best_val == low
-    key = np.where(at_best, slot_obj[best_slot], np.iinfo(np.int64).max)
-    to_first = (path == low) & (first < key)
-    np.copyto(key, first, where=to_first)
-    to_next = (y == low) & (next_key < key)
-    event = np.where(to_next, 2, to_first.astype(np.intp))
-    event += 12 * (path < best_val) + 6 * (path == previous) + 3 * (path == y)
-
-    state = np.where(nn_idx[rows] == g, _AT_FIRST, _AT_CACHED)
-    for step_event in event:
-        state = _TRANSITIONS[state, step_event]
-    nn_idx[rows] = np.where(
-        state == _AT_CACHED, nn_idx[rows], np.where(state == _AT_BEST, best_slot, g)
-    )
-    nn_val[rows] = np.minimum(path[-1], best_val)
+    return _Slots(D, penalty, sizes, np.arange(n, dtype=np.int64), nn_idx, nn_val)
 
 
 def _merge(
@@ -462,9 +206,9 @@ def _merge(
         # neighbour was i or j can have lost it (row i among them, as its
         # neighbour was j); every other row can only have *improved*
         # towards i.  A stale row whose distance to the merged cluster
-        # equals its cached minimum keeps that minimum, now first reached
-        # at i: every slot before its old neighbour (i or j, and i < j)
-        # was farther.  The other stale rows are recomputed one by one.
+        # equals its cached minimum keeps that minimum, now at i, even if an
+        # earlier slot is at the same distance.  The other stale rows are
+        # recomputed one by one.
         np.add(D[i], penalty, out=row_i)
         np.equal(nn_idx, i, out=mask_i)
         np.equal(nn_idx, j, out=mask_j)
@@ -487,7 +231,7 @@ def _merge(
             improved += closer.size
 
         slots = penalty.size
-        if _worth_compacting(remaining, slots):
+        if remaining <= slots // 2 and slots > _COMPACT_MIN_SLOTS:
             keep = np.flatnonzero(penalty == 0)
             D = _gather(buffer, D, keep)
             # Active rows' neighbours are active, so all are found in keep.
@@ -502,6 +246,48 @@ def _merge(
             compactions += 1
     counts = {"repairs": repairs, "improved": improved, "compactions": compactions}
     return _Slots(D, penalty, sizes, slot_obj, nn_idx, nn_val), counts
+
+
+def _merge_compiled(
+    loop: Any,
+    buffer: np.ndarray,
+    state: _Slots,
+    parent: np.ndarray,
+    target: int,
+    threshold: float | None,
+) -> tuple[_Slots, dict[str, int]]:
+    """:func:`_merge` run by the compiled ``loop`` (``_merge.c``), in place.
+
+    ``state.D`` must be the front of ``buffer``.  The loop compacts into the
+    front of every array; the state returned views those fronts.
+    """
+    slots = state.penalty.size
+    real = state.D.dtype
+    dtypes = (real, real, np.float64, np.int64, np.int64, real, np.int64)
+    inputs = (buffer, *state[1:], parent)
+    at_front = state.D.ctypes.data == buffer.ctypes.data and state.D.shape == (slots, slots)
+    if not at_front or any(
+        array.dtype != dtype or not array.flags.c_contiguous or array.size < slots
+        for array, dtype in zip((state.D, *inputs), (real, *dtypes))
+    ):
+        raise ValueError("the compiled merge loop takes the C-ordered arrays of _start")
+    scratch = np.empty(2 * slots, dtype=np.int64)
+    counts = np.zeros(3, dtype=np.int64)
+    arrays = [array.ctypes.data for array in (*inputs, scratch, counts)]
+    stop = threshold is not None
+    slots = loop(*arrays[:7], slots, target, stop, float(threshold or 0), *arrays[7:])
+    D = buffer[: slots * slots].reshape(slots, slots)
+    state = _Slots(D, *(array[:slots] for array in state[1:]))
+    return state, dict(zip(("repairs", "improved", "compactions"), counts.tolist()))
+
+
+def _merge_engine(dtype: np.dtype) -> tuple[str, Callable[..., tuple[_Slots, dict[str, int]]]]:
+    """The merge loop for a ``dtype`` working matrix and its name: the
+    compiled loop where it loads, :func:`_merge` otherwise."""
+    loop = merge_loops().get(dtype)
+    if loop is None:
+        return "numpy", _merge
+    return "c", functools.partial(_merge_compiled, loop)
 
 
 @register_method("agglomerative", kind="instance", supports_weights=True)
@@ -535,7 +321,7 @@ def agglomerative(
     if n == 1:
         return Clustering.single_cluster(1)
 
-    with phase("agglomerative.init", n=n) as init_span:
+    with phase("agglomerative.init", n=n):
         # Working copy: float64 for exactness on small instances, float32 to
         # halve memory at paper scale.  Average linkage mutates the full
         # cluster-distance matrix, so even a lazy instance materializes here.
@@ -551,19 +337,15 @@ def agglomerative(
         # parent[obj] is the object whose cluster absorbed obj's (itself
         # while a root).
         parent = np.arange(n, dtype=np.int64)
-        firsts = _height0_firsts(instance, threshold, force_k)
-        state = _start(buffer, D, sizes, parent, firsts)
-        remaining = int(np.count_nonzero(state.penalty == 0))
-        init_span.set(atoms=remaining, replayed=n - remaining)
+        state = _start(D, sizes)
 
     target = 1 if force_k is None else force_k
     with phase("agglomerative.merge", n=n) as merge_span:
-        state, counts = _merge(
-            buffer, state, parent, target, threshold if force_k is None else None
-        )
+        engine, run = _merge_engine(D.dtype)
+        state, counts = run(buffer, state, parent, target, threshold if force_k is None else None)
         remaining = int(np.count_nonzero(state.penalty == 0))
         merges = n - remaining
-        merge_span.set(merges=merges, clusters=remaining, **counts)
+        merge_span.set(engine=engine, merges=merges, clusters=remaining, **counts)
     inc("agglomerative.merges", merges)
     # Pointer jumping: every object ends at the root of its merge tree.
     while True:

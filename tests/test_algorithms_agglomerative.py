@@ -1,5 +1,12 @@
 """Tests for the AGGLOMERATIVE algorithm (repro.algorithms.agglomerative)."""
 
+import importlib
+import multiprocessing
+import os
+import shutil
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,11 +18,15 @@ from repro.core.atoms import collapse_duplicates
 from repro.core.kernels import default_dtype
 from repro.core.labels import MISSING
 from repro.algorithms import agglomerative
-from repro.algorithms.agglomerative import _height0_firsts, _merge, _start
+from repro.algorithms import _native
+from repro.algorithms.agglomerative import _merge, _start
 from repro.datasets import generate_mushrooms
 from repro.obs import collecting, get_registry, tracing
 
 from conftest import planted_instance, random_aggregation_instance
+
+# The module itself: the package exports the function under the same name.
+agglomerative_module = importlib.import_module("repro.algorithms.agglomerative")
 
 
 def reference_agglomerative(instance, threshold=0.5, force_k=None):
@@ -234,14 +245,6 @@ def traced_agglomerative(instance, **params):
     return result, merge.attrs
 
 
-def init_attrs(instance, **params):
-    """The ``agglomerative.init`` span attributes of one run."""
-    with tracing() as trace:
-        agglomerative(instance, **params)
-    (init,) = trace.find("agglomerative.init")
-    return init.attrs
-
-
 def bit_rows(text: str) -> np.ndarray:
     """A label matrix written as one string of 0/1 digits per row."""
     return np.array([[int(c) for c in row] for row in text.split()], dtype=np.int32)
@@ -278,52 +281,107 @@ def duplicate_heavy_cases(draw):
     return instance, threshold, force_k
 
 
-def height0_state(instance, dtype, replay):
-    """The loop's state once the height-0 merges are done, over the objects
-    left: ``(objects, sizes, neighbour objects, minima, distances, parent)``.
+def copy_run(buffer, state, parent):
+    """Independent copies of one merge loop's arguments, ``D`` at the copied
+    buffer's front as the loop requires."""
+    buffer = buffer.copy()
+    D = buffer[: state.D.size].reshape(state.D.shape)
+    state = type(state)(D, *(array.copy() for array in state[1:]))
+    return buffer, state, parent.copy()
 
-    ``replay`` computes it on atom slots as agglomerative() does; otherwise
-    the row loop itself runs the ``n - atoms`` merges on every row slot.
-    ``dtype`` is the working matrix's, whatever ``n``.
-    """
+
+def assert_same_loop_result(ours, theirs):
+    """Two merge loops' ``(state, counts, parent)`` agree bit for bit: the
+    active distances, every cache entry, size and slot object, the parents
+    and the counters."""
+    (state, counts, parent), (other, other_counts, other_parent) = ours, theirs
+    assert counts == other_counts
+    assert parent.tobytes() == other_parent.tobytes()
+    for name, ours_array, theirs_array in zip(state._fields[1:], state[1:], other[1:]):
+        assert ours_array.dtype == theirs_array.dtype, name
+        assert ours_array.tobytes() == theirs_array.tobytes(), name
+    active = np.ix_(state.penalty == 0, state.penalty == 0)
+    assert state.D[active].tobytes() == other.D[active].tobytes()
+
+
+def both_loops(run):
+    """A merge loop that runs ``run`` and the numpy loop from the same state
+    and asserts they agree (see :func:`assert_same_loop_result`)."""
+
+    def merge(buffer, state, parent, target, threshold):
+        numpy_buffer, numpy_state, numpy_parent = copy_run(buffer, state, parent)
+        expected = _merge(numpy_buffer, numpy_state, numpy_parent, target, threshold)
+        result = run(buffer, state, parent, target, threshold)
+        assert_same_loop_result((*result, parent), (*expected, numpy_parent))
+        return result
+
+    return merge
+
+
+@pytest.fixture
+def both_engines(monkeypatch):
+    """Every agglomerative() call runs its merges on the compiled loop and on
+    the numpy loop, from the same state, and fails unless they agree bit for
+    bit; the compiled loop's result goes on.  Numpy alone where nothing
+    compiles (``TestCompiledLoop`` fails then if a compiler is on PATH)."""
+    engine = agglomerative_module._merge_engine
+
+    def both(dtype):
+        name, run = engine(dtype)
+        return (name, run) if run is _merge else (name, both_loops(run))
+
+    monkeypatch.setattr(agglomerative_module, "_merge_engine", both)
+
+
+def merge_from_start(instance, dtype, run, threshold=0.5, force_k=None):
+    """``run`` from the loop's first state on a ``dtype`` working matrix, with
+    agglomerative()'s arguments; returns its ``(state, counts, parent)``."""
     n = instance.n
-    firsts = _height0_firsts(instance, 0.5, None)
-    atoms = int(np.count_nonzero(firsts == np.arange(n)))
     buffer = instance.backend.materialize(dtype, copy=True).reshape(-1)
     D = buffer.reshape(n, n)
     np.fill_diagonal(D, np.inf)
-    sizes = instance.effective_weights().copy()
     parent = np.arange(n, dtype=np.int64)
-    if replay:
-        state = _start(buffer, D, sizes, parent, firsts)
-    else:
-        state = _start(buffer, D, sizes, parent, np.arange(n, dtype=np.int64))
-        state, _ = _merge(buffer, state, parent, atoms, None)
-    active = np.flatnonzero(state.penalty == 0)
-    assert active.size == atoms
-    return (
-        state.slot_obj[active],
-        state.sizes[active],
-        state.slot_obj[state.nn_idx[active]],
-        state.nn_val[active],
-        state.D[np.ix_(active, active)],
-        parent,
-    )
+    state = _start(D, instance.effective_weights().copy())
+    target = 1 if force_k is None else force_k
+    state, counts = run(buffer, state, parent, target, threshold if force_k is None else None)
+    return state, counts, parent
 
 
-def assert_same_height0_state(instance, dtype):
-    """Replay and row loop reach the same state, bit for bit.
+def assert_engines_agree(instance, dtype=None, threshold=0.5, force_k=None):
+    """The compiled and the numpy loop reach the same state from the same
+    start (``dtype`` defaults to agglomerative()'s working dtype)."""
+    dtype = default_dtype(instance.n) if dtype is None else dtype
+    engine, compiled = agglomerative_module._merge_engine(np.dtype(dtype))
+    if engine == "numpy":
+        pytest.skip("no compiled merge loop on this platform")
+    ours = merge_from_start(instance, dtype, compiled, threshold, force_k)
+    theirs = merge_from_start(instance, dtype, _merge, threshold, force_k)
+    assert_same_loop_result(ours, theirs)
 
-    With one atom left the row loop stops before repairing its cache, so
-    only the distances, sizes and parents are compared then.
-    """
-    replayed = height0_state(instance, dtype, replay=True)
-    row_loop = height0_state(instance, dtype, replay=False)
-    compared = range(6) if replayed[0].size > 1 else (0, 1, 4, 5)
-    for index in compared:
-        ours, theirs = replayed[index], row_loop[index]
-        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
-        assert ours.tobytes() == theirs.tobytes(), index
+
+#: Inputs on which a duplicate still waiting to merge wins a tie (rows,
+#: weights, threshold, force_k).
+TIE_INPUTS = [
+    (
+        "11100 10110 10011 11011 11011 00001 11011 10001 01000",
+        [3, 2, 1, 3, 3, 2, 2, 1, 2],
+        0.2,
+        5,
+    ),
+    (
+        "00100 00100 01011 11010 00101 10000 00001 01101 01011 11011 10110 00101"
+        " 11110 00101 00001 00101 10110 00111 01111 10101 01110 11101 10100 00000"
+        " 00100 10110 00100 11001 11100 11010 11001 10111 01111 10011",
+        None,
+        0.75,
+        9,
+    ),
+]
+
+
+def tie_instance(rows, weights):
+    weights = None if weights is None else np.array(weights, dtype=np.float64)
+    return CorrelationInstance.from_label_matrix(bit_rows(rows), weights=weights)
 
 
 def mushrooms_rows(n: int, seed: int) -> np.ndarray:
@@ -335,9 +393,10 @@ def planted_matrix(n: int, m: int, seed: int) -> np.ndarray:
     return planted_instance(n=n, m=m, groups=6, flip=0.2, seed=seed)[1]
 
 
+@pytest.mark.usefixtures("both_engines")
 class TestAgainstPreviousLoop:
     """Retired-slot masking, compaction, batched repair and the parent
-    array reproduce the previous loop's merges exactly."""
+    array reproduce the previous loop's merges exactly, on both engines."""
 
     @pytest.mark.parametrize("n, seed", [(300, 0), (450, 1), (600, 2)])
     def test_generic_instances_compact_several_times(self, n, seed):
@@ -404,71 +463,27 @@ class TestAgainstPreviousLoop:
         assert attrs["improved"] >= 1
         assert ours == previous_agglomerative(instance)
 
-    # The height-0 merges of duplicate rows, replayed on atom slots.
+    # Duplicate rows, which merge first, at height 0, and break many ties.
 
     @settings(max_examples=200, deadline=None)
     @given(duplicate_heavy_cases())
     def test_duplicate_heavy_inputs(self, case):
-        # Against the row loop itself on the same distances: a raw instance
-        # has no labels, so its duplicates merge row by row.  (On about 2 in
-        # 1000 such inputs previous_agglomerative breaks a tie otherwise:
-        # the row loop keeps a stale row's equal minimum at the merged slot
-        # where the oracle's full argmin finds an earlier one.)
+        # Against the loop on a raw copy of the same distances, which has no
+        # labels.  (On about 2 in 1000 such inputs previous_agglomerative
+        # breaks a tie otherwise: the loop keeps a stale row's equal minimum
+        # at the merged slot where the oracle's full argmin finds an earlier
+        # one.)
         instance, threshold, force_k = case
         rows = CorrelationInstance(instance.X, weights=instance.weights)
         params = {"threshold": threshold, "force_k": force_k}
-        assert init_attrs(rows, **params)["replayed"] == 0
         assert agglomerative(instance, **params) == agglomerative(rows, **params)
 
-    @settings(max_examples=200, deadline=None)
-    @given(duplicate_heavy_cases(), st.sampled_from([np.float32, np.float64]))
-    def test_replay_reaches_the_row_loops_cache(self, case, dtype):
-        # The labels can hide a cache that differs only on a tie; the state
-        # after the height-0 merges cannot: distances, sizes, parents and
-        # every active row's cached neighbour and minimum.
-        instance, _, _ = case
-        assert_same_height0_state(instance, dtype)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_replay_reaches_the_row_loops_cache_on_planted_input(self, dtype, weighted):
-        matrix = planted_matrix(600, 2, seed=4)
-        weights = None
-        if weighted:
-            weights = np.random.default_rng(4).integers(1, 4, size=600) + 0.3
-        instance = CorrelationInstance.from_label_matrix(matrix, weights=weights)
-        assert_same_height0_state(instance, dtype)
-
-    @pytest.mark.parametrize(
-        "rows, weights, threshold, force_k",
-        [
-            (
-                "11100 10110 10011 11011 11011 00001 11011 10001 01000",
-                [3, 2, 1, 3, 3, 2, 2, 1, 2],
-                0.2,
-                5,
-            ),
-            (
-                "00100 00100 01011 11010 00101 10000 00001 01101 01011 11011 10110 00101"
-                " 11110 00101 00001 00101 10110 00111 01111 10101 01110 11101 10100 00000"
-                " 00100 10110 00100 11001 11100 11010 11001 10111 01111 10011",
-                None,
-                0.75,
-                9,
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("rows, weights, threshold, force_k", TIE_INPUTS)
     def test_pending_duplicate_wins_a_tie(self, rows, weights, threshold, force_k):
-        # While a group merges, a row whose cache is recomputed can find its
-        # minimum at a duplicate still waiting to merge (at its distance
-        # before the group's turn) and at a later atom; the duplicate comes
-        # first.  Replaying without those waiting duplicates changes the
-        # caches and the labels of both inputs.
-        matrix = bit_rows(rows)
-        weights = None if weights is None else np.array(weights, dtype=np.float64)
-        instance = CorrelationInstance.from_label_matrix(matrix, weights=weights)
-        assert init_attrs(instance, threshold=threshold, force_k=force_k)["replayed"] > 0
-        assert_same_height0_state(instance, np.float64)
+        # While a duplicate group merges, a row whose cache is recomputed
+        # finds its minimum both at a duplicate still waiting to merge and at
+        # a later slot; the duplicate comes first.
+        instance = tie_instance(rows, weights)
         ours = agglomerative(instance, threshold=threshold, force_k=force_k)
         assert ours == previous_agglomerative(instance, threshold=threshold, force_k=force_k)
 
@@ -481,26 +496,23 @@ class TestAgainstPreviousLoop:
             weights = np.random.default_rng(6).integers(1, 4, size=4200).astype(np.float64)
         instance = CorrelationInstance.from_label_matrix(matrix, weights=weights)
         assert default_dtype(instance.n) == np.float32
-        attrs = init_attrs(instance, force_k=7)
-        assert attrs["replayed"] == 4200 - attrs["atoms"] > 4000
         assert agglomerative(instance, force_k=7) == previous_agglomerative(instance, force_k=7)
 
     @pytest.mark.parametrize("p, missing", [(1.0, "coin-flip"), (0.5, "average")])
     def test_zero_distance_without_identical_rows_keeps_the_row_loop(self, p, missing):
         # With a missing entry, p = 1 and "average" put rows that differ at
-        # distance 0: no duplicate group is formed, every merge runs row by row.
+        # distance 0.
         matrix = planted_matrix(300, 3, seed=2)
         matrix[::7, 1] = MISSING
         instance = CorrelationInstance.from_label_matrix(matrix, p=p, missing=missing)
-        assert init_attrs(instance) == {"n": 300, "atoms": 300, "replayed": 0}
         assert agglomerative(instance) == previous_agglomerative(instance)
 
     def test_force_k_above_the_atoms_keeps_the_row_loop(self):
+        # Stopping just before, at and just after the last height-0 merge.
         matrix = planted_matrix(300, 2, seed=3)
         atoms = collapse_duplicates(matrix).n_atoms
         instance = CorrelationInstance.from_label_matrix(matrix)
-        for force_k, replayed in ((atoms + 1, 0), (atoms, 300 - atoms), (atoms - 1, 300 - atoms)):
-            assert init_attrs(instance, force_k=force_k)["replayed"] == replayed
+        for force_k in (atoms + 1, atoms, atoms - 1):
             ours = agglomerative(instance, force_k=force_k)
             assert ours.k == force_k
             assert ours == previous_agglomerative(instance, force_k=force_k)
@@ -512,12 +524,47 @@ class TestAgainstPreviousLoop:
             with tracing() as trace:
                 result = agglomerative(instance)
             merges = get_registry().snapshot()["counters"]["agglomerative.merges"]
-        (init,) = trace.find("agglomerative.init")
         (merge,) = trace.find("agglomerative.merge")
-        assert 0 < init.attrs["replayed"] == 500 - init.attrs["atoms"]
         assert merges == merge.attrs["merges"] == 500 - result.k
 
 
+class TestEngines:
+    """The compiled and the numpy merge loop, from the same state, reach the
+    same distances, caches, sizes, slot objects, parents and counters, bit
+    for bit.  (Every agglomerative() call of ``TestAgainstPreviousLoop`` and
+    ``TestAgainstScipy`` compares them too.)"""
+
+    @settings(max_examples=200, deadline=None)
+    @given(duplicate_heavy_cases(), st.sampled_from([np.float32, np.float64]))
+    def test_same_state_on_duplicate_heavy_inputs(self, case, dtype):
+        # The labels can hide a cache that differs only on a tie; the state
+        # cannot.
+        instance, threshold, force_k = case
+        assert_engines_agree(instance, dtype, threshold, force_k)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_same_state_on_planted_input(self, dtype, weighted):
+        matrix = planted_matrix(600, 2, seed=4)
+        weights = None
+        if weighted:
+            weights = np.random.default_rng(4).integers(1, 4, size=600) + 0.3
+        instance = CorrelationInstance.from_label_matrix(matrix, weights=weights)
+        for threshold, force_k in ((0.5, None), (0.2, None), (0.5, 3)):
+            assert_engines_agree(instance, dtype, threshold, force_k)
+
+    @pytest.mark.parametrize("rows, weights, threshold, force_k", TIE_INPUTS)
+    def test_same_state_on_tie_inputs(self, rows, weights, threshold, force_k):
+        assert_engines_agree(tie_instance(rows, weights), np.float64, threshold, force_k)
+
+    def test_same_state_where_rounding_improves_a_row(self):
+        # The input of test_improved_scan_fires_on_rounding.
+        instance = CorrelationInstance.from_label_matrix(mushrooms_rows(30, seed=8))
+        assert_engines_agree(instance)
+        assert merge_from_start(instance, np.float64, _merge)[1]["improved"] >= 1
+
+
+@pytest.mark.usefixtures("both_engines")
 class TestAgainstScipy:
     """The cut below 1/2 of SciPy's average linkage, on tie-free instances."""
 
@@ -534,3 +581,116 @@ class TestAgainstScipy:
         ours = agglomerative(instance)
         assert 1 < ours.k < n
         assert ours == Clustering(cut)
+
+
+@pytest.fixture
+def fresh_loader(monkeypatch, tmp_path):
+    """The loader with no loop loaded yet and ``tmp_path/cache`` as its only
+    cache directory; the real cache comes back afterwards."""
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(_native, "_cache_dirs", lambda: [cache])
+    _native.merge_loops.cache_clear()
+    yield cache
+    _native.merge_loops.cache_clear()
+
+
+def compiled_float64_loop():
+    return _native.merge_loops().get(np.dtype(np.float64))
+
+
+def first_engine_in_fork(barrier, results):
+    barrier.wait()
+    instance = CorrelationInstance.from_label_matrix(planted_matrix(120, 3, seed=0))
+    result, attrs = traced_agglomerative(instance)
+    results.put((attrs["engine"], result.labels.tolist()))
+
+
+class TestCompiledLoop:
+    """Building and loading the compiled loop, and falling back to numpy."""
+
+    def test_a_compiler_on_path_means_the_compiled_loop_runs(self):
+        # Otherwise every engine comparison above would pass on numpy alone.
+        if not any(shutil.which(name) for name in _native.COMPILERS):
+            pytest.skip("no C compiler on PATH")
+        assert compiled_float64_loop() is not None
+        assert _native.merge_loops().get(np.dtype(np.float32)) is not None
+        instance = CorrelationInstance.from_label_matrix(planted_matrix(200, 3, seed=0))
+        assert traced_agglomerative(instance)[1]["engine"] == "c"
+
+    def test_without_a_compiler_numpy_gives_the_same_result(self, fresh_loader, monkeypatch):
+        instance = CorrelationInstance.from_label_matrix(mushrooms_rows(300, seed=5))
+        with monkeypatch.context() as patch:
+            patch.setattr(_native.shutil, "which", lambda name: None)
+            ours, attrs = traced_agglomerative(instance)
+        assert attrs["engine"] == "numpy" and not any(fresh_loader.iterdir())
+        _native.merge_loops.cache_clear()
+        compiled, compiled_attrs = traced_agglomerative(instance)
+        if compiled_attrs["engine"] == "c":  # built into the fresh cache
+            assert ours == compiled and instance.cost(ours) == instance.cost(compiled)
+            assert attrs == compiled_attrs | {"engine": "numpy"}
+
+    def test_refuses_arrays_of_another_dtype(self):
+        engine, run = agglomerative_module._merge_engine(np.dtype(np.float64))
+        if engine == "numpy":
+            pytest.skip("no compiled merge loop on this platform")
+
+        def float32_sizes(buffer, state, *args):
+            return run(buffer, state._replace(sizes=state.sizes.astype(np.float32)), *args)
+
+        instance = CorrelationInstance.from_label_matrix(planted_matrix(50, 2, seed=0))
+        with pytest.raises(ValueError, match="compiled merge loop"):
+            merge_from_start(instance, np.float64, float32_sizes)
+
+    @pytest.mark.parametrize("mode", [0o770, 0o707])
+    def test_refuses_a_cache_directory_others_can_write(self, fresh_loader, mode):
+        if compiled_float64_loop() is None:
+            pytest.skip("nothing compiles here")
+        (built,) = fresh_loader.iterdir()
+        fresh_loader.chmod(mode)
+        _native.merge_loops.cache_clear()
+        assert compiled_float64_loop() is None
+        assert list(fresh_loader.iterdir()) == [built]
+        fresh_loader.chmod(0o700)
+        _native.merge_loops.cache_clear()
+        assert compiled_float64_loop() is not None
+
+    def test_refuses_an_object_others_can_write(self, fresh_loader):
+        if compiled_float64_loop() is None:
+            pytest.skip("nothing compiles here")
+        (built,) = fresh_loader.iterdir()
+        built.chmod(0o722)
+        _native.merge_loops.cache_clear()
+        assert compiled_float64_loop() is None
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+    def test_two_forked_first_calls_both_load(self, fresh_loader):
+        if not any(shutil.which(name) for name in _native.COMPILERS):
+            pytest.skip("no C compiler on PATH")
+        context = multiprocessing.get_context("fork")
+        barrier, results = context.Barrier(2), context.Queue()
+        workers = [
+            context.Process(target=first_engine_in_fork, args=(barrier, results))
+            for _ in range(2)
+        ]
+        for worker in workers:
+            worker.start()
+        outcomes = [results.get(timeout=120) for _ in workers]
+        for worker in workers:
+            worker.join(timeout=60)
+            assert worker.exitcode == 0
+        assert [engine for engine, _ in outcomes] == ["c", "c"]
+        assert outcomes[0][1] == outcomes[1][1]
+        assert [path.suffix for path in fresh_loader.iterdir()] == [".so"]
+
+    def test_import_starts_no_compiler(self):
+        code = (
+            "import subprocess\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise AssertionError('a process was started')\n"
+            "subprocess.Popen = subprocess.run = refuse\n"
+            "import repro, repro.algorithms.agglomerative\n"
+            "from repro.algorithms import _native\n"
+            "assert _native.merge_loops.cache_info().currsize == 0\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
