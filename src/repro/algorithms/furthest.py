@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..cluster.linkage import _check_count
 from ..core.instance import CorrelationInstance
 from ..core.partition import Clustering
 from ..obs.metrics import inc
 from ..obs.profile import phase
 from ..registry import register_method
-from .agglomerative import _check_count
 
 __all__ = ["furthest"]
 

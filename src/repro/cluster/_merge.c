@@ -1,24 +1,27 @@
 /*
- * AGGLOMERATIVE's merge loop (agglomerative.py::_merge) in C, written once
- * and instantiated for float64 (f64) and float32 (f32) working matrices.
+ * The Lance-Williams merge loop (linkage.py::_merge) in C, written once and
+ * instantiated for float64 (f64) and float32 (f32) working matrices.
  * _native.py builds it with -O2 -std=c99 -ffp-contract=off, without
  * -ffast-math or -march, so each float operation is the numpy loop's, in
  * the same order, and the merges, caches and counters are equal bit for
- * bit.  The arrays and rules are those of the module docstring.  A cache
- * holds *a* slot at its row's minimum, not always the first: a stale row
- * whose distance to the merged slot i equals its cached minimum keeps that
- * minimum at i, though an earlier slot can be at the same distance.
+ * bit.  The arrays and rules are those of linkage.py's module docstring.
+ * A cache holds *a* slot at its row's minimum, not always the first: a
+ * stale row whose distance to the merged slot i equals its cached minimum
+ * keeps that minimum at i, though an earlier slot can be at the same
+ * distance.
  *
- * Returns the slots in use at the end; counts gets the repairs, improved
- * rows and compactions; scratch holds 2 * slots entries.
+ * rule indexes linkage.py's RULES (single, complete, average, Ward); each
+ * merge appends (slot_obj[i], slot_obj[j], height) to merges.  Returns the
+ * slots in use at the end; counts gets the repairs, improved rows and
+ * compactions; scratch holds 2 * slots entries.
  */
 #include <math.h>
 #include <stdint.h>
 
 #define DEFINE_MERGE(T, SUFFIX)                                                         \
-    int64_t agglomerative_merge_##SUFFIX(                                               \
+    int64_t linkage_merge_##SUFFIX(                                                     \
         T *D, T *penalty, double *sizes, int64_t *slot_obj, int64_t *nn_idx, T *nn_val, \
-        int64_t *parent, int64_t slots, int64_t target, int stop_at_threshold,          \
+        double *merges, int64_t slots, int64_t target, int rule, int stop_at_threshold, \
         double threshold, int64_t *scratch, int64_t *counts)                            \
     {                                                                                   \
         int64_t remaining = 0, repairs = 0, improved = 0, compactions = 0;              \
@@ -31,20 +34,42 @@
                 if (nn_val[s] < nn_val[i])                                              \
                     i = s;                                                              \
             int64_t j = nn_idx[i];                                                      \
-            if (stop_at_threshold && (double)nn_val[i] >= threshold)                    \
+            double h = (double)nn_val[i];                                               \
+            if (stop_at_threshold && h >= threshold)                                    \
                 break;                                                                  \
+            *merges++ = (double)slot_obj[i];                                            \
+            *merges++ = (double)slot_obj[j];                                            \
+            *merges++ = h;                                                              \
                                                                                         \
-            /* Lance-Williams in float64, rounded once; column i mirrors row i in  */  \
-            /* the active rows (a retired row is never read again).                */  \
+            /* The rule's row, in float64 and rounded once where it is not a     */    \
+            /* min or max; column i mirrors row i in the active rows (a retired  */    \
+            /* row is never read again).                                          */    \
             double si = sizes[i], sj = sizes[j], merged = si + sj;                      \
             T *row_i = D + i * slots, *row_j = D + j * slots;                           \
-            for (int64_t s = 0; s < slots; s++)                                         \
-                row_i[s] = (T)(((double)row_i[s] * si + (double)row_j[s] * sj) / merged); \
+            switch (rule) {                                                             \
+            case 0:                                                                     \
+                for (int64_t s = 0; s < slots; s++)                                     \
+                    row_i[s] = row_j[s] < row_i[s] ? row_j[s] : row_i[s];               \
+                break;                                                                  \
+            case 1:                                                                     \
+                for (int64_t s = 0; s < slots; s++)                                     \
+                    row_i[s] = row_j[s] > row_i[s] ? row_j[s] : row_i[s];               \
+                break;                                                                  \
+            case 2:                                                                     \
+                for (int64_t s = 0; s < slots; s++)                                     \
+                    row_i[s] = (T)(((double)row_i[s] * si + (double)row_j[s] * sj) / merged); \
+                break;                                                                  \
+            default:                                                                    \
+                for (int64_t s = 0; s < slots; s++) {                                   \
+                    double sk = sizes[s];                                               \
+                    row_i[s] = (T)(((si + sk) * (double)row_i[s]                        \
+                                    + (sj + sk) * (double)row_j[s] - sk * h) / (merged + sk)); \
+                }                                                                       \
+            }                                                                           \
             row_i[i] = (T)INFINITY;                                                     \
             sizes[i] = merged;                                                          \
             penalty[j] = nn_val[j] = (T)INFINITY;                                       \
             nn_idx[j] = -1;                                                             \
-            parent[slot_obj[j]] = slot_obj[i];                                          \
             for (int64_t r = 0; r < slots; r++)                                         \
                 if (penalty[r] == 0)                                                    \
                     D[r * slots + i] = row_i[r];                                        \

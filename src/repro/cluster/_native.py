@@ -1,4 +1,4 @@
-"""Build and load AGGLOMERATIVE's compiled merge loop (``_merge.c``).
+"""Build and load the compiled Lance–Williams merge loop (``_merge.c``).
 
 On first use the source is compiled with the system C compiler and fixed
 flags into an object named by a hash of the source, the flags and the
@@ -73,10 +73,10 @@ def merge_loops() -> dict[np.dtype, Any]:
     """The compiled loops by working dtype, built first if need be; empty if
     none loads.
 
-    A loop takes the seven arrays of a merge state (pointers), then
-    ``slots``, ``target``, whether to stop at ``threshold``, ``threshold``,
-    an int64 scratch of ``2 * slots`` entries and three int64 counts, and
-    returns the slots in use at the end.
+    A loop takes the six arrays of a merge state and the merge list
+    (pointers), then ``slots``, ``target``, the rule's index, whether to
+    stop at ``threshold``, ``threshold``, an int64 scratch of ``2 * slots``
+    entries and three int64 counts, and returns the slots in use at the end.
     """
     if os.name != "posix":
         return {}
@@ -94,11 +94,11 @@ def merge_loops() -> dict[np.dtype, Any]:
             continue
     else:
         return {}
-    arrays, count = [ctypes.c_void_p] * 7, ctypes.c_int64
+    arrays, count, flag = [ctypes.c_void_p] * 7, ctypes.c_int64, ctypes.c_int
     loops = {}
     for dtype, suffix in ((np.float64, "f64"), (np.float32, "f32")):
-        loop = getattr(library, f"agglomerative_merge_{suffix}")
-        loop.argtypes = [*arrays, count, count, ctypes.c_int, ctypes.c_double, *arrays[:2]]
+        loop = getattr(library, f"linkage_merge_{suffix}")
+        loop.argtypes = [*arrays, count, count, flag, flag, ctypes.c_double, *arrays[:2]]
         loop.restype = count
         loops[np.dtype(dtype)] = loop
     return loops

@@ -17,6 +17,7 @@ from ..core.labels import MISSING
 
 __all__ = [
     "squared_euclidean",
+    "squared_euclidean_matrix",
     "euclidean_matrix",
     "jaccard_similarity_matrix",
     "jaccard_cross_similarity",
@@ -43,11 +44,17 @@ def squared_euclidean(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return distances
 
 
+def squared_euclidean_matrix(points: np.ndarray) -> np.ndarray:
+    """Full symmetric squared Euclidean distance matrix of ``(n, d)`` points:
+    the upper triangle of :func:`squared_euclidean`, mirrored, and a zero
+    diagonal."""
+    upper = np.triu(squared_euclidean(points, points), 1)
+    return upper + upper.T
+
+
 def euclidean_matrix(points: np.ndarray) -> np.ndarray:
     """Full symmetric Euclidean distance matrix of ``(n, d)`` points."""
-    distances = squared_euclidean(points, points)
-    np.fill_diagonal(distances, 0.0)
-    return np.sqrt(distances)
+    return np.sqrt(squared_euclidean_matrix(points))
 
 
 def _categorical(rows: np.ndarray, missing: int) -> np.ndarray:

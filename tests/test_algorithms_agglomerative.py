@@ -18,8 +18,8 @@ from repro.core.atoms import collapse_duplicates
 from repro.core.kernels import default_dtype
 from repro.core.labels import MISSING
 from repro.algorithms import agglomerative
-from repro.algorithms import _native
-from repro.algorithms.agglomerative import _merge, _start
+from repro.cluster import _native, linkage
+from repro.cluster.linkage import RULES, _merge, _start
 from repro.datasets import generate_mushrooms
 from repro.obs import collecting, get_registry, tracing
 
@@ -281,22 +281,22 @@ def duplicate_heavy_cases(draw):
     return instance, threshold, force_k
 
 
-def copy_run(buffer, state, parent):
+def copy_run(buffer, state, merges):
     """Independent copies of one merge loop's arguments, ``D`` at the copied
     buffer's front as the loop requires."""
     buffer = buffer.copy()
     D = buffer[: state.D.size].reshape(state.D.shape)
     state = type(state)(D, *(array.copy() for array in state[1:]))
-    return buffer, state, parent.copy()
+    return buffer, state, merges.copy()
 
 
 def assert_same_loop_result(ours, theirs):
-    """Two merge loops' ``(state, counts, parent)`` agree bit for bit: the
-    active distances, every cache entry, size and slot object, the parents
-    and the counters."""
-    (state, counts, parent), (other, other_counts, other_parent) = ours, theirs
+    """Two merge loops' ``(state, counts, merges)`` agree bit for bit: the
+    active distances, every cache entry, size and slot object, the merge
+    lists and the counters."""
+    (state, counts, merges), (other, other_counts, other_merges) = ours, theirs
     assert counts == other_counts
-    assert parent.tobytes() == other_parent.tobytes()
+    assert merges.tobytes() == other_merges.tobytes()
     for name, ours_array, theirs_array in zip(state._fields[1:], state[1:], other[1:]):
         assert ours_array.dtype == theirs_array.dtype, name
         assert ours_array.tobytes() == theirs_array.tobytes(), name
@@ -308,11 +308,11 @@ def both_loops(run):
     """A merge loop that runs ``run`` and the numpy loop from the same state
     and asserts they agree (see :func:`assert_same_loop_result`)."""
 
-    def merge(buffer, state, parent, target, threshold):
-        numpy_buffer, numpy_state, numpy_parent = copy_run(buffer, state, parent)
-        expected = _merge(numpy_buffer, numpy_state, numpy_parent, target, threshold)
-        result = run(buffer, state, parent, target, threshold)
-        assert_same_loop_result((*result, parent), (*expected, numpy_parent))
+    def merge(buffer, state, merges, rule, target, threshold):
+        numpy_buffer, numpy_state, numpy_merges = copy_run(buffer, state, merges)
+        expected = _merge(numpy_buffer, numpy_state, numpy_merges, rule, target, threshold)
+        result = run(buffer, state, merges, rule, target, threshold)
+        assert_same_loop_result((*result, merges), (*expected, numpy_merges))
         return result
 
     return merge
@@ -333,29 +333,30 @@ def both_engines(monkeypatch):
     monkeypatch.setattr(agglomerative_module, "_merge_engine", both)
 
 
-def merge_from_start(instance, dtype, run, threshold=0.5, force_k=None):
+def merge_from_start(instance, dtype, run, threshold=0.5, force_k=None, rule="average"):
     """``run`` from the loop's first state on a ``dtype`` working matrix, with
-    agglomerative()'s arguments; returns its ``(state, counts, parent)``."""
+    agglomerative()'s arguments; returns its ``(state, counts, merges)``."""
     n = instance.n
     buffer = instance.backend.materialize(dtype, copy=True).reshape(-1)
     D = buffer.reshape(n, n)
     np.fill_diagonal(D, np.inf)
-    parent = np.arange(n, dtype=np.int64)
+    merges = np.zeros((n - 1, 3), dtype=np.float64)
     state = _start(D, instance.effective_weights().copy())
     target = 1 if force_k is None else force_k
-    state, counts = run(buffer, state, parent, target, threshold if force_k is None else None)
-    return state, counts, parent
+    stop = threshold if force_k is None else None
+    state, counts = run(buffer, state, merges, rule, target, stop)
+    return state, counts, merges
 
 
-def assert_engines_agree(instance, dtype=None, threshold=0.5, force_k=None):
+def assert_engines_agree(instance, dtype=None, threshold=0.5, force_k=None, rule="average"):
     """The compiled and the numpy loop reach the same state from the same
     start (``dtype`` defaults to agglomerative()'s working dtype)."""
     dtype = default_dtype(instance.n) if dtype is None else dtype
     engine, compiled = agglomerative_module._merge_engine(np.dtype(dtype))
     if engine == "numpy":
         pytest.skip("no compiled merge loop on this platform")
-    ours = merge_from_start(instance, dtype, compiled, threshold, force_k)
-    theirs = merge_from_start(instance, dtype, _merge, threshold, force_k)
+    ours = merge_from_start(instance, dtype, compiled, threshold, force_k, rule)
+    theirs = merge_from_start(instance, dtype, _merge, threshold, force_k, rule)
     assert_same_loop_result(ours, theirs)
 
 
@@ -542,6 +543,17 @@ class TestEngines:
         instance, threshold, force_k = case
         assert_engines_agree(instance, dtype, threshold, force_k)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        duplicate_heavy_cases(),
+        st.sampled_from([np.float32, np.float64]),
+        st.sampled_from(RULES),
+    )
+    def test_same_state_under_every_rule(self, case, dtype, rule):
+        # Single, complete and Ward linkage on the same tie-heavy inputs.
+        instance, threshold, force_k = case
+        assert_engines_agree(instance, dtype, threshold, force_k, rule)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("weighted", [False, True])
     def test_same_state_on_planted_input(self, dtype, weighted):
@@ -581,6 +593,26 @@ class TestAgainstScipy:
         ours = agglomerative(instance)
         assert 1 < ours.k < n
         assert ours == Clustering(cut)
+
+
+class TestAgainstLinkage:
+    """AGGLOMERATIVE with ``force_k`` is the average-linkage dendrogram of
+    the same distances cut at ``force_k`` clusters: one loop makes both."""
+
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            random_float_instance(60, seed=7),
+            CorrelationInstance.from_label_matrix(planted_matrix(90, 3, seed=1)),
+            CorrelationInstance.from_label_matrix(mushrooms_rows(70, seed=2)),
+        ],
+        ids=["uniform", "planted", "mushrooms"],
+    )
+    def test_force_k_is_the_linkage_cut(self, instance):
+        assert default_dtype(instance.n) == np.float64
+        dendrogram = linkage(distances=instance.X, method="average")
+        for k in range(1, instance.n + 1):
+            assert agglomerative(instance, force_k=k) == Clustering(dendrogram.cut(k)), k
 
 
 @pytest.fixture
@@ -689,7 +721,7 @@ class TestCompiledLoop:
             "    raise AssertionError('a process was started')\n"
             "subprocess.Popen = subprocess.run = refuse\n"
             "import repro, repro.algorithms.agglomerative\n"
-            "from repro.algorithms import _native\n"
+            "from repro.cluster import _native\n"
             "assert _native.merge_loops.cache_info().currsize == 0\n"
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

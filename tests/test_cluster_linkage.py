@@ -7,7 +7,7 @@ import scipy.cluster.hierarchy as sch
 from repro.core.labels import contingency_table
 from repro.cluster import hierarchical, linkage
 from repro.cluster.distances import euclidean_matrix, squared_euclidean
-from repro.cluster.linkage import _lance_williams_row
+from repro.cluster.linkage import merge_roots
 from repro.datasets import seven_groups
 
 METHODS = ("single", "complete", "average", "ward")
@@ -106,16 +106,31 @@ class TestApi:
         assert len(np.unique(labels)) == 4
 
     def test_monotone_heights(self):
-        # All four linkages are reducible, so dendrogram heights ascend.
+        # All four linkages are reducible, so the loop never merges below an
+        # earlier height, up to the rounding of the Lance-Williams row.
         for method in METHODS:
-            result = linkage(random_points(7, n=25), method=method)
-            heights = result.heights()
-            assert np.all(np.diff(heights) >= -1e-9), method
+            for seed in (7, 8, 9):
+                heights = linkage(random_points(seed, n=120, d=3), method=method).merges[:, 2]
+                assert np.all(np.diff(heights) >= -1e-9 * heights.max()), method
+
+
+def lance_williams_row(method, d_a, d_b, d_ab, size_a, size_b, sizes):
+    """Distance from the merged cluster (a ∪ b) to every other cluster."""
+    if method == "single":
+        return np.minimum(d_a, d_b)
+    if method == "complete":
+        return np.maximum(d_a, d_b)
+    if method == "average":
+        return (size_a * d_a + size_b * d_b) / (size_a + size_b)
+    total = size_a + size_b + sizes
+    return ((size_a + sizes) * d_a + (size_b + sizes) * d_b - sizes * d_ab) / total
 
 
 def reference_merges(points: np.ndarray, method: str) -> np.ndarray:
-    """The NN-chain loop as it was when it set a merged-away cluster's row
-    and column to infinity after every merge (test-only oracle)."""
+    """The nearest-neighbour-chain algorithm, valid for the four linkages as
+    they are reducible, with a merged-away cluster's row and column set to
+    infinity after every merge (test-only oracle).  Its merges are in chain
+    order, not height order."""
     pts = np.asarray(points, dtype=np.float64)
     if method == "ward":
         D = squared_euclidean(pts, pts)
@@ -146,7 +161,7 @@ def reference_merges(points: np.ndarray, method: str) -> np.ndarray:
                 other = active.copy()
                 other[a] = other[b] = False
                 idx = np.flatnonzero(other)
-                D[a, idx] = _lance_williams_row(
+                D[a, idx] = lance_williams_row(
                     method, D[a, idx], D[b, idx], height, int(sizes[a]), int(sizes[b]), sizes[idx]
                 )
                 D[idx, a] = D[a, idx]
@@ -162,12 +177,71 @@ def reference_merges(points: np.ndarray, method: str) -> np.ndarray:
     return merges
 
 
-class TestMaskedRetiredClusters:
-    """Leaving a merged-away cluster's row and column unwritten changes no
-    merge: every read masks with ``active`` or indexes active clusters."""
+class TestAgainstNNChain:
+    """The global-minimum loop cuts the Figure 3 points as the NN-chain
+    did, whose ``k``-cluster cut applied its ``n - k`` lowest merges."""
 
     @pytest.mark.parametrize("method", METHODS)
-    def test_figure3_merges_bitwise_unchanged(self, method):
+    def test_figure3_same_partition_at_every_k(self, method):
         points = seven_groups(rng=0).points
-        ours = linkage(points, method=method).merges
-        assert ours.tobytes() == reference_merges(points, method).tobytes()
+        ours = linkage(points, method=method)
+        theirs = reference_merges(points, method)
+        by_height = theirs[np.argsort(theirs[:, 2], kind="stable")]
+        for k in range(1, ours.n + 1):
+            roots = merge_roots(by_height[: ours.n - k], ours.n)
+            assert partitions_equal(ours.cut(k), np.unique(roots, return_inverse=True)[1]), k
+        assert np.allclose(ours.heights(), np.sort(theirs[:, 2]), rtol=0, atol=1e-9)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points(self, bad):
+        points = random_points(0, n=6)
+        points[2, 1] = bad
+        with pytest.raises(ValueError, match="points"):
+            linkage(points)
+
+    @pytest.mark.parametrize("method", ["single", "complete", "average"])
+    def test_non_finite_distances(self, method):
+        D = np.array([[0, np.inf, 2], [np.inf, 0, 2], [2, 2, 0]], dtype=np.float64)
+        with pytest.raises(ValueError, match="distances"):
+            linkage(distances=D, method=method)
+        D[0, 1] = D[1, 0] = np.nan
+        with pytest.raises(ValueError, match="distances"):
+            linkage(distances=D, method=method)
+
+    def test_asymmetric_distances(self):
+        D = euclidean_matrix(random_points(1, n=5))
+        D[3, 1] = np.nextafter(D[3, 1], 0)
+        with pytest.raises(ValueError, match="distances"):
+            linkage(distances=D)
+
+    def test_no_objects(self):
+        with pytest.raises(ValueError, match="points"):
+            linkage(np.zeros((0, 2)))
+        with pytest.raises(ValueError, match="distances"):
+            linkage(distances=np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("k", [True, False, 2.5, 2.0, "2"])
+    def test_cut_takes_an_integer(self, k):
+        with pytest.raises(ValueError, match="k"):
+            linkage(random_points(2, n=6)).cut(k)
+
+    def test_numpy_integer_cut(self):
+        result = linkage(random_points(3, n=6))
+        assert result.cut(np.int64(2)).tolist() == result.cut(2).tolist()
+
+    def test_cut_height_nan(self):
+        with pytest.raises(ValueError, match="NaN"):
+            linkage(random_points(4, n=6)).cut_height(np.nan)
+
+
+class TestDistances:
+    def test_euclidean_matrix_is_symmetric(self):
+        points = seven_groups(rng=0).points
+        D = euclidean_matrix(points)
+        assert np.array_equal(D, D.T)
+        assert np.all(np.diag(D) == 0)
+        upper = np.triu_indices(len(points), 1)
+        expected = np.sqrt(np.maximum(squared_euclidean(points, points), 0.0))
+        assert np.array_equal(D[upper], expected[upper])
