@@ -253,9 +253,7 @@ def sampling(
             else:
                 backend = instance.backend
                 sizes = sample_clustering.sizes().astype(np.float64)
-                # Not a reduction over the pair grid: each block is an
-                # independent O(|block| x |sample|) gather.
-                for start in range(0, rest.size, ASSIGN_BLOCK):  # repolint: disable=RPR013
+                for start in range(0, rest.size, ASSIGN_BLOCK):
                     block = rest[start : start + ASSIGN_BLOCK]
                     # O(|block| * |sample|) gather — the lazy backend computes
                     # it straight from the labels, never touching full rows.

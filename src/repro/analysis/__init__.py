@@ -1,13 +1,12 @@
 """Static analysis and runtime contracts for the reproduction.
 
-Two enforcement layers live here:
-
 * :mod:`repro.analysis.lint` — **repolint**, an AST-based linter with
-  repository-specific rules (RPR001–RPR005): no global-state RNG, no
-  Python-level pair loops in kernel packages, explicit dtypes in kernel
-  allocations, no mutable defaults or in-place ``Clustering.labels``
-  mutation, and the ``rng: np.random.Generator | int | None`` signature
-  convention.  Run as ``python -m repro.analysis.lint src tests``.
+  repository-specific rules (RPR001–RPR010, RPR012, RPR014): per-file
+  rules such as no global-state RNG, no Python-level pair loops in
+  kernel packages and explicit dtypes in kernel allocations, and one
+  whole-program rule over a call graph (RPR010, serve handlers that
+  transitively block).  Run as ``python -m repro.analysis.lint src tests
+  benchmarks``.
 * :mod:`repro.analysis.contracts` — debug-mode runtime contracts
   (``REPRO_CONTRACTS=1``) validating instance symmetry/range/triangle
   inequality, canonical labels, and streaming drift bounds.

@@ -16,14 +16,14 @@ RPR010 flags every ``async def`` under ``repro/serve/`` with a
 propagating edge into a blocking function.  Direct primitives inside the
 handler itself stay RPR009's territory (the syntactic fast path), so
 RPR010 findings always describe a chain of depth ≥ 1 and each message
-carries the witness path for the fix.
+carries the witness path for the fix.  repolint runs this pass after its
+per-file rules (:func:`repro.analysis.lint.lint_sources`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from ..lint import Finding
 from .callgraph import CallGraph, CallSite, FunctionInfo, repro_subpackage
 
 __all__ = ["BlockingWitness", "check_blocking", "compute_blocking"]
@@ -53,7 +53,7 @@ def compute_blocking(graph: CallGraph) -> dict[str, BlockingWitness]:
     for key, sites in graph.sites.items():
         for site in sites:
             if site.primitive is not None:
-                blocking[key] = BlockingWitness(desc=site.primitive.desc, chain=(key,))
+                blocking[key] = BlockingWitness(desc=site.primitive, chain=(key,))
                 break
     # Reverse edges: callee key -> [(caller key, site)].
     callers: dict[str, list[tuple[str, CallSite]]] = {}
@@ -93,12 +93,12 @@ def _short(key: str) -> str:
     return key.removeprefix("repro.")
 
 
-def check_blocking(graph: CallGraph) -> list[Finding]:
-    """RPR010 findings: serve async handlers reaching blocking code."""
+def check_blocking(graph: CallGraph) -> list[tuple[str, int, int, str]]:
+    """RPR010 ``(path, line, col, message)``: serve async handlers reaching blocking code."""
     blocking = compute_blocking(graph)
-    findings: list[Finding] = []
+    findings: list[tuple[str, int, int, str]] = []
     for info in graph.index.functions.values():
-        if not info.is_async or repro_subpackage(info.module) != "serve":
+        if not info.is_async or repro_subpackage(info.path) != "serve":
             continue
         for site in graph.sites[info.key]:
             if site.primitive is not None:
@@ -110,15 +110,12 @@ def check_blocking(graph: CallGraph) -> list[Finding]:
                     continue
                 chain = " -> ".join(_short(k) for k in witness.chain)
                 findings.append(
-                    Finding(
-                        path=info.path,
-                        line=site.lineno,
-                        col=site.col,
-                        rule="RPR010",
-                        message=(
-                            f"async `{info.qualname}` reaches blocking {witness.desc} "
-                            f"via {chain}; hand the chain to run_in_executor instead"
-                        ),
+                    (
+                        info.path,
+                        site.lineno,
+                        site.col,
+                        f"async `{info.qualname}` reaches blocking {witness.desc} "
+                        f"via {chain}; hand the chain to run_in_executor instead",
                     )
                 )
                 break  # one finding per call site

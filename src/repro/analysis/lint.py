@@ -53,6 +53,11 @@ RPR009   No blocking calls directly inside ``async def`` bodies under
          (``np.load``/``np.save``/...), and worker-pool construction or
          ``pool().map``-style fan-out all stall the event loop — await
          ``loop.run_in_executor(...)`` (or ``asyncio.sleep``) instead.
+RPR010   The whole-program form of RPR009: no ``async def`` under
+         ``repro/serve/`` may call (or await into) a function that
+         transitively reaches one of RPR009's blocking primitives.
+         Executor hand-off breaks the chain; the message names the
+         call chain to the primitive (:mod:`repro.analysis.blocking`).
 RPR012   No named shared memory in library code: importing
          ``multiprocessing.shared_memory`` (or ``SharedMemory`` /
          ``SharedMemoryManager`` from anywhere) creates segments that
@@ -78,8 +83,10 @@ its own to silence a rule for the whole file.  Directives are extracted
 from real comment tokens (:mod:`repro.analysis.suppress`) — one inside a
 string literal does nothing — a directive on any line of a multi-line
 statement covers the whole statement, and naming an unknown rule code is
-an ``RPR000`` error, not a silent no-op.  The interprocedural rules
-(RPR010, RPR011, RPR013) live in :mod:`repro.analysis.flow`.
+an ``RPR000`` error, not a silent no-op.  RPR010 runs after the per-file
+rules, over the call graph of every linted file
+(:mod:`repro.analysis.callgraph`), and its findings go through the same
+suppression pass.
 
 Usage
 -----
@@ -100,12 +107,22 @@ import ast
 import dataclasses
 import json
 import sys
-from pathlib import Path, PurePath
-from typing import Iterable, Iterator, Sequence
+from pathlib import Path
+from typing import Iterable, Iterator, Mapping, Sequence
 
+from .blocking import check_blocking
+from .callgraph import (
+    NP_FILE_IO,
+    PATH_IO_METHODS,
+    POOL_MAP_METHODS,
+    CallGraph,
+    ModuleIndex,
+    dotted_name,
+    repro_subpackage,
+)
 from .suppress import extract_suppressions
 
-__all__ = ["RULES", "Finding", "lint_source", "lint_file", "lint_paths", "main"]
+__all__ = ["RULES", "Finding", "lint_source", "lint_sources", "lint_paths", "main"]
 
 #: Rule id -> one-line description (shown by ``--list-rules``).
 RULES: dict[str, str] = {
@@ -120,6 +137,7 @@ RULES: dict[str, str] = {
     "RPR007": "raw time.perf_counter() outside repro.obs; wrap the code in a repro.obs span",
     "RPR008": "direct .X/._X pair-matrix access outside repro.core; use the backend API",
     "RPR009": "blocking call inside an async def in repro.serve; use run_in_executor/asyncio.sleep",
+    "RPR010": "async def in repro.serve transitively reaches a blocking call; use run_in_executor",
     "RPR012": "named shared memory in library code; use pool initargs and return results",
     "RPR014": "hand-rolled method dispatch outside repro.registry; register a MethodSpec instead",
 }
@@ -156,17 +174,6 @@ _METHOD_VAR_HINTS = ("method", "algorithm", "inner")
 #: Branches in an if/elif chain comparing a method name against string
 #: literals before RPR014 calls it a dispatch table.
 _DISPATCH_CHAIN_THRESHOLD = 3
-
-#: numpy functions that hit the filesystem (RPR009 in async bodies).
-_NP_FILE_IO = frozenset(
-    {"load", "save", "savez", "savez_compressed", "loadtxt", "savetxt", "genfromtxt", "fromfile"}
-)
-
-#: ``Path``-style blocking file-I/O methods (RPR009 in async bodies).
-_PATH_IO_METHODS = frozenset({"read_text", "write_text", "read_bytes", "write_bytes"})
-
-#: Pool fan-out methods (RPR009 on ``pool(...).map`` in async bodies).
-_POOL_MAP_METHODS = frozenset({"map", "starmap", "imap", "imap_unordered", "apply"})
 
 #: Attribute names RPR008 treats as raw pair-matrix access.
 _MATRIX_ATTRS = frozenset({"X", "_X"})
@@ -222,35 +229,6 @@ class Finding:
 
     def as_dict(self) -> dict[str, object]:
         return dataclasses.asdict(self)
-
-
-def _repro_subpackage(path: str) -> str | None:
-    """The subpackage of ``repro`` a file lives in.
-
-    Returns e.g. ``"core"`` for ``src/repro/core/instance.py``, ``""`` for
-    top-level modules like ``src/repro/cli.py``, and ``None`` for files
-    outside the library (tests, benchmarks, fixture snippets).
-    """
-    parts = PurePath(path).parts
-    if "repro" not in parts:
-        return None
-    anchor = len(parts) - 1 - parts[::-1].index("repro")
-    below = parts[anchor + 1 :]
-    if len(below) <= 1:
-        return ""
-    return below[0]
-
-
-def _dotted_name(node: ast.expr) -> tuple[str, ...] | None:
-    """Flatten an ``a.b.c`` attribute chain to ``("a", "b", "c")``."""
-    names: list[str] = []
-    while isinstance(node, ast.Attribute):
-        names.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        names.append(node.id)
-        return tuple(reversed(names))
-    return None
 
 
 class _Checker(ast.NodeVisitor):
@@ -400,7 +378,7 @@ class _Checker(ast.NodeVisitor):
     # -- calls (RPR001 global RNG, RPR003 dtype, RPR004 mutators) ------
 
     def visit_Call(self, node: ast.Call) -> None:
-        dotted = _dotted_name(node.func)
+        dotted = dotted_name(node.func)
         if dotted is not None:
             self._check_rng_call(node, dotted)
             self._check_allocation(node, dotted)
@@ -440,15 +418,15 @@ class _Checker(ast.NodeVisitor):
                 return f"`{dotted[0]}()` (time.sleep)"
             if len(dotted) == 1 and dotted[0] == "open":
                 return "`open()`"
-            if len(dotted) == 2 and dotted[0] in self._numpy_aliases and dotted[1] in _NP_FILE_IO:
+            if len(dotted) == 2 and dotted[0] in self._numpy_aliases and dotted[1] in NP_FILE_IO:
                 return f"file I/O `{'.'.join(dotted)}()`"
             if dotted[-1] == "pool" and len(dotted) <= 2:
                 return f"worker-pool construction `{'.'.join(dotted)}()`"
         if isinstance(func, ast.Attribute):
-            if func.attr in _PATH_IO_METHODS:
+            if func.attr in PATH_IO_METHODS:
                 return f"file I/O `.{func.attr}()`"
-            if func.attr in _POOL_MAP_METHODS and isinstance(func.value, ast.Call):
-                inner = _dotted_name(func.value.func)
+            if func.attr in POOL_MAP_METHODS and isinstance(func.value, ast.Call):
+                inner = dotted_name(func.value.func)
                 if inner is not None and inner[-1] == "pool" and len(inner) <= 2:
                     return f"`pool(...).{func.attr}()` fan-out"
         return None
@@ -512,7 +490,7 @@ class _Checker(ast.NodeVisitor):
         ):
             return
         inner = func.value.func
-        inner_dotted = _dotted_name(inner)
+        inner_dotted = dotted_name(inner)
         if inner_dotted is None or inner_dotted[-1] != "get_context":
             return
         if (len(inner_dotted) == 1 and inner_dotted[0] in self._mp_get_context_aliases) or (
@@ -855,25 +833,41 @@ class _Checker(ast.NodeVisitor):
             self._function_stack.pop()
 
 
-def lint_source(source: str, path: str = "<string>") -> list[Finding]:
-    """Lint one Python source string; returns the unsuppressed findings."""
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as error:
-        return [
-            Finding(
-                path=path,
-                line=error.lineno or 1,
-                col=(error.offset or 0) + 1,
-                rule="RPR000",
-                message=f"syntax error: {error.msg}",
+def lint_sources(sources: Mapping[str, str]) -> list[Finding]:
+    """Lint ``{path: source}`` as one program; returns the unsuppressed findings.
+
+    Each file gets the per-file rules, then the parsed files together get
+    RPR010 over their call graph; one suppression pass filters both.
+    """
+    findings: list[Finding] = []
+    trees: dict[str, ast.Module] = {}
+    for path, source in sources.items():
+        try:
+            trees[path] = ast.parse(source, filename=path)
+        except SyntaxError as error:
+            findings.append(
+                Finding(
+                    path=path,
+                    line=error.lineno or 1,
+                    col=(error.offset or 0) + 1,
+                    rule="RPR000",
+                    message=f"syntax error: {error.msg}",
+                )
             )
-        ]
-    checker = _Checker(path, _repro_subpackage(path))
-    checker.visit(tree)
-    suppressions = extract_suppressions(source, tree)
+            continue
+        checker = _Checker(path, repro_subpackage(path))
+        checker.visit(trees[path])
+        findings.extend(checker.findings)
+    findings.extend(
+        Finding(path=path, line=line, col=col, rule="RPR010", message=message)
+        for path, line, col, message in check_blocking(CallGraph(ModuleIndex(trees)))
+    )
+    suppressions = {path: extract_suppressions(sources[path], tree) for path, tree in trees.items()}
     kept = [
-        finding for finding in checker.findings if finding.rule not in suppressions.active(finding.line)
+        finding
+        for finding in findings
+        if finding.path not in suppressions
+        or finding.rule not in suppressions[finding.path].active(finding.line)
     ]
     kept.extend(
         Finding(
@@ -883,15 +877,15 @@ def lint_source(source: str, path: str = "<string>") -> list[Finding]:
             rule="RPR000",
             message=f"unknown rule code {code!r} in repolint suppression",
         )
-        for line, code in suppressions.errors
+        for path, parsed in suppressions.items()
+        for line, code in parsed.errors
     )
-    return sorted(kept, key=lambda f: (f.line, f.col, f.rule))
+    return sorted(kept, key=lambda f: (f.path, f.line, f.col, f.rule))
 
 
-def lint_file(path: str | Path) -> list[Finding]:
-    """Lint one file on disk."""
-    file_path = Path(path)
-    return lint_source(file_path.read_text(encoding="utf-8"), str(file_path))
+def lint_source(source: str, path: str = "<string>") -> list[Finding]:
+    """Lint one Python source string; returns the unsuppressed findings."""
+    return lint_sources({path: source})
 
 
 def _iter_python_files(paths: Sequence[str | Path]) -> Iterator[Path]:
@@ -908,19 +902,18 @@ def _iter_python_files(paths: Sequence[str | Path]) -> Iterator[Path]:
 
 
 def lint_paths(paths: Sequence[str | Path]) -> tuple[list[Finding], int]:
-    """Lint files and directories; returns ``(findings, files_checked)``."""
-    findings: list[Finding] = []
-    checked = 0
-    for file_path in _iter_python_files(paths):
-        checked += 1
-        findings.extend(lint_file(file_path))
-    return findings, checked
+    """Lint files and directories as one program; returns ``(findings, files_checked)``."""
+    sources = {
+        str(file_path): file_path.read_text(encoding="utf-8")
+        for file_path in _iter_python_files(paths)
+    }
+    return lint_sources(sources), len(sources)
 
 
 def main(argv: Iterable[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.lint",
-        description="Repository-specific invariant linter (rules RPR001-RPR009, RPR012, RPR014).",
+        description="Repository-specific invariant linter (rules RPR001-RPR010, RPR012, RPR014).",
     )
     parser.add_argument("paths", nargs="*", help="files or directories to lint")
     parser.add_argument("--json", action="store_true", help="emit a JSON report on stdout")

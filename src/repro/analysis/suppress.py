@@ -1,7 +1,7 @@
-"""Comment-based suppression parsing shared by repolint and the flow analyzer.
+"""Comment-based suppression parsing for repolint.
 
-Both static-analysis tools in this package honour the same inline
-directives::
+Every repolint rule, the per-file ones and the whole-program RPR010,
+honours the same inline directives::
 
     flagged_call()  # repolint: disable=RPR001
     # repolint: disable-file=RPR002
@@ -20,13 +20,9 @@ and adds two behaviours the raw-line scan could not offer:
   body statement — is expanded, never the body, so a directive on a
   ``def`` line cannot blanket-suppress the function.
 * **Unknown-code errors.**  A directive naming a code outside
-  :data:`KNOWN_CODES` is an error record, not a silent no-op; both
-  linters surface it as an ``RPR000`` finding.
-
-The known-code registry spans *both* tools (repolint's RPR001–RPR009,
-RPR012 and RPR014, and the flow analyzer's RPR010, RPR011 and RPR013) so
-that a file carrying a flow suppression lints clean under repolint and
-vice versa.
+  :data:`KNOWN_CODES` is an error record, not a silent no-op; repolint
+  surfaces it as an ``RPR000`` finding.  Retired rule codes are unknown
+  too, so a stale suppression cannot outlive its rule.
 """
 
 from __future__ import annotations
@@ -43,10 +39,10 @@ __all__ = [
     "extract_suppressions",
 ]
 
-#: Every valid rule code across repolint (RPR001-RPR009, RPR012, RPR014) and
-#: the flow analyzer (RPR010, RPR011, RPR013); RPR000 is the shared
-#: analysis-error channel.
-KNOWN_CODES: frozenset[str] = frozenset(f"RPR{i:03d}" for i in range(15))
+#: repolint's live rule codes, plus RPR000, its analysis-error channel.
+KNOWN_CODES: frozenset[str] = frozenset(
+    f"RPR{i:03d}" for i in (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14)
+)
 
 _DIRECTIVE = re.compile(r"#\s*repolint:\s*(disable-file|disable)\s*=\s*([^#]*)")
 

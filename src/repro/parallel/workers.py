@@ -14,7 +14,8 @@ its read-only state are inherited at fork without pickling or copying,
 so only the indices and the results cross the pool's pipes; each
 worker's spans ride back with its result and are grafted into the
 caller's trace.  The portfolio, the shard engine and
-:func:`parallel_assign` all fan out through it.
+:func:`parallel_assign` all fan out through it, and it rejects a state
+whose generators are not distinct children of one ``spawn()`` call.
 
 :func:`parallel_assign` is the SAMPLING assignment phase (§4.1): rows
 are grouped once by their label codes, and the cheapest-cluster scoring
@@ -109,6 +110,45 @@ def _run_task(index: int) -> tuple[Any, list[dict[str, Any]]]:
     return result, export_spans(trace)
 
 
+def _check_spawned(state: Any) -> None:
+    """Raise unless every Generator in ``state`` is a distinct child of one ``spawn()``.
+
+    Tuples, lists and dict values are walked; arrays and other objects
+    are not.  Children of one ``spawn()`` share their entropy and their
+    spawn key up to its last entry, which is distinct.
+    """
+    group: Any = None
+    seen: set[int] = set()
+    stack = [state]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, (tuple, list)):
+            stack.extend(value)
+        elif isinstance(value, dict):
+            stack.extend(value.values())
+        elif isinstance(value, np.random.Generator):
+            seed_seq = value.bit_generator.seed_seq
+            key = tuple(getattr(seed_seq, "spawn_key", ()))
+            if not key:
+                raise ValueError(
+                    "fan_out `state` holds a np.random.Generator that was not spawned; "
+                    "give each task a child of one rng.spawn(count) call"
+                )
+            if group is None:
+                group = seed_seq
+            elif key[:-1] != tuple(group.spawn_key[:-1]) or not np.array_equal(
+                seed_seq.entropy, group.entropy
+            ):
+                raise ValueError(
+                    "fan_out `state` holds np.random.Generators from different spawn() calls"
+                )
+            if key[-1] in seen:
+                raise ValueError(
+                    "fan_out `state` holds the same spawned np.random.Generator twice"
+                )
+            seen.add(key[-1])
+
+
 def fan_out(
     task: Callable[[_S, int], _R],
     count: int,
@@ -124,7 +164,14 @@ def fan_out(
     innermost open span.  An exception raised by a task reaches the
     caller with its type, after the pool is shut down.  Returns
     ``(results, jobs)`` with ``jobs`` the worker count used.
+
+    A ValueError is raised before any task runs when a
+    ``np.random.Generator`` in ``state`` (reached through tuples, lists
+    and dict values) is not a child of the same ``spawn()`` call as the
+    others, or appears twice: the results would then differ between one
+    worker and several.
     """
+    _check_spawned(state)
     jobs = min(resolve_jobs(n_jobs), count)
     if jobs <= 1:
         return [task(state, index) for index in range(count)], 1

@@ -214,6 +214,29 @@ def _square_with_span(state, index):
         return (index + offset) ** 2
 
 
+def _len_of_state(state, index):
+    return len(state)
+
+
+def _unspawned_states():
+    # A generator shared by two tasks advances between them in-process but
+    # not across forked copies, so the results would depend on n_jobs.
+    child = np.random.default_rng(0).spawn(2)[0]
+    root = np.random.default_rng(0)
+    return {
+        "not-spawned": (0, np.random.default_rng(0)),
+        "same-twice": [child, {"rng": child}],
+        "two-spawn-calls": (
+            np.random.default_rng(0).spawn(1)[0],
+            np.random.default_rng(1).spawn(2)[1],
+        ),
+        "two-spawn-depths": (root.spawn(1)[0], root.spawn(1)[0].spawn(1)[0]),
+    }
+
+
+_UNSPAWNED_STATES = _unspawned_states()
+
+
 class TestFanOut:
     """``workers.fan_out``: the one serial-or-forked runner."""
 
@@ -256,6 +279,40 @@ class TestFanOut:
         generator = np.random.default_rng(seed)
         assert np.random.default_rng(generator) is generator
 
+    @pytest.mark.parametrize("name", sorted(_UNSPAWNED_STATES))
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_rejects_generators_not_from_one_spawn(self, name, n_jobs):
+        with pytest.raises(ValueError, match="`state`"):
+            fan_out(_len_of_state, 0, _UNSPAWNED_STATES[name], n_jobs)
+
+    def test_accepts_spawned_children_and_skips_arrays(self):
+        children = np.random.default_rng(0).spawn(3)
+        state = (np.zeros(3), [children[0], (children[1],)], {"rng": children[2]})
+        assert fan_out(_len_of_state, 2, state, 1) == ([3, 3], 1)
+
+    def test_accepts_the_real_states(self, monkeypatch):
+        from repro.algorithms.agglomerative import agglomerative
+
+        states = []
+        check = workers_module._check_spawned
+
+        def recording(state):
+            states.append(state)
+            check(state)
+
+        monkeypatch.setattr(workers_module, "_check_spawned", recording)
+        matrix = generate_votes(n=90, rng=0).label_matrix()
+        portfolio(matrix, methods=("local-search", "balls", "annealing"), rng=1, n_jobs=1)
+        shard_aggregate(matrix, n_shards=2, rng=0, n_jobs=1)
+        sample = np.arange(0, 90, 3)
+        sub = CorrelationInstance.from_label_matrix(matrix[sample])
+        tables = ClusterCountTables(matrix, sample, agglomerative(sub).labels)
+        parallel_assign(tables, np.setdiff1d(np.arange(90), sample), n_jobs=1)
+        portfolio_state, shard_state, assign_state = states
+        assert [spec[2] is not None for spec in portfolio_state[1]] == [True, False, True]
+        assert len(shard_state[2]) == 2
+        assert isinstance(assign_state[0], ClusterCountTables)
+
 
 class TestPortfolio:
     def test_parallel_matches_serial(self):
@@ -280,6 +337,20 @@ class TestPortfolio:
         assert fanned.cost == serial.cost
         np.testing.assert_array_equal(fanned.best.labels, serial.best.labels)
         assert [run.cost for run in fanned.runs] == [run.cost for run in serial.runs]
+
+    def test_stochastic_members_bit_identical_across_jobs(self):
+        # Every stochastic position draws its own spawned child.  Handing
+        # each member the root generator instead passes serially (the
+        # members draw from it in turn) and diverges forked (each worker
+        # draws from a copy): the second local-search then ends 4867.17
+        # serially against 4868.17 with two workers.
+        matrix = np.random.default_rng(3).integers(0, 4, size=(200, 6))
+        methods = ("local-search", "local-search", "annealing")
+        serial = portfolio(matrix, methods=methods, rng=7, n_jobs=1)
+        fanned = portfolio(matrix, methods=methods, rng=7, n_jobs=2)
+        assert [run.cost for run in fanned.runs] == [run.cost for run in serial.runs]
+        assert fanned.best_method == serial.best_method
+        np.testing.assert_array_equal(fanned.best.labels, serial.best.labels)
 
     def test_repeated_stochastic_entries_are_independent_restarts(self):
         matrix = generate_votes(n=80, rng=2).label_matrix()

@@ -1,4 +1,4 @@
-"""Suppression parsing edge cases, covering both linters.
+"""Suppression parsing edge cases, for the per-file rules and RPR010.
 
 Regression suite for the tokenize-based directive extraction in
 :mod:`repro.analysis.suppress`: directives in string literals must NOT
@@ -6,7 +6,7 @@ suppress (the old raw-line regex scan did), directives on any line of a
 multi-line statement must cover the whole statement, compound-statement
 directives must cover only the header, ``disable-file`` must work from
 anywhere in the file, and unknown rule codes must error (RPR000) instead
-of silently doing nothing.
+of silently doing nothing, retired rule codes included.
 """
 
 from __future__ import annotations
@@ -16,19 +16,24 @@ import textwrap
 
 import pytest
 
-from repro.analysis.flow import analyze_sources
-from repro.analysis.lint import lint_source
+from repro.analysis.lint import RULES, lint_source, lint_sources
 from repro.analysis.suppress import KNOWN_CODES, extract_suppressions
 
 CORE = "src/repro/core/snippet.py"
+SERVE = "src/repro/serve/snippet.py"
 
 
 def lint_codes(source: str, path: str = CORE) -> list[str]:
     return [finding.rule for finding in lint_source(textwrap.dedent(source), path=path)]
 
 
-def flow_codes(source: str, path: str = CORE) -> list[str]:
-    return [f.rule for f in analyze_sources({path: textwrap.dedent(source)})]
+#: A blocking helper, so that ``helper(...)`` in a serve handler is RPR010.
+_HELPER = {"src/repro/serve/helpers.py": "import time\ndef helper(x):\n    time.sleep(0.1)\n"}
+
+
+def flow_codes(source: str, path: str = SERVE) -> list[str]:
+    """Rules found when ``source`` is linted together with :data:`_HELPER`."""
+    return [f.rule for f in lint_sources({path: textwrap.dedent(source), **_HELPER})]
 
 
 # ---------------------------------------------------------------------------
@@ -36,11 +41,9 @@ def flow_codes(source: str, path: str = CORE) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def test_known_codes_span_both_tools() -> None:
-    assert "RPR001" in KNOWN_CODES  # repolint
-    assert "RPR013" in KNOWN_CODES  # flow
-    assert "RPR014" in KNOWN_CODES  # repolint (method-dispatch tables)
-    assert "RPR015" not in KNOWN_CODES
+def test_known_codes_are_the_live_rules() -> None:
+    assert KNOWN_CODES == set(RULES) | {"RPR000"}
+    assert not KNOWN_CODES & {"RPR011", "RPR013"}  # retired rules
 
 
 def test_directive_in_string_literal_is_ignored() -> None:
@@ -156,47 +159,61 @@ def test_lint_unknown_code_errors_rpr000() -> None:
 
 
 def test_lint_accepts_flow_rule_codes() -> None:
-    # A flow-rule suppression must not be an unknown-code error under
-    # repolint (and vice versa): the registry is shared.
-    assert lint_codes("x = 1  # repolint: disable=RPR013\n") == []
+    # RPR010's code is valid in a one-file run, which has no call chain.
+    assert lint_codes("x = 1  # repolint: disable=RPR010\n") == []
+
+
+@pytest.mark.parametrize("code", ["RPR011", "RPR013"])
+def test_retired_rule_codes_are_errors(code: str) -> None:
+    # A suppression of a retired rule is stale: it must not pass silently.
+    findings = lint_source(f"x = 1  # repolint: disable={code}\n", path=CORE)
+    assert [f.rule for f in findings] == ["RPR000"]
+    assert code in findings[0].message
 
 
 # ---------------------------------------------------------------------------
-# flow-analyzer integration
+# The whole-program rule (RPR010) goes through the same suppression pass
 # ---------------------------------------------------------------------------
 
-_GRID_VIOLATION = (
-    "def total(backend, n):\n"
-    "    for start in range(0, n, 4096):{comment}\n"
-    "        backend.row_block(start, start + 4096)\n"
+_RPR010_VIOLATION = (
+    "from repro.serve.helpers import helper\n"
+    "async def handler(request):\n"
+    "    for item in helper(\n"
+    "        request,\n"
+    "    ):{comment}\n"
+    "        yield item\n"
 )
 
 
 def test_flow_suppression_on_loop_header() -> None:
-    assert flow_codes(_GRID_VIOLATION.format(comment="")) == ["RPR013"]
-    assert (
-        flow_codes(_GRID_VIOLATION.format(comment="  # repolint: disable=RPR013")) == []
-    )
+    assert flow_codes(_RPR010_VIOLATION.format(comment="")) == ["RPR010"]
+    # A directive on the header's last line covers the call on its first.
+    assert flow_codes(_RPR010_VIOLATION.format(comment="  # repolint: disable=RPR010")) == []
 
 
 def test_flow_string_literal_directive_does_not_suppress() -> None:
     source = (
-        'NOTE = "# repolint: disable-file=RPR013"\n'
-        + _GRID_VIOLATION.format(comment="")
+        'NOTE = "# repolint: disable-file=RPR010"\n'
+        + _RPR010_VIOLATION.format(comment="")
     )
-    assert flow_codes(source) == ["RPR013"]
+    assert flow_codes(source) == ["RPR010"]
 
 
 def test_flow_unknown_code_errors_rpr000() -> None:
-    assert flow_codes("x = 1  # repolint: disable=RPR888\n") == ["RPR000"]
+    # Reported once, and the unknown code suppresses nothing.
+    source = _RPR010_VIOLATION.format(comment="  # repolint: disable=RPR888")
+    assert flow_codes(source) == ["RPR010", "RPR000"]
 
 
 def test_flow_accepts_lint_rule_codes() -> None:
-    assert flow_codes("x = 1  # repolint: disable=RPR001\n") == []
+    # A per-file rule's code is valid on an RPR010 line but does not silence it.
+    source = _RPR010_VIOLATION.format(comment="  # repolint: disable=RPR001")
+    assert flow_codes(source) == ["RPR010"]
 
 
 @pytest.mark.parametrize("code", sorted(KNOWN_CODES))
 def test_every_known_code_parses_in_both_tools(code: str) -> None:
+    # Both the one-file entry point and a whole-program run accept it.
     source = f"x = 1  # repolint: disable={code}\n"
     assert lint_codes(source) == []
-    assert flow_codes(source) == []
+    assert flow_codes(source, path=CORE) == []
