@@ -9,6 +9,12 @@ O(1).  A sweep is one vectorized scan for nodes whose best move improves,
 followed by re-verified relocations of just those nodes.  The search stops
 at a local optimum: a sweep with no strictly-improving move.
 
+The relocations of a sweep run compiled (``core/_moves.c``) on a dense
+``X``, float64 or float32, where a C compiler is found; lazy instances and
+machines without one run the per-candidate numpy loop.  Both make the same
+float operations in the same order, so labels, sweeps and moves are equal
+bit for bit; the ``localsearch.refine`` span's ``engine`` says which ran.
+
 The paper uses LOCALSEARCH both as a standalone algorithm and as a
 post-processing step for the other algorithms (see the A2 ablation bench);
 it reports the best objective values of all heuristics, at the price of a
@@ -58,12 +64,15 @@ def refine(
 
     Each sweep first runs the vectorized O(n·k) candidate scan
     (:meth:`MoveEvaluator.candidate_movers`) and then re-verifies and
-    applies only those candidates, so a sweep over a near-optimal
-    clustering costs one matrix scan plus O(n) per node that actually
-    moves — instead of n Python-level relocation attempts.  Moves enabled
-    by other moves within the same sweep are picked up by the next scan;
-    the search still terminates exactly at a single-node-move local
-    optimum.  The streaming engine calls this directly to reuse one
+    applies only those candidates (:meth:`MoveEvaluator.relocate_all`:
+    compiled on a dense ``X`` where a C compiler is found, else the numpy
+    loop over :meth:`MoveEvaluator.relocate_if_better`, with equal bits),
+    so a sweep over a near-optimal clustering costs one matrix scan plus
+    O(n) per node that actually moves.  Moves enabled by other moves
+    within the same sweep are picked up by the next scan; the search
+    still terminates exactly at a single-node-move local optimum.  The
+    ``localsearch.refine`` span records the ``engine`` that ran (``c`` or
+    ``numpy``).  The streaming engine calls this directly to reuse one
     evaluator across updates; :func:`local_search` wraps it for the batch
     entry point.
     """
@@ -75,17 +84,14 @@ def refine(
             candidates = evaluator.candidate_movers(eps=_EPS)
             if generator is not None and candidates.size:
                 generator.shuffle(candidates)
-            improved = False
-            for v in candidates:
-                # Scores go stale as earlier candidates move, so each candidate
-                # is re-verified in place; only a node that still improves pays
-                # the O(n) relocation.
-                if evaluator.relocate_if_better(int(v), eps=_EPS):
-                    improved = True
-                    details.moves += 1
-            if not improved:
+            # Scores go stale as earlier candidates move, so each candidate
+            # is re-verified in place; only a node that still improves pays
+            # the O(n) relocation.
+            moves = evaluator.relocate_all(candidates, eps=_EPS)
+            details.moves += moves
+            if not moves:
                 break
-        refine_span.set(sweeps=details.sweeps, moves=details.moves)
+        refine_span.set(engine=evaluator.sweep_engine, sweeps=details.sweeps, moves=details.moves)
     inc("localsearch.sweeps", details.sweeps)
     inc("localsearch.moves", details.moves)
     return details

@@ -1,7 +1,7 @@
 /*
  * The Lance-Williams merge loop (linkage.py::_merge) in C, written once and
  * instantiated for float64 (f64) and float32 (f32) working matrices.
- * _native.py builds it with -O2 -std=c99 -ffp-contract=off, without
+ * core/_native.py builds it with -O2 -std=c99 -ffp-contract=off, without
  * -ffast-math or -march, so each float operation is the numpy loop's, in
  * the same order, and the merges, caches and counters are equal bit for
  * bit.  The arrays and rules are those of linkage.py's module docstring.

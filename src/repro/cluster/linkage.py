@@ -15,7 +15,7 @@ rule for every other cluster ``k``:
 * average: ``(s_i d_i + s_j d_j) / (s_i + s_j)``;
 * Ward: ``((s_i + s_k) d_i + (s_j + s_k) d_j - s_k h) / (s_i + s_j + s_k)``.
 
-The loop runs compiled (``_merge.c``, built on first use by :mod:`._native`)
+The loop runs compiled (``_merge.c``, built on first use by :mod:`repro.core._native`)
 where a C compiler is found, and as the numpy loop :func:`_merge`
 otherwise; the two make the same float operations in the same order, so
 their merges, caches and counters are equal bit for bit.  One merge:
@@ -56,15 +56,17 @@ copy of the distances plus ``O(n)`` vectors.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import numbers
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from ._native import merge_loops
+from ..core import _native
 from .distances import euclidean_matrix, squared_euclidean_matrix
 
 __all__ = ["LinkageResult", "linkage", "hierarchical"]
@@ -290,6 +292,20 @@ def _merge_compiled(
     D = buffer[: slots * slots].reshape(slots, slots)
     state = _Slots(D, *(array[:slots] for array in state[1:]))
     return state, dict(zip(("repairs", "improved", "compactions"), counts.tolist()))
+
+
+def merge_loops() -> dict[np.dtype, Any]:
+    """The compiled merge loops (``_merge.c``) by working dtype; empty if
+    none loads.
+
+    A loop takes the six arrays of a merge state and the merge list
+    (pointers), then ``slots``, ``target``, the rule's index, whether to
+    stop at ``threshold``, ``threshold``, an int64 scratch of ``2 * slots``
+    entries and three int64 counts, and returns the slots in use at the end.
+    """
+    arrays, count, flag = [ctypes.c_void_p] * 7, ctypes.c_int64, ctypes.c_int
+    argtypes = [*arrays, count, count, flag, flag, ctypes.c_double, *arrays[:2]]
+    return _native.loops(Path(__file__).with_name("_merge.c"), "linkage_merge", argtypes, count)
 
 
 def _merge_engine(dtype: np.dtype) -> tuple[str, Callable[..., tuple[_Slots, dict[str, int]]]]:

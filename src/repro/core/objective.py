@@ -11,6 +11,10 @@ Two pieces of machinery live here:
 
   and the cost of opening a singleton is ``sum_j (|C_j| - M(v, C_j))``, so
   each candidate move is evaluated in O(1) after O(n) maintenance per move.
+  On a dense ``X`` one sweep's relocations (:meth:`MoveEvaluator.relocate_all`)
+  run compiled (``_moves.c``, built on first use by :mod:`._native`) where a
+  C compiler is found, with the float operations of the numpy methods in the
+  same order, so the two are equal bit for bit.
 
 * :class:`ClusterCountTables` — the same quantities computed from a raw
   label matrix through per-cluster attribute-value counts, *without ever
@@ -21,8 +25,13 @@ Two pieces of machinery live here:
 
 from __future__ import annotations
 
+import ctypes
+from pathlib import Path
+from typing import Any
+
 import numpy as np
 
+from . import _native
 from .instance import CorrelationInstance
 from .kernels import (
     MISSING,
@@ -36,6 +45,22 @@ from .labels import check_label_entries, check_weights, reject_missing_columns
 from .partition import Clustering
 
 __all__ = ["MoveEvaluator", "ClusterCountTables"]
+
+
+def sweep_loops() -> dict[np.dtype, Any]:
+    """The compiled relocation sweeps (``_moves.c``) by dtype of ``X``;
+    empty if none loads.
+
+    A sweep takes ``X``, ``n``, the weights, labels, sizes and mass matrix
+    (pointers), the slot count, the free-slot stack, an int64 state of
+    (next candidate, free slots, moves), the candidates, their count and
+    ``eps``; it returns 1 when it stops for the caller to grow the mass
+    matrix, else 0.
+    """
+    pointer, count = ctypes.c_void_p, ctypes.c_int64
+    argtypes = [pointer, count, *[pointer] * 4, count, *[pointer] * 3, count, ctypes.c_double]
+    source = Path(__file__).with_name("_moves.c")
+    return _native.loops(source, "relocate_all", argtypes, ctypes.c_int)
 
 
 class MoveEvaluator:
@@ -407,6 +432,61 @@ class MoveEvaluator:
         else:
             self.attach(v, best_slot)
         return True
+
+    def _sweep(self) -> tuple[np.ndarray, Any] | None:
+        """The dense ``X`` and the compiled sweep over it; ``None`` where
+        :meth:`relocate_all` runs the numpy loop."""
+        backend = self._instance.backend
+        if backend.name != "dense":
+            return None
+        X = backend.dense()
+        loop = sweep_loops().get(X.dtype)
+        if loop is None or not (X.flags.c_contiguous and self._node_weights.flags.c_contiguous):
+            return None
+        return X, loop
+
+    @property
+    def sweep_engine(self) -> str:
+        """What runs :meth:`relocate_all`: ``"c"`` or ``"numpy"``."""
+        return "numpy" if self._sweep() is None else "c"
+
+    def relocate_all(self, candidates: np.ndarray, eps: float = 0.0) -> int:
+        """:meth:`relocate_if_better` on each of ``candidates`` in order;
+        returns the number of moves.
+
+        On a dense ``X``, where ``_moves.c`` loads, the loop runs compiled:
+        the float operations of :meth:`relocate_if_better`, :meth:`detach`,
+        :meth:`attach` and :meth:`attach_singleton`, in the same order, so
+        labels, sizes, masses and free slots are equal bit for bit.  When a
+        singleton must open and no slot is free, the loop returns here for
+        :meth:`attach_singleton` to grow the mass matrix, and resumes.
+        Requires every object attached.
+        """
+        candidates = np.ascontiguousarray(candidates, dtype=np.int64)
+        if np.any(self._labels < 0):
+            raise RuntimeError("a sweep requires every object attached")
+        if candidates.size and not 0 <= candidates.min() <= candidates.max() < self.n:
+            raise ValueError("candidates must be objects of the instance")
+        sweep = self._sweep()
+        if sweep is None:
+            return sum(self.relocate_if_better(int(v), eps) for v in candidates)
+        X, loop = sweep
+        state = np.zeros(3, dtype=np.int64)  # next candidate, free slots, moves
+        while True:
+            free = np.empty(self._sizes.size, dtype=np.int64)
+            state[1] = len(self._free_slots)
+            free[: state[1]] = self._free_slots
+            arrays = (self._node_weights, self._labels, self._sizes, self._mass)
+            grow = loop(
+                X.ctypes.data, self.n, *(array.ctypes.data for array in arrays),
+                self._sizes.size, free.ctypes.data, state.ctypes.data,
+                candidates.ctypes.data, candidates.size, eps,
+            )
+            self._free_slots = free[: state[1]].tolist()
+            if not grow:
+                return int(state[2])
+            self.attach_singleton(int(candidates[state[0]]))
+            state[0] += 1
 
     def apply_stream_update(
         self, column: np.ndarray, p: float, scale: float, factor: float

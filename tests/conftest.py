@@ -1,4 +1,5 @@
-"""Shared fixtures: the paper's running example and small random instances."""
+"""Shared fixtures: the paper's running example, small random instances and
+a fresh loader of the compiled loops."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import pytest
 
 from repro import Clustering
 from repro.analysis.contracts import contracts
-from repro.core import CorrelationInstance
+from repro.core import CorrelationInstance, _native
 
 # Historical home of these helpers; re-exported so the many existing
 # ``from conftest import ...`` call sites keep working.  New tests should
@@ -31,6 +32,18 @@ def _runtime_contracts(request: pytest.FixtureRequest):
         return
     with contracts():
         yield
+
+
+@pytest.fixture
+def fresh_loader(monkeypatch, tmp_path):
+    """The loader of the compiled loops with nothing loaded yet and
+    ``tmp_path/cache`` as its only cache directory; the real cache comes
+    back afterwards."""
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(_native, "_cache_dirs", lambda source: [cache])
+    _native.library.cache_clear()
+    yield cache
+    _native.library.cache_clear()
 
 
 @pytest.fixture

@@ -13,13 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Clustering, aggregate
-from repro.core import CorrelationInstance
+from repro.core import CorrelationInstance, _native
 from repro.core.atoms import collapse_duplicates
 from repro.core.kernels import default_dtype
 from repro.core.labels import MISSING
 from repro.algorithms import agglomerative
-from repro.cluster import _native, linkage
-from repro.cluster.linkage import RULES, _merge, _start
+from repro.cluster import linkage
+from repro.cluster.linkage import RULES, _merge, _start, merge_loops
 from repro.datasets import generate_mushrooms
 from repro.obs import collecting, get_registry, tracing
 
@@ -615,19 +615,8 @@ class TestAgainstLinkage:
             assert agglomerative(instance, force_k=k) == Clustering(dendrogram.cut(k)), k
 
 
-@pytest.fixture
-def fresh_loader(monkeypatch, tmp_path):
-    """The loader with no loop loaded yet and ``tmp_path/cache`` as its only
-    cache directory; the real cache comes back afterwards."""
-    cache = tmp_path / "cache"
-    monkeypatch.setattr(_native, "_cache_dirs", lambda: [cache])
-    _native.merge_loops.cache_clear()
-    yield cache
-    _native.merge_loops.cache_clear()
-
-
 def compiled_float64_loop():
-    return _native.merge_loops().get(np.dtype(np.float64))
+    return merge_loops().get(np.dtype(np.float64))
 
 
 def first_engine_in_fork(barrier, results):
@@ -645,7 +634,7 @@ class TestCompiledLoop:
         if not any(shutil.which(name) for name in _native.COMPILERS):
             pytest.skip("no C compiler on PATH")
         assert compiled_float64_loop() is not None
-        assert _native.merge_loops().get(np.dtype(np.float32)) is not None
+        assert merge_loops().get(np.dtype(np.float32)) is not None
         instance = CorrelationInstance.from_label_matrix(planted_matrix(200, 3, seed=0))
         assert traced_agglomerative(instance)[1]["engine"] == "c"
 
@@ -655,7 +644,7 @@ class TestCompiledLoop:
             patch.setattr(_native.shutil, "which", lambda name: None)
             ours, attrs = traced_agglomerative(instance)
         assert attrs["engine"] == "numpy" and not any(fresh_loader.iterdir())
-        _native.merge_loops.cache_clear()
+        _native.library.cache_clear()
         compiled, compiled_attrs = traced_agglomerative(instance)
         if compiled_attrs["engine"] == "c":  # built into the fresh cache
             assert ours == compiled and instance.cost(ours) == instance.cost(compiled)
@@ -679,11 +668,11 @@ class TestCompiledLoop:
             pytest.skip("nothing compiles here")
         (built,) = fresh_loader.iterdir()
         fresh_loader.chmod(mode)
-        _native.merge_loops.cache_clear()
+        _native.library.cache_clear()
         assert compiled_float64_loop() is None
         assert list(fresh_loader.iterdir()) == [built]
         fresh_loader.chmod(0o700)
-        _native.merge_loops.cache_clear()
+        _native.library.cache_clear()
         assert compiled_float64_loop() is not None
 
     def test_refuses_an_object_others_can_write(self, fresh_loader):
@@ -691,7 +680,7 @@ class TestCompiledLoop:
             pytest.skip("nothing compiles here")
         (built,) = fresh_loader.iterdir()
         built.chmod(0o722)
-        _native.merge_loops.cache_clear()
+        _native.library.cache_clear()
         assert compiled_float64_loop() is None
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
@@ -720,9 +709,9 @@ class TestCompiledLoop:
             "def refuse(*args, **kwargs):\n"
             "    raise AssertionError('a process was started')\n"
             "subprocess.Popen = subprocess.run = refuse\n"
-            "import repro, repro.algorithms.agglomerative\n"
-            "from repro.cluster import _native\n"
-            "assert _native.merge_loops.cache_info().currsize == 0\n"
+            "import repro, repro.algorithms.agglomerative, repro.algorithms.local_search\n"
+            "from repro.core import _native\n"
+            "assert _native.library.cache_info().currsize == 0\n"
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)

@@ -6,16 +6,26 @@ differential oracle.  Both are driven through the same random sequences
 of moves, scans, compactions and streaming updates, on dense, lazy and
 raw instances, unit and integral weights, singleton and arbitrary
 starts: masses must stay byte-equal and every decision identical.
+
+The compiled relocation sweep (``relocate_all`` on ``_moves.c``) is held
+to the per-candidate ``relocate_if_better`` loop and to the oracle the
+same way, sweep by sweep, with its numpy fallback when no compiler loads.
 """
+
+import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.local_search import local_search
+from repro.core import _native
 from repro.core.instance import CorrelationInstance
 from repro.core.kernels import MISSING, label_codes, label_histogram, separation_mass
-from repro.core.objective import MoveEvaluator
+from repro.core.objective import MoveEvaluator, sweep_loops
 from repro.core.partition import Clustering
+from repro.obs import tracing
 
 from strategies import node_masses
 
@@ -547,3 +557,165 @@ def test_dense_float32_reads_float64_row_blocks_like_lazy(start):
     assert evaluator._X is None
     assert evaluator._mass.tobytes() == MoveEvaluator(lazy, initial)._mass.tobytes()
     assert local_search(dense, rng=0) == local_search(lazy, rng=0)
+
+
+# ----------------------------------------------------------------------
+# The compiled relocation sweep (_moves.c) against the numpy loop
+# ----------------------------------------------------------------------
+
+
+def has_compiler() -> bool:
+    return any(shutil.which(name) for name in _native.COMPILERS)
+
+
+def assert_same_sweep_state(compiled: MoveEvaluator, reference: MoveEvaluator) -> None:
+    assert np.array_equal(compiled._labels, reference._labels)
+    assert compiled._sizes.tobytes() == reference._sizes.tobytes()
+    assert compiled._mass.tobytes() == reference._mass.tobytes()
+    assert compiled._free_slots == reference._free_slots
+
+
+def sweep_in_lockstep(instance: CorrelationInstance, initial: np.ndarray, seed: int) -> int:
+    """Sweeps to a local optimum as ``refine`` makes them: ``relocate_all``
+    on one evaluator, the per-candidate ``relocate_if_better`` loop on a
+    second and on the previous layout's; every state equal after every
+    sweep.  Returns the number of sweeps."""
+    compiled = MoveEvaluator(instance, initial)
+    reference = MoveEvaluator(instance, initial)
+    previous = PreviousMoveEvaluator(instance, initial)
+    if has_compiler():
+        assert compiled.sweep_engine == "c"
+    rng = np.random.default_rng(seed)
+    for sweep in range(1, 200):
+        candidates = compiled.candidate_movers(1e-9)
+        assert np.array_equal(candidates, reference.candidate_movers(1e-9))
+        rng.shuffle(candidates)
+        moves = compiled.relocate_all(candidates, eps=1e-9)
+        assert moves == sum(reference.relocate_if_better(int(v), 1e-9) for v in candidates)
+        assert moves == sum(previous.relocate_if_better(int(v), 1e-9) for v in candidates)
+        assert_same_sweep_state(compiled, reference)
+        assert_same_state(compiled, previous)
+        if not moves:
+            return sweep
+    raise AssertionError("no local optimum within 200 sweeps")
+
+
+@st.composite
+def sweep_cases(draw):
+    """A small dense instance with few label values (so scores tie), unit
+    or integral weights, and a cold, warm or gapped start."""
+    n = draw(st.integers(2, 40))
+    m = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = rng.integers(0, draw(st.integers(2, 4)), size=(n, m))
+    weights = rng.integers(1, 4, size=n).astype(np.float64) if draw(st.booleans()) else None
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    instance = CorrelationInstance.from_label_matrix(
+        matrix, weights=weights, dtype=dtype, backend="dense"
+    )
+    start = draw(st.sampled_from(["cold", "warm", "gapped"]))
+    if start == "cold":
+        initial = np.arange(n)
+    else:
+        # Warm: every slot in use, so an opening singleton grows the matrix;
+        # gapped: the unused even slots start out free.
+        initial = rng.integers(0, draw(st.integers(1, 5)), size=n)
+        initial = np.unique(initial, return_inverse=True)[1].reshape(n)
+        if start == "gapped":
+            initial = 2 * initial + 1
+    return instance, initial, draw(st.integers(0, 1000))
+
+
+# Object 0 is at 1/3 from both pairs {2, 3} and {4, 5}, an equal score;
+# object 1 is at 1 from everyone, so it leaves for a singleton.
+TIE_ROWS = np.array([[0, 0, 0], [5, 5, 5], [0, 1, 0], [0, 1, 0], [2, 0, 0], [2, 0, 0]])
+
+
+class TestCompiledSweep:
+    """``relocate_all`` compiled and as the numpy loop, equal bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=sweep_cases())
+    def test_sweeps_equal_the_numpy_loop(self, case):
+        sweep_in_lockstep(*case)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("start", ["singletons", "arbitrary", "gapped"])
+    def test_cold_and_warm_descents_at_scan_block_size(self, dtype, weighted, start):
+        # 600 nodes: the scan runs in blocks, and a cold start drains the slots.
+        instance = make_instance("dense32" if dtype == np.float32 else "dense", weighted, 7, 600)
+        rng = np.random.default_rng(5)
+        initial = {
+            "singletons": np.arange(600),
+            "arbitrary": rng.integers(0, 6, size=600),
+            "gapped": 2 * rng.integers(0, 5, size=600),
+        }[start]
+        assert sweep_in_lockstep(instance, initial, seed=3) > 1
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_an_equal_score_goes_to_the_first_slot(self, dtype):
+        instance = CorrelationInstance.from_label_matrix(TIE_ROWS, dtype=dtype, backend="dense")
+        evaluator = MoveEvaluator(instance, np.array([0, 0, 1, 1, 2, 2]))
+        assert evaluator.score_of(0, 1) == evaluator.score_of(0, 2)
+        assert evaluator.relocate_all(np.array([0]), eps=1e-9) == 1
+        assert evaluator.slot_of(0) == 1
+        sweep_in_lockstep(instance, np.array([0, 0, 1, 1, 2, 2]), seed=0)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        ("initial", "slot", "slots"),
+        [([0, 0, 1, 1, 2, 2], 3, 3 + MoveEvaluator._GROWTH), ([0, 0, 2, 2, 4, 4], 3, 5)],
+        ids=["growth", "free-slot"],
+    )
+    def test_a_singleton_opens_in_a_free_or_a_grown_slot(self, dtype, initial, slot, slots):
+        instance = CorrelationInstance.from_label_matrix(TIE_ROWS, dtype=dtype, backend="dense")
+        compiled = MoveEvaluator(instance, np.array(initial))
+        reference = MoveEvaluator(instance, np.array(initial))
+        # Object 1, then object 0 into the first of its tied pairs.
+        candidates = np.array([1, 0])
+        assert compiled.relocate_all(candidates, eps=1e-9) == 2
+        assert sum(reference.relocate_if_better(int(v), 1e-9) for v in candidates) == 2
+        assert compiled.slot_of(1) == slot and compiled._sizes.size == slots
+        assert_same_sweep_state(compiled, reference)
+
+    def test_rejects_a_detached_object_and_a_foreign_candidate(self):
+        instance = make_instance("dense", False, 0, 20)
+        evaluator = MoveEvaluator(instance, np.arange(20) % 3)
+        with pytest.raises(ValueError, match="candidates"):
+            evaluator.relocate_all(np.array([0, 20]))
+        with pytest.raises(ValueError, match="candidates"):
+            evaluator.relocate_all(np.array([-1]))
+        evaluator.detach(4)
+        with pytest.raises(RuntimeError, match="attached"):
+            evaluator.relocate_all(np.array([0]))
+
+    def test_a_compiler_on_path_means_the_compiled_sweep_runs(self):
+        # Otherwise every comparison above would pass on numpy alone.
+        if not has_compiler():
+            pytest.skip("no C compiler on PATH")
+        assert set(sweep_loops()) == {np.dtype(np.float64), np.dtype(np.float32)}
+        for kind, engine in [("dense", "c"), ("dense32", "c"), ("lazy", "numpy")]:
+            instance = make_instance(kind, False, 0, 50)
+            assert traced_local_search(instance)[2]["engine"] == engine, kind
+
+    def test_without_a_compiler_numpy_gives_the_same_result(self, fresh_loader, monkeypatch):
+        instance = make_instance("dense", True, 2, 300)
+        with monkeypatch.context() as patch:
+            patch.setattr(_native.shutil, "which", lambda name: None)
+            ours, details, attrs = traced_local_search(instance)
+        assert attrs["engine"] == "numpy" and not any(fresh_loader.iterdir())
+        _native.library.cache_clear()
+        compiled, compiled_details, compiled_attrs = traced_local_search(instance)
+        if compiled_attrs["engine"] == "c":  # built into the fresh cache
+            assert [path.name[:7] for path in fresh_loader.iterdir()] == ["_moves-"]
+            assert ours == compiled and details == compiled_details
+            assert attrs == compiled_attrs | {"engine": "numpy"}
+
+
+def traced_local_search(instance: CorrelationInstance):
+    """local_search() with ``rng=0``: its result, details and refine-span attributes."""
+    with tracing() as trace:
+        result, details = local_search(instance, rng=0, return_details=True)
+    (refine_span,) = trace.find("localsearch.refine")
+    return result, details, refine_span.attrs
