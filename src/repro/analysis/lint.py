@@ -53,11 +53,6 @@ RPR009   No blocking calls directly inside ``async def`` bodies under
          (``np.load``/``np.save``/...), and worker-pool construction or
          ``pool().map``-style fan-out all stall the event loop — await
          ``loop.run_in_executor(...)`` (or ``asyncio.sleep``) instead.
-RPR010   The whole-program form of RPR009: no ``async def`` under
-         ``repro/serve/`` may call (or await into) a function that
-         transitively reaches one of RPR009's blocking primitives.
-         Executor hand-off breaks the chain; the message names the
-         call chain to the primitive (:mod:`repro.analysis.blocking`).
 RPR012   No named shared memory in library code: importing
          ``multiprocessing.shared_memory`` (or ``SharedMemory`` /
          ``SharedMemoryManager`` from anywhere) creates segments that
@@ -83,10 +78,7 @@ its own to silence a rule for the whole file.  Directives are extracted
 from real comment tokens (:mod:`repro.analysis.suppress`) — one inside a
 string literal does nothing — a directive on any line of a multi-line
 statement covers the whole statement, and naming an unknown rule code is
-an ``RPR000`` error, not a silent no-op.  RPR010 runs after the per-file
-rules, over the call graph of every linted file
-(:mod:`repro.analysis.callgraph`), and its findings go through the same
-suppression pass.
+an ``RPR000`` error, not a silent no-op.
 
 Usage
 -----
@@ -107,20 +99,10 @@ import ast
 import dataclasses
 import json
 import sys
-from pathlib import Path
+from pathlib import Path, PurePath
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .blocking import check_blocking
-from .callgraph import (
-    NP_FILE_IO,
-    PATH_IO_METHODS,
-    POOL_MAP_METHODS,
-    CallGraph,
-    ModuleIndex,
-    dotted_name,
-    repro_subpackage,
-)
-from .suppress import extract_suppressions
+from .suppress import Suppressions, extract_suppressions
 
 __all__ = ["RULES", "Finding", "lint_source", "lint_sources", "lint_paths", "main"]
 
@@ -137,7 +119,6 @@ RULES: dict[str, str] = {
     "RPR007": "raw time.perf_counter() outside repro.obs; wrap the code in a repro.obs span",
     "RPR008": "direct .X/._X pair-matrix access outside repro.core; use the backend API",
     "RPR009": "blocking call inside an async def in repro.serve; use run_in_executor/asyncio.sleep",
-    "RPR010": "async def in repro.serve transitively reaches a blocking call; use run_in_executor",
     "RPR012": "named shared memory in library code; use pool initargs and return results",
     "RPR014": "hand-rolled method dispatch outside repro.registry; register a MethodSpec instead",
 }
@@ -164,6 +145,17 @@ ASYNC_PACKAGE = "serve"
 
 #: The one subpackage allowed to hold method-dispatch tables (RPR014).
 REGISTRY_PACKAGE = "registry"
+
+#: Fan-out methods on pool objects (RPR009).
+POOL_MAP_METHODS = frozenset({"map", "starmap", "imap", "imap_unordered", "apply", "apply_async"})
+
+#: numpy functions that hit the filesystem (RPR009).
+NP_FILE_IO = frozenset(
+    {"load", "save", "savez", "savez_compressed", "loadtxt", "savetxt", "genfromtxt", "fromfile"}
+)
+
+#: ``Path``-style blocking file-I/O methods, receiver-agnostic (RPR009).
+PATH_IO_METHODS = frozenset({"read_text", "write_text", "read_bytes", "write_bytes"})
 
 #: Substrings (lowercased) that mark a dict name as a dispatch table (RPR014).
 _DISPATCH_NAME_HINTS = ("method", "dispatch", "solver")
@@ -212,6 +204,35 @@ _NDARRAY_MUTATORS = frozenset(
 )
 
 _ALLOC_DTYPE_POSITION = {"zeros": 1, "empty": 1, "ones": 1, "full": 2}
+
+
+def dotted_name(node: ast.expr) -> tuple[str, ...] | None:
+    """Flatten an ``a.b.c`` attribute chain to ``("a", "b", "c")``."""
+    names: list[str] = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        names.append(node.id)
+        return tuple(reversed(names))
+    return None
+
+
+def repro_subpackage(path: str) -> str | None:
+    """The subpackage of ``repro`` a file lives in.
+
+    Returns e.g. ``"core"`` for ``src/repro/core/instance.py``, ``""`` for
+    top-level modules like ``src/repro/cli.py``, and ``None`` for files
+    outside the library (tests, benchmarks, fixture snippets).
+    """
+    parts = PurePath(path).parts
+    if "repro" not in parts:
+        return None
+    anchor = len(parts) - 1 - parts[::-1].index("repro")
+    below = parts[anchor + 1 :]
+    if len(below) <= 1:
+        return ""
+    return below[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -834,16 +855,12 @@ class _Checker(ast.NodeVisitor):
 
 
 def lint_sources(sources: Mapping[str, str]) -> list[Finding]:
-    """Lint ``{path: source}`` as one program; returns the unsuppressed findings.
-
-    Each file gets the per-file rules, then the parsed files together get
-    RPR010 over their call graph; one suppression pass filters both.
-    """
+    """Lint ``{path: source}`` file by file; returns the unsuppressed findings."""
     findings: list[Finding] = []
-    trees: dict[str, ast.Module] = {}
+    suppressions: dict[str, Suppressions] = {}
     for path, source in sources.items():
         try:
-            trees[path] = ast.parse(source, filename=path)
+            tree = ast.parse(source, filename=path)
         except SyntaxError as error:
             findings.append(
                 Finding(
@@ -856,13 +873,9 @@ def lint_sources(sources: Mapping[str, str]) -> list[Finding]:
             )
             continue
         checker = _Checker(path, repro_subpackage(path))
-        checker.visit(trees[path])
+        checker.visit(tree)
         findings.extend(checker.findings)
-    findings.extend(
-        Finding(path=path, line=line, col=col, rule="RPR010", message=message)
-        for path, line, col, message in check_blocking(CallGraph(ModuleIndex(trees)))
-    )
-    suppressions = {path: extract_suppressions(sources[path], tree) for path, tree in trees.items()}
+        suppressions[path] = extract_suppressions(source, tree)
     kept = [
         finding
         for finding in findings
@@ -902,7 +915,7 @@ def _iter_python_files(paths: Sequence[str | Path]) -> Iterator[Path]:
 
 
 def lint_paths(paths: Sequence[str | Path]) -> tuple[list[Finding], int]:
-    """Lint files and directories as one program; returns ``(findings, files_checked)``."""
+    """Lint files and directories; returns ``(findings, files_checked)``."""
     sources = {
         str(file_path): file_path.read_text(encoding="utf-8")
         for file_path in _iter_python_files(paths)
@@ -913,7 +926,7 @@ def lint_paths(paths: Sequence[str | Path]) -> tuple[list[Finding], int]:
 def main(argv: Iterable[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.lint",
-        description="Repository-specific invariant linter (rules RPR001-RPR010, RPR012, RPR014).",
+        description="Repository-specific invariant linter (rules RPR001-RPR009, RPR012, RPR014).",
     )
     parser.add_argument("paths", nargs="*", help="files or directories to lint")
     parser.add_argument("--json", action="store_true", help="emit a JSON report on stdout")

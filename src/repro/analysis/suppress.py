@@ -1,7 +1,6 @@
 """Comment-based suppression parsing for repolint.
 
-Every repolint rule, the per-file ones and the whole-program RPR010,
-honours the same inline directives::
+Every repolint rule honours the same inline directives::
 
     flagged_call()  # repolint: disable=RPR001
     # repolint: disable-file=RPR002
@@ -41,7 +40,7 @@ __all__ = [
 
 #: repolint's live rule codes, plus RPR000, its analysis-error channel.
 KNOWN_CODES: frozenset[str] = frozenset(
-    f"RPR{i:03d}" for i in (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14)
+    f"RPR{i:03d}" for i in (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 14)
 )
 
 _DIRECTIVE = re.compile(r"#\s*repolint:\s*(disable-file|disable)\s*=\s*([^#]*)")

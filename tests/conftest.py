@@ -1,9 +1,11 @@
-"""Shared fixtures: the paper's running example, small random instances and
-a fresh loader of the compiled loops."""
+"""Shared fixtures: the paper's running example, small random instances, a
+fresh loader of the compiled loops, and the event-loop blocking guard."""
 
 from __future__ import annotations
 
 import pytest
+
+import loopguard
 
 from repro import Clustering
 from repro.analysis.contracts import contracts
@@ -15,6 +17,8 @@ from repro.core import CorrelationInstance, _native
 from strategies import planted_instance, random_aggregation_instance
 
 __all__ = ["planted_instance", "random_aggregation_instance"]
+
+loopguard.install()
 
 
 @pytest.fixture(autouse=True)
@@ -32,6 +36,18 @@ def _runtime_contracts(request: pytest.FixtureRequest):
         return
     with contracts():
         yield
+
+
+@pytest.fixture(autouse=True)
+def _no_blocking_on_event_loop():
+    """Fail the test if anything blocked a running event loop's thread.
+
+    The guard (tests/loopguard.py) raises at the blocking call; this
+    check also fails a test whose code swallowed that exception.
+    """
+    yield
+    violations = loopguard.take()
+    assert not violations, "blocking calls on the event loop:\n" + "\n".join(violations)
 
 
 @pytest.fixture

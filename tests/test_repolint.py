@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.analysis.lint import RULES, Finding, lint_paths, lint_source, main
+from repro.analysis.lint import RULES, Finding, lint_paths, lint_source, lint_sources, main
 
 CORE = "src/repro/core/snippet.py"
 ALGOS = "src/repro/algorithms/snippet.py"
@@ -692,6 +692,61 @@ def test_main_json_reports_every_rule_id(tmp_path, capsys) -> None:
     assert by_rule["RPR008"]["path"].endswith("r8.py")
     assert by_rule["RPR009"]["path"].endswith("r9.py")
     assert by_rule["RPR012"]["path"].endswith("r12.py")
+
+
+def test_syntax_error_in_multi_file_run_is_rpr000() -> None:
+    # The broken file is reported; the other files are still linted.
+    findings = lint_sources({CORE: "import random\nrandom.seed(1)\n", OUTSIDE: "def broken(:\n"})
+    assert [(f.path, f.rule) for f in findings] == [(CORE, "RPR001"), (OUTSIDE, "RPR000")]
+
+
+def test_unknown_suppression_code_is_an_error() -> None:
+    # Reported once, and the unknown code suppresses nothing.
+    findings = lint_sources(
+        {
+            CORE: "import random\nrandom.seed(1)  # repolint: disable=RPR999\n",
+            OUTSIDE: "x = 1\n",
+        }
+    )
+    assert [f.rule for f in findings] == ["RPR000", "RPR001"]
+    assert "RPR999" in findings[0].message
+
+
+def test_cli_text_json_and_exit_codes(tmp_path, capsys) -> None:
+    serve = tmp_path / "src" / "repro" / "serve"
+    serve.mkdir(parents=True)
+    (serve / "handler.py").write_text("import time\nasync def h():\n    time.sleep(1)\n")
+    (serve / "clean.py").write_text("import asyncio\nasync def h():\n    await asyncio.sleep(1)\n")
+
+    assert main([str(tmp_path)]) == 1
+    text = capsys.readouterr().out.splitlines()
+    assert "handler.py:3:5: RPR009 " in text[0]
+    assert text[-1] == "1 finding(s) in 2 file(s)"
+    assert main(["--json", str(tmp_path)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["files_checked"] == 2
+    assert [(f["rule"], f["line"], f["col"]) for f in payload["findings"]] == [("RPR009", 3, 5)]
+    assert main(["--json", str(serve / "clean.py")]) == 0
+    assert json.loads(capsys.readouterr().out) == {"files_checked": 1, "findings": []}
+    assert main([str(serve / "clean.py")]) == 0
+    assert capsys.readouterr().out == "clean: 0 finding(s) in 1 file(s)\n"
+    assert main([]) == 2  # no paths
+    capsys.readouterr()
+
+
+def test_cli_rejects_max_seconds(capsys) -> None:
+    """The 30 s budget is held by test_repository_is_lint_clean, not by a flag."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["src", "--max-seconds", "30"])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+
+
+def test_cli_list_rules(capsys) -> None:
+    assert main(["--list-rules"]) == 0
+    rules = {line.split()[0] for line in capsys.readouterr().out.splitlines()}
+    assert rules == set(RULES)
+    assert not rules & {"RPR010", "RPR011", "RPR013"}  # retired rules
 
 
 def test_repository_is_lint_clean() -> None:

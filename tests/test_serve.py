@@ -3,31 +3,37 @@
 The in-process :class:`ServerHarness` runs a real
 :class:`~repro.serve.AggregationService` — real sockets, real HTTP — on a
 background event-loop thread, so concurrency tests drive the service the
-way production clients would while assertions stay synchronous.  The
-SIGTERM path (signal handlers must live on a main thread) is covered by
-a ``python -m repro serve`` subprocess test at the bottom.
+way production clients would while assertions stay synchronous.  Every
+request runs under the event-loop blocking guard (``tests/loopguard.py``),
+and ``TestEventLoopGuard`` drives each route's success path through it.
+The SIGTERM path (signal handlers must live on a main thread) is covered
+by a ``python -m repro serve`` subprocess test at the bottom.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import linecache
 import os
 import signal
 import subprocess
 import sys
 import threading
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 
 import asyncio
 
+import loopguard
 import numpy as np
 import pytest
 
 from repro.core.aggregate import aggregate
 from repro.datasets import generate_votes
 from repro.parallel.portfolio import portfolio
+from repro.parallel.workers import pool
 from repro.serve import AggregationService, ServeConfig
 from repro.stream import StreamingAggregator, load_checkpoint
 
@@ -165,6 +171,17 @@ class TestRoutingAndValidation:
         )
         assert status == 400
         assert "error" in payload
+
+    def test_list_and_info_sessions(self, harness):
+        assert harness.request("GET", "/sessions")[1] == {"sessions": []}
+        harness.request("POST", "/sessions", {"name": "one", "n": 4, "decay": 0.5})
+        status, listing, _ = harness.request("GET", "/sessions")
+        assert status == 200
+        assert [info["name"] for info in listing["sessions"]] == ["one"]
+        status, info, _ = harness.request("GET", "/sessions/one")
+        assert status == 200
+        assert info == listing["sessions"][0]
+        assert (info["n"], info["count"], info["decay"]) == (4, 0, 0.5)
 
     def test_consensus_before_first_update_is_409(self, harness):
         harness.request("POST", "/sessions", {"name": "empty", "n": 4})
@@ -506,6 +523,142 @@ class TestMetrics:
         assert histograms["serve.observe.seconds"]["count"] == 1
         assert histograms["serve.batch.size"]["count"] == 1
         assert payload["sessions"]["m"]["count"] == 1
+
+
+# ---------------------------------------------------------------------------
+# The event-loop blocking guard
+# ---------------------------------------------------------------------------
+
+
+def _sleep(directory):
+    time.sleep(0.01)
+
+
+def _read_text(directory):
+    return (directory / "note.txt").read_text(encoding="utf-8")
+
+
+def _np_save(directory):
+    np.save(directory / "array.npy", np.zeros(3, dtype=np.float64))
+
+
+def _pool(directory):
+    with pool(2) as workers:
+        return workers.map(abs, [-1, 1])
+
+
+#: Each blocking shape, reached from a handler through a sync helper, and
+#: the audit event the guard reports for it.
+_BLOCKING_SHAPES = {
+    "sleep": (_sleep, "time.sleep"),
+    "read_text": (_read_text, "open"),
+    "np.save": (_np_save, "open"),
+    "pool": (_pool, "os.fork"),
+}
+
+
+class TestEventLoopGuard:
+    @pytest.fixture
+    def files(self, tmp_path):
+        (tmp_path / "note.txt").write_text("x", encoding="utf-8")
+        return tmp_path
+
+    @pytest.mark.parametrize("shape", sorted(_BLOCKING_SHAPES))
+    def test_blocking_helper_on_the_loop_fails(self, harness, files, monkeypatch, shape):
+        blocking, event = _BLOCKING_SHAPES[shape]
+        harness.request("POST", "/sessions", {"name": "g", "n": 4})
+        session = harness.call(lambda: harness.service.sessions.get("g"))
+        info = session.info
+
+        def blocking_info():
+            blocking(files)
+            return info()
+
+        # GET /sessions/{name} calls Session.info() on the loop thread.
+        monkeypatch.setattr(session, "info", blocking_info)
+        status, payload, _ = harness.request("GET", "/sessions/g")
+        assert status == 500
+        assert "event-loop thread" in payload["error"]
+        (violation,) = loopguard.take()
+        assert violation.startswith(f"{event}(")
+
+    @pytest.mark.parametrize("shape", sorted(_BLOCKING_SHAPES))
+    def test_same_helper_in_the_executor_passes(self, harness, files, monkeypatch, shape):
+        blocking, _ = _BLOCKING_SHAPES[shape]
+        run_aggregate = harness.service._run_aggregate
+
+        def blocking_aggregate(spec):
+            blocking(files)
+            return run_aggregate(spec)
+
+        # POST /aggregate hands _run_aggregate to loop.run_in_executor.
+        monkeypatch.setattr(harness.service, "_run_aggregate", blocking_aggregate)
+        status, payload, _ = harness.request(
+            "POST", "/aggregate", {"clusterings": [[0, 0, 1], [0, 1, 1]]}
+        )
+        assert (status, payload["method"]) == (200, "portfolio")
+        assert loopguard.VIOLATIONS == []
+
+    def test_swallowed_errors_are_recorded(self):
+        # Swallowing the guard's exception still leaves the violation for
+        # the teardown check.
+        async def swallowing():
+            try:
+                time.sleep(0)
+            except loopguard.BlockingOnEventLoop:
+                pass
+
+        asyncio.run(swallowing())
+        assert [line.split("(")[0] for line in loopguard.take()] == ["time.sleep"]
+        time.sleep(0)  # no running loop on this thread: allowed
+        assert loopguard.VIOLATIONS == []
+
+    def test_imports_on_the_loop_are_allowed(self, tmp_path, monkeypatch):
+        module = tmp_path / "loopguard_probe.py"
+        module.write_text("VALUE = 1\n", encoding="utf-8")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        monkeypatch.delitem(sys.modules, "loopguard_probe", raising=False)
+
+        async def load():
+            import loopguard_probe
+
+            return loopguard_probe.VALUE
+
+        assert asyncio.run(load()) == 1
+        assert loopguard.VIOLATIONS == []
+
+    def test_traceback_formatting_on_the_loop_is_allowed(self):
+        # linecache opens this file to show the failing line.
+        async def format_error():
+            linecache.clearcache()
+            try:
+                raise ValueError("shown")
+            except ValueError as error:
+                return "".join(traceback.format_exception(error))
+
+        assert 'raise ValueError("shown")' in asyncio.run(format_error())
+        assert loopguard.VIOLATIONS == []
+
+    def test_every_route_succeeds_under_the_guard(self, harness):
+        requests = [
+            ("GET", "/healthz", None),
+            ("POST", "/sessions", {"name": "all", "n": 4}),
+            ("GET", "/sessions", None),
+            ("GET", "/sessions/all", None),
+            ("POST", "/sessions/all/observe", {"labels": [0, 0, 1, 1]}),
+            ("GET", "/sessions/all/consensus", None),
+            ("POST", "/aggregate", {"clusterings": [[0, 0, 1, 1], [0, 1, 1, 1]]}),
+            ("GET", "/metrics", None),
+            ("DELETE", "/sessions/all", None),
+        ]
+        router = harness.service._router
+        driven = set()
+        for method, path, body in requests:
+            status, payload, _ = harness.request(method, path, body)
+            assert 200 <= status < 300, (method, path, payload)
+            driven.add(router.resolve(method, path)[0].name)
+        # A new route must join this list, and so run under the guard.
+        assert driven == {route.name for route in router._routes}
 
 
 # ---------------------------------------------------------------------------

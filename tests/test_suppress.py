@@ -1,4 +1,4 @@
-"""Suppression parsing edge cases, for the per-file rules and RPR010.
+"""Suppression parsing edge cases.
 
 Regression suite for the tokenize-based directive extraction in
 :mod:`repro.analysis.suppress`: directives in string literals must NOT
@@ -16,24 +16,14 @@ import textwrap
 
 import pytest
 
-from repro.analysis.lint import RULES, lint_source, lint_sources
+from repro.analysis.lint import RULES, lint_source, main
 from repro.analysis.suppress import KNOWN_CODES, extract_suppressions
 
 CORE = "src/repro/core/snippet.py"
-SERVE = "src/repro/serve/snippet.py"
 
 
 def lint_codes(source: str, path: str = CORE) -> list[str]:
     return [finding.rule for finding in lint_source(textwrap.dedent(source), path=path)]
-
-
-#: A blocking helper, so that ``helper(...)`` in a serve handler is RPR010.
-_HELPER = {"src/repro/serve/helpers.py": "import time\ndef helper(x):\n    time.sleep(0.1)\n"}
-
-
-def flow_codes(source: str, path: str = SERVE) -> list[str]:
-    """Rules found when ``source`` is linted together with :data:`_HELPER`."""
-    return [f.rule for f in lint_sources({path: textwrap.dedent(source), **_HELPER})]
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +33,7 @@ def flow_codes(source: str, path: str = SERVE) -> list[str]:
 
 def test_known_codes_are_the_live_rules() -> None:
     assert KNOWN_CODES == set(RULES) | {"RPR000"}
-    assert not KNOWN_CODES & {"RPR011", "RPR013"}  # retired rules
+    assert not KNOWN_CODES & {"RPR010", "RPR011", "RPR013"}  # retired rules
 
 
 def test_directive_in_string_literal_is_ignored() -> None:
@@ -158,12 +148,7 @@ def test_lint_unknown_code_errors_rpr000() -> None:
     assert "RPR777" in findings[0].message
 
 
-def test_lint_accepts_flow_rule_codes() -> None:
-    # RPR010's code is valid in a one-file run, which has no call chain.
-    assert lint_codes("x = 1  # repolint: disable=RPR010\n") == []
-
-
-@pytest.mark.parametrize("code", ["RPR011", "RPR013"])
+@pytest.mark.parametrize("code", ["RPR010", "RPR011", "RPR013"])
 def test_retired_rule_codes_are_errors(code: str) -> None:
     # A suppression of a retired rule is stale: it must not pass silently.
     findings = lint_source(f"x = 1  # repolint: disable={code}\n", path=CORE)
@@ -171,49 +156,11 @@ def test_retired_rule_codes_are_errors(code: str) -> None:
     assert code in findings[0].message
 
 
-# ---------------------------------------------------------------------------
-# The whole-program rule (RPR010) goes through the same suppression pass
-# ---------------------------------------------------------------------------
-
-_RPR010_VIOLATION = (
-    "from repro.serve.helpers import helper\n"
-    "async def handler(request):\n"
-    "    for item in helper(\n"
-    "        request,\n"
-    "    ):{comment}\n"
-    "        yield item\n"
-)
-
-
-def test_flow_suppression_on_loop_header() -> None:
-    assert flow_codes(_RPR010_VIOLATION.format(comment="")) == ["RPR010"]
-    # A directive on the header's last line covers the call on its first.
-    assert flow_codes(_RPR010_VIOLATION.format(comment="  # repolint: disable=RPR010")) == []
-
-
-def test_flow_string_literal_directive_does_not_suppress() -> None:
-    source = (
-        'NOTE = "# repolint: disable-file=RPR010"\n'
-        + _RPR010_VIOLATION.format(comment="")
-    )
-    assert flow_codes(source) == ["RPR010"]
-
-
-def test_flow_unknown_code_errors_rpr000() -> None:
-    # Reported once, and the unknown code suppresses nothing.
-    source = _RPR010_VIOLATION.format(comment="  # repolint: disable=RPR888")
-    assert flow_codes(source) == ["RPR010", "RPR000"]
-
-
-def test_flow_accepts_lint_rule_codes() -> None:
-    # A per-file rule's code is valid on an RPR010 line but does not silence it.
-    source = _RPR010_VIOLATION.format(comment="  # repolint: disable=RPR001")
-    assert flow_codes(source) == ["RPR010"]
-
-
 @pytest.mark.parametrize("code", sorted(KNOWN_CODES))
-def test_every_known_code_parses_in_both_tools(code: str) -> None:
-    # Both the one-file entry point and a whole-program run accept it.
+def test_every_known_code_parses_in_both_tools(code: str, tmp_path, capsys) -> None:
+    # Both the library entry point and the command line accept it.
     source = f"x = 1  # repolint: disable={code}\n"
     assert lint_codes(source) == []
-    assert flow_codes(source, path=CORE) == []
+    (tmp_path / "snippet.py").write_text(source, encoding="utf-8")
+    assert main([str(tmp_path)]) == 0
+    capsys.readouterr()
