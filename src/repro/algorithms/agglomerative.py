@@ -10,9 +10,12 @@ average" — and for ``m = 3`` input clusterings the result is a
 2-approximation.
 
 This is the average-linkage merge loop of :mod:`repro.cluster.linkage`
-on one working copy of ``X`` (float64 up to 4096 objects, float32 above),
+on one working matrix (float64 up to 4096 objects, float32 above),
 stopped at the first closest pair at the threshold; the labels come from
-its merge list.  The ``agglomerative.merge`` span records the ``engine``
+its merge list.  The working matrix is a copy of ``X``, except on an
+instance built for this one solve (by :func:`~repro.core.aggregate.aggregate`
+or SAMPLING), whose ``X`` is handed over: the method registers
+``consumes_x``, and its last read of the instance is that one.  The ``agglomerative.merge`` span records the ``engine``
 that ran (``"c"`` or ``"numpy"``, equal bit for bit) and its counters.
 
 If the user insists on a fixed number of clusters (as the paper notes in
@@ -38,7 +41,7 @@ from ..registry import register_method
 __all__ = ["agglomerative"]
 
 
-@register_method("agglomerative", kind="instance", supports_weights=True)
+@register_method("agglomerative", kind="instance", supports_weights=True, consumes_x=True)
 def agglomerative(
     instance: CorrelationInstance,
     threshold: float = 0.5,
@@ -70,10 +73,11 @@ def agglomerative(
         return Clustering.single_cluster(1)
 
     with phase("agglomerative.init", n=n):
-        # Working copy: float64 for exactness on small instances, float32 to
-        # halve memory at paper scale.  Average linkage mutates the full
-        # cluster-distance matrix, so even a lazy instance materializes here.
-        # D is always a C-ordered view of the front of ``buffer``.
+        # Working matrix: float64 for exactness on small instances, float32
+        # to halve memory at paper scale.  Average linkage mutates the full
+        # cluster-distance matrix, so even a lazy instance materializes here;
+        # a handed-over dense instance gives X itself.  D is always a
+        # C-ordered view of the front of ``buffer``.
         buffer = instance.backend.materialize(default_dtype(n), copy=True).reshape(-1)
         D = buffer.reshape(n, n)
         np.fill_diagonal(D, np.inf)

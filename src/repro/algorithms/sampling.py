@@ -36,7 +36,7 @@ from ..core.objective import ClusterCountTables
 from ..core.partition import Clustering
 from ..obs.metrics import inc
 from ..obs.trace import span
-from ..registry import SolveContext, register_method, resolve_instance_method
+from ..registry import SolveContext, consumes_x, register_method, resolve_instance_method
 
 __all__ = ["sampling", "SamplingDetails", "default_sample_size"]
 
@@ -199,6 +199,9 @@ def sampling(
                 )
             size = support
 
+    # The phase-1 and phase-3 sub-instances exist for one inner solve each:
+    # a registered inner that takes X as its working matrix gets X itself.
+    hand_over = consumes_x(inner)
     labels = np.full(n, -1, dtype=np.int64)
     details = SamplingDetails(
         sample_indices=np.empty(0, dtype=np.int64),
@@ -226,6 +229,8 @@ def sampling(
             )
         else:
             sub = instance.subinstance(sample)
+        if hand_over:
+            sub.backend.hand_over()
         sample_clustering = inner(sub)
         details.sample_clusters = sample_clustering.k
         labels[sample] = sample_clustering.labels
@@ -325,6 +330,8 @@ def sampling(
                     )
                 else:
                     single_instance = instance.subinstance(singles)
+                if hand_over:
+                    single_instance.backend.hand_over()
                 regrouped = inner(single_instance)
                 labels[singles] = next_label + regrouped.labels.astype(np.int64)
         elif singles.size == 1:

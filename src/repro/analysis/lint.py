@@ -24,7 +24,8 @@ RPR002   No O(n²) Python-level pair loops in ``core/``, ``algorithms/``
          replaced by the blocked vectorized kernels.
 RPR003   Array allocations (``np.zeros/empty/full/ones``) in kernel
          packages (``core``, ``stream``, ``algorithms``, ``cluster``,
-         ``consensus``, ``baselines``) must pass an explicit ``dtype``.
+         ``consensus``, ``baselines``, ``parallel``) must pass an
+         explicit ``dtype``.
 RPR004   No mutable default arguments, and no in-place mutation of
          ``Clustering.labels`` (assigning into ``<expr>.labels[...]``
          or calling a mutating ndarray method on it) — take a

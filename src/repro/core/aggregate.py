@@ -157,15 +157,20 @@ def aggregate(
     p:
         Missing-value coin-flip probability (Section 2 of the paper).
     compute_lower_bound:
-        Whether to evaluate the pairwise lower bound.  A dense instance
-        reads its matrix once.  A lazy instance evaluates the bound over
+        Whether to evaluate the pairwise lower bound.  It runs right
+        after the build and before the solve, for every method, since
+        AGGLOMERATIVE then takes the ``X`` built here as its working
+        matrix.  A dense instance reads its matrix once, with no
+        temporary of its size.  A lazy instance evaluates the bound over
         its distinct label rows, in O(A²·m) for A of them, when that
         gives the bits of the blocked pass: coin-flip ``p`` a multiple of
         2⁻⁸, ``m`` a power of two, integer labels (see
         :func:`repro.core.kernels._exact_reductions`).  Otherwise it
         recomputes every row block, an O(n²·m) pass.  With
-        ``collapse=True`` the pairs inside each atom are added back.  Skipped only when the method builds no instance
-        (e.g. ``"sampling"``, ``"pivot"``).
+        ``collapse=True`` the pairs inside each atom are added back.
+        Skipped only when the method builds no instance (e.g.
+        ``"sampling"``, ``"pivot"``).  A given
+        :class:`CorrelationInstance` is only read, never handed over.
     collapse:
         Collapse duplicate label-matrix rows into weighted atoms before
         clustering (exact for the objective — some optimal solution keeps
@@ -230,7 +235,26 @@ def aggregate(
                 )
             else:
                 instance = CorrelationInstance.from_label_matrix(matrix, p=p, backend=backend)
+            if spec.consumes_x:
+                # Built here for this one solve, whose last read takes X as
+                # its working matrix: hand X over instead of a copy.
+                instance.backend.hand_over()
     build_seconds = build_span.seconds
+
+    # The bound reads X, so it comes before a solve that may take X over.
+    lower_bound: float | None = None
+    disagreement_lb: float | None = None
+    if compute_lower_bound and instance is not None:
+        with span("aggregate.lower_bound", method=method):
+            if atoms is None:
+                lower_bound = instance.lower_bound()
+            else:
+                # The atom instance leaves out the pairs inside each atom,
+                # which are not free for rows with missing labels.
+                lower_bound = _atom_lower_bound(instance.backend, atoms, p)
+        m = instance.m if instance.m is not None else (matrix.shape[1] if matrix is not None else None)
+        if m is not None:
+            disagreement_lb = m * lower_bound
 
     with span("aggregate.solve", method=method) as solve_span:
         if spec.kind == "label-fast" and instance is None:
@@ -279,20 +303,6 @@ def aggregate(
             cost = disagreements / matrix.shape[1]
         elif instance is not None:
             cost, disagreements = instance._score(clustering)
-
-    lower_bound: float | None = None
-    disagreement_lb: float | None = None
-    if compute_lower_bound and instance is not None:
-        with span("aggregate.lower_bound", method=method):
-            if atoms is None:
-                lower_bound = instance.lower_bound()
-            else:
-                # The atom instance leaves out the pairs inside each atom,
-                # which are not free for rows with missing labels.
-                lower_bound = _atom_lower_bound(instance.backend, atoms, p)
-        m = instance.m if instance.m is not None else (matrix.shape[1] if matrix is not None else None)
-        if m is not None:
-            disagreement_lb = m * lower_bound
 
     return AggregationResult(
         clustering=clustering,

@@ -62,6 +62,7 @@ __all__ = [
     "DenseBackend",
     "LazyLabelBackend",
     "PairDistanceBackend",
+    "check_matrix_fits",
     "grid_blocks",
     "lazy_threshold",
     "reduction_block_rows",
@@ -79,6 +80,9 @@ _BLOCK_ENTRIES = 1 << 22
 
 #: Capacity of the lazy backend's LRU cache, in grid blocks.
 CACHE_BLOCKS = 8
+
+#: Longest leaf of the lower bound's pairwise sum: a 512 KiB float64 scratch.
+_LEAF_ENTRIES = 1 << 16
 
 
 def reduction_block_rows(n: int) -> int:
@@ -102,6 +106,70 @@ def grid_blocks(n: int) -> Iterator[tuple[int, int]]:
     step = reduction_block_rows(n)
     for start in range(0, n, step):
         yield start, min(start + step, n)
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or ``None`` where ``os.sysconf`` cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def check_matrix_fits(n: int, dtype: np.dtype | type) -> None:
+    """Raise ``ValueError`` when an ``(n, n)`` array of ``dtype`` exceeds physical memory.
+
+    Checked before the dense build allocates ``X`` and before a backend
+    copies it, so an oversized run fails with a message instead of being
+    killed by the operating system.
+    """
+    need = n * n * np.dtype(dtype).itemsize
+    memory = _physical_memory()
+    if memory is not None and need > memory:
+        raise ValueError(
+            f"an ({n}, {n}) {np.dtype(dtype).name} distance matrix needs {need:,} bytes, "
+            f"more than the {memory:,} bytes of physical memory; the methods that scale "
+            "without it are 'sampling', 'pivot' and 'sharded'"
+        )
+
+
+def _pairwise_min_sum(rows: np.ndarray) -> float:
+    """``np.minimum(rows, 1 - rows).astype(np.float64).sum()`` without a block-sized temporary.
+
+    numpy sums a contiguous float64 array pairwise over its flattened
+    length: a run of more than 128 entries splits at half its length,
+    rounded down to a multiple of 8, and each part is summed the same way.
+    :func:`_tree_sum` walks that tree down to leaves of at most
+    :data:`_LEAF_ENTRIES`, computes each leaf into a small scratch (cast
+    to float64 there) and adds the leaf sums back up the tree: the bits
+    of the block's sum.
+    """
+    flat = rows.ravel(order="K")
+    size = min(flat.size, _LEAF_ENTRIES)
+    scratch = np.empty(size, dtype=flat.dtype)
+    wide = scratch if flat.dtype == np.float64 else np.empty(size, dtype=np.float64)
+    return _tree_sum(flat, 0, flat.size, scratch, wide)
+
+
+def _tree_sum(
+    flat: np.ndarray, start: int, stop: int, scratch: np.ndarray, wide: np.ndarray
+) -> float:
+    length = stop - start
+    if length > _LEAF_ENTRIES:
+        half = length // 2
+        half -= half % 8
+        middle = start + half
+        return _tree_sum(flat, start, middle, scratch, wide) + _tree_sum(
+            flat, middle, stop, scratch, wide
+        )
+    part = flat[start:stop]
+    leaf = scratch[:length]
+    np.subtract(flat.dtype.type(1.0), part, out=leaf)
+    np.minimum(part, leaf, out=leaf)
+    if wide is not scratch:
+        wide[:length] = leaf
+        leaf = wide[:length]
+    return float(leaf.sum())
 
 
 def lazy_threshold() -> int:
@@ -198,26 +266,28 @@ class PairDistanceBackend:
             "use row_block()/materialize() or rebuild with backend='dense'"
         )
 
+    def materialize(self, dtype: np.dtype | type | None = None, copy: bool = False) -> np.ndarray:
+        """The full ``(n, n)`` matrix in ``dtype`` (default :attr:`dtype`).
+
+        Only call when the consumer genuinely needs all of ``X`` at once
+        (AGGLOMERATIVE's mutable working matrix, the exact solver).  Pass
+        ``copy=True`` when the result will be mutated.
+        """
+        raise NotImplementedError
+
+    def hand_over(self) -> None:
+        """Mark the backend single-use: see :meth:`DenseBackend.hand_over`.
+
+        A lazy backend builds a fresh matrix on every :meth:`materialize`,
+        so it has nothing to hand over.
+        """
+
     # ------------------------------------------------------------------
     # Blocked reductions (shared, bitwise identical across backends)
     # ------------------------------------------------------------------
 
     def blocks(self) -> Iterator[tuple[int, int]]:
         return grid_blocks(self.n)
-
-    def materialize(self, dtype: np.dtype | type | None = None, copy: bool = False) -> np.ndarray:
-        """The full ``(n, n)`` matrix, assembled block by block.
-
-        Only call when the consumer genuinely needs all of ``X`` at once
-        (AGGLOMERATIVE's mutable working matrix, the exact solver).  Pass
-        ``copy=True`` when the result will be mutated.
-        """
-        n = self.n
-        target = self.dtype if dtype is None else np.dtype(dtype)
-        out = np.empty((n, n), dtype=target)
-        for start, stop in self.blocks():
-            out[start:stop] = self.row_block(start, stop)
-        return out
 
     def matvec(self, w: np.ndarray) -> np.ndarray:
         """``X @ w`` in float64, accumulated block by block.
@@ -284,20 +354,24 @@ class PairDistanceBackend:
         return total_pairs - sum_all + 2.0 * sum_within - pairs_within
 
     def lower_bound(self, weights: np.ndarray | None = None) -> float:
-        """``sum_{u<v} min(X_uv, 1 - X_uv)``, accumulated block by block."""
+        """``sum_{u<v} min(X_uv, 1 - X_uv)``, accumulated block by block.
+
+        Unweighted, each block's float64 sum comes leaf by leaf
+        (:func:`_pairwise_min_sum`), with no block-sized temporary: on a
+        dense instance up to 2048 objects the one block is all of ``X``.
+        Weighted, ``min(X, 1 - X)`` takes one temporary a block.
+        """
         w = None if weights is None else np.asarray(weights, dtype=np.float64)
         total = 0.0
         for start, stop in self.blocks():
             rows = self.row_block(start, stop)
-            # min(X, 1 - X) in one temporary: on a dense instance the single
-            # block is all of X, and a second one would set the peak memory.
+            if w is None:
+                total += _pairwise_min_sum(rows)
+                continue
             per_pair = np.subtract(rows.dtype.type(1.0), rows)
             np.minimum(rows, per_pair, out=per_pair)
             per_pair = per_pair.astype(np.float64, copy=False)
-            if w is None:
-                total += float(per_pair.sum(dtype=np.float64))
-            else:
-                total += float(w[start:stop] @ (per_pair @ w))
+            total += float(w[start:stop] @ (per_pair @ w))
         return total / 2.0
 
     def argmax_entry(self) -> tuple[int, int]:
@@ -320,52 +394,79 @@ class PairDistanceBackend:
 class DenseBackend(PairDistanceBackend):
     """Backend over a fully materialized ``(n, n)`` distance matrix."""
 
-    __slots__ = ("_X",)
+    __slots__ = ("_X", "_n", "_dtype", "_single_use")
 
     def __init__(self, X: np.ndarray) -> None:
-        self._X = np.asarray(X)
+        self._X: np.ndarray | None = np.asarray(X)
+        self._n = int(self._X.shape[0])
+        self._dtype: np.dtype = self._X.dtype
+        self._single_use = False
+
+    def _live(self) -> np.ndarray:
+        if self._X is None:
+            raise RuntimeError(
+                "this dense backend handed its matrix over as a solver's working "
+                "matrix and holds no distances any more"
+            )
+        return self._X
 
     @property
     def n(self) -> int:
-        return int(self._X.shape[0])
+        return self._n
 
     @property
     def dtype(self) -> np.dtype:
-        return self._X.dtype
+        return self._dtype
 
     @property
     def name(self) -> str:
         return "dense"
 
     def row_block(self, start: int, stop: int) -> np.ndarray:
-        return self._X[start:stop]
+        return self._live()[start:stop]
 
     def row(self, u: int) -> np.ndarray:
-        return self._X[u]
+        return self._live()[u]
 
     def gather(self, u: int, idx: np.ndarray | Sequence[int]) -> np.ndarray:
-        return self._X[u, np.asarray(idx)]
+        return self._live()[u, np.asarray(idx)]
 
     def gather_block(
         self, rows: np.ndarray | Sequence[int], cols: np.ndarray | Sequence[int]
     ) -> np.ndarray:
-        return self._X[np.ix_(np.asarray(rows), np.asarray(cols))]
+        return self._live()[np.ix_(np.asarray(rows), np.asarray(cols))]
 
     def columns(self, idx: np.ndarray | Sequence[int]) -> np.ndarray:
-        return self._X[:, np.asarray(idx)]
+        return self._live()[:, np.asarray(idx)]
 
     def take(self, idx: np.ndarray | Sequence[int]) -> "DenseBackend":
         index = np.asarray(idx)
-        return DenseBackend(self._X[np.ix_(index, index)])
+        return DenseBackend(self._live()[np.ix_(index, index)])
 
     def dense(self) -> np.ndarray:
-        return self._X
+        return self._live()
+
+    def hand_over(self) -> None:
+        """Let the next same-dtype ``materialize(copy=True)`` return ``X`` itself.
+
+        For an instance private to one solve whose last read takes ``X``
+        as its working matrix: that read then costs no copy, and it
+        leaves the backend spent, so every later read raises
+        ``RuntimeError`` instead of seeing the solver's writes.
+        """
+        self._single_use = True
 
     def materialize(self, dtype: np.dtype | type | None = None, copy: bool = False) -> np.ndarray:
-        target = self.dtype if dtype is None else np.dtype(dtype)
-        if target == self.dtype and not copy:
-            return self._X
-        return self._X.astype(target, copy=True)
+        X = self._live()
+        target = self._dtype if dtype is None else np.dtype(dtype)
+        if target == self._dtype:
+            if copy and self._single_use:
+                self._X = None
+                return X
+            if not copy:
+                return X
+        check_matrix_fits(self._n, target)
+        return X.astype(target, copy=True)
 
 
 class LazyLabelBackend(PairDistanceBackend):
@@ -499,6 +600,21 @@ class LazyLabelBackend(PairDistanceBackend):
         # X is bitwise symmetric (every kernel term is), so columns are
         # transposed row gathers.
         return self._kernel(np.asarray(idx), slice(None)).T
+
+    def materialize(self, dtype: np.dtype | type | None = None, copy: bool = False) -> np.ndarray:
+        """The dense build of the labels: each grid block written in place, the cache untouched.
+
+        A fresh array, so ``copy`` changes nothing.  Another ``dtype`` than
+        :attr:`dtype` casts the built matrix.
+        """
+        from .instance import disagreement_fractions  # instance imports this module
+
+        X = disagreement_fractions(self._matrix, self._p, self._dtype, self._missing)
+        target = self._dtype if dtype is None else np.dtype(dtype)
+        if target == self._dtype:
+            return X
+        check_matrix_fits(self._n, target)
+        return X.astype(target)
 
     def take(self, idx: np.ndarray | Sequence[int]) -> "LazyLabelBackend":
         index = np.asarray(idx)

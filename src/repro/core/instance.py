@@ -33,6 +33,7 @@ from .backend import (
     DenseBackend,
     LazyLabelBackend,
     PairDistanceBackend,
+    check_matrix_fits,
     grid_blocks,
     resolve_backend,
 )
@@ -73,20 +74,24 @@ def disagreement_fractions(
       taken over those; a pair with no commonly-concrete column gets the
       uninformative 0.5.
 
-    Computed on the :func:`~repro.core.backend.grid_blocks` row grid to
-    bound temporary memory; defaults to float64 up to 4096 objects and
-    float32 beyond.  The build is serial: each block is one kernel call,
-    on the product path one BLAS product whose threads use every core.
+    Computed on the :func:`~repro.core.backend.grid_blocks` row grid,
+    each block's kernel call writing straight into its rows of ``X``;
+    defaults to float64 up to 4096 objects and float32 beyond.  Raises
+    ``ValueError`` before allocating when ``X`` would exceed physical
+    memory (:func:`~repro.core.backend.check_matrix_fits`).  The build is
+    serial: each block is one kernel call, on the product path one BLAS
+    product whose threads use every core.
     """
     matrix = np.asarray(matrix)
     validate_label_matrix(matrix)
     check_missing_model(p, missing)
     n = matrix.shape[0]
     np_dtype = default_dtype(n) if dtype is None else np.dtype(dtype)
+    check_matrix_fits(n, np_dtype)
     X = np.empty((n, n), dtype=np_dtype)
     for start, stop in grid_blocks(n):
         rows = slice(start, stop)
-        X[rows] = distance_block(matrix, rows, p=p, dtype=np_dtype, missing=missing)
+        distance_block(matrix, rows, p=p, dtype=np_dtype, missing=missing, out=X[rows])
     return X
 
 

@@ -176,6 +176,7 @@ def _product_sums(
     p: float,
     dtype: np.dtype,
     missing: str,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None] | None:
     """The compare loop's sums from one BLAS product, or ``None`` where that is not exact or cheaper.
 
@@ -190,7 +191,7 @@ def _product_sums(
     column).  Every partial sum is an integer or an integer multiple of
     the dyadic ``p``, of magnitude at most ``3 m``, so it is exact in
     float32 and float64 under any BLAS blocking or thread count: the
-    loop's sums, bit for bit.
+    loop's sums, bit for bit.  ``out`` receives the separation in place.
     """
     r, m = row_labels.shape
     c = col_labels.shape[0]
@@ -230,7 +231,7 @@ def _product_sums(
     scale[-1] = base
     A, B = onehot[:, :r], onehot[:, r:]
     B *= scale[:, None]
-    separation = A.T @ B
+    separation = np.matmul(A.T, B, out=out)
     if coin_flip:
         return separation, None
     return separation, A[width:].T @ B[width:]
@@ -300,9 +301,26 @@ def distance_block(
     p: float = 0.5,
     dtype: np.dtype | type = np.float64,
     missing: str = "coin-flip",
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``X[rows, cols]`` of the label matrix, with ``X[u, u] = 0``."""
-    separation, comparable = separation_sums(matrix, rows, cols, p, dtype, missing)
+    """``X[rows, cols]`` of the label matrix, with ``X[u, u] = 0``.
+
+    ``out``, an array of the block's shape and ``dtype``, receives the
+    block in place: the dense build hands each grid block its rows of
+    ``X``.  The product writes into it, the compare loop zero-fills it and
+    accumulates, so it holds the fresh block's bits.
+    """
+    np_dtype = np.dtype(dtype)
+    row_labels = matrix[rows]
+    col_labels = matrix[cols]
+    sums = _product_sums(row_labels, col_labels, p, np_dtype, missing, out)
+    if sums is None:
+        target = None
+        if out is not None:
+            out.fill(0)
+            target = (out, np.zeros_like(out) if missing == "average" else None)
+        sums = _compare_sums(row_labels, col_labels, p, np_dtype, missing, target)
+    separation, comparable = sums
     denominator = matrix.shape[1] if comparable is None else comparable
     block = normalize(separation, denominator, out=separation)
     row_ids = _object_ids(rows, matrix.shape[0])

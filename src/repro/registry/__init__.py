@@ -19,6 +19,7 @@ from .store import (
     all_specs,
     baseline_method_names,
     clusterer_names,
+    consumes_x,
     get_clusterer,
     get_method,
     instance_method_names,
@@ -41,6 +42,7 @@ __all__ = [
     "all_specs",
     "baseline_method_names",
     "clusterer_names",
+    "consumes_x",
     "get_clusterer",
     "get_method",
     "instance_method_names",

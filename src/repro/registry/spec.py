@@ -130,7 +130,13 @@ class SolveContext:
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """The registry's record for one named method (see module docstring)."""
+    """The registry's record for one named method (see module docstring).
+
+    ``consumes_x`` declares that the method's last read of its instance
+    takes ``X`` as its working matrix (``materialize(copy=True)``), so a
+    caller that built the instance for this one solve may hand ``X`` over
+    instead of paying for a copy (:meth:`~repro.core.backend.DenseBackend.hand_over`).
+    """
 
     name: str
     role: str
@@ -141,6 +147,7 @@ class MethodSpec:
     supports_missing: bool = True
     supports_collapse: bool = True
     needs_instance: bool = False
+    consumes_x: bool = False
     accepts_extra: bool = False
     summary: str = ""
     params: tuple[ParamSpec, ...] = ()

@@ -31,6 +31,7 @@ __all__ = [
     "baseline_method_names",
     "clusterer_names",
     "stochastic_method_names",
+    "consumes_x",
     "instance_method_names",
     "resolve_instance_method",
     "is_stochastic",
@@ -107,6 +108,7 @@ def register_method(
     supports_missing: bool = True,
     supports_collapse: bool = True,
     needs_instance: bool = False,
+    consumes_x: bool = False,
     solver: Callable[[SolveContext], Any] | None = None,
     params_from: Callable[..., Any] | None = None,
     exclude: tuple[str, ...] = (),
@@ -139,6 +141,7 @@ def register_method(
                 supports_missing=supports_missing,
                 supports_collapse=supports_collapse,
                 needs_instance=needs_instance,
+                consumes_x=consumes_x,
                 accepts_extra=accepts_extra,
                 summary=summary if summary is not None else summary_from(func),
                 params=_apply_defaults(params, defaults),
@@ -266,6 +269,21 @@ def resolve_instance_method(
             f"unknown inner algorithm {inner!r}; choose from {list(instance_method_names())}"
         )
     return spec.func
+
+
+def consumes_x(inner: Callable[..., Any]) -> bool:
+    """Whether ``inner`` is the function of a registered method declaring ``consumes_x``.
+
+    SAMPLING asks this of its resolved ``inner``: only a registered
+    method's own function gets a sub-instance's ``X`` handed over, never
+    a wrapper around it that might read ``X`` afterwards.
+    """
+    _ensure_loaded()
+    return any(
+        spec.consumes_x and spec.func is inner
+        for (role, _), spec in _REGISTRY.items()
+        if role == "aggregate"
+    )
 
 
 def all_specs(role: str | None = None) -> tuple[MethodSpec, ...]:

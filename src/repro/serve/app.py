@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from ..core.aggregate import aggregate
-from ..registry import is_stochastic
+from ..registry import aggregate_method_names, is_stochastic
 from ..obs.metrics import enable_metrics, get_registry, inc, observe
 from ..obs.trace import span
 from ..parallel.portfolio import portfolio
@@ -125,9 +125,15 @@ class AggregationService:
         return self._http.port
 
     async def start(self) -> None:
-        """Bind the listener and enable the metrics registry."""
+        """Load the method registry, bind the listener and enable the metrics registry.
+
+        The registry imports its built-in method modules on first use; that
+        happens here, in the executor, and not on the event loop at the
+        first ``POST /aggregate``.
+        """
         if self._config.checkpoint_dir is not None:
             Path(self._config.checkpoint_dir).mkdir(parents=True, exist_ok=True)
+        await asyncio.get_running_loop().run_in_executor(None, aggregate_method_names)
         enable_metrics()
         await self._http.start(self._config.host, self._config.port)
 

@@ -153,3 +153,126 @@ class TestBehaviour:
         for method in ALL_METHODS:
             result = aggregate(figure1_clusterings, method=method)
             assert result.disagreements <= worst
+
+
+class TestOneMatrix:
+    """The default path solves in the X it built, with the parent's bits."""
+
+    @staticmethod
+    def mushrooms(rows):
+        from repro.datasets.mushrooms import generate_mushrooms
+
+        return generate_mushrooms(rng=0).data[:rows]
+
+    @staticmethod
+    def reference(matrix, p, collapse):
+        """Build, AGGLOMERATIVE, then the bound, on a public instance."""
+        from repro.algorithms.agglomerative import agglomerative
+        from repro.core.atoms import _atom_lower_bound, collapse_duplicates
+        from repro.core.distance import total_disagreement
+        from repro.core.instance import CorrelationInstance
+
+        if collapse:
+            atoms = collapse_duplicates(matrix)
+            instance = CorrelationInstance.from_label_matrix(
+                atoms.matrix, p=p, weights=atoms.weights, backend="dense"
+            )
+            clustering = atoms.expand(agglomerative(instance))
+            bound = _atom_lower_bound(instance.backend, atoms, p)
+        else:
+            instance = CorrelationInstance.from_label_matrix(matrix, p=p, backend="dense")
+            clustering = agglomerative(instance)
+            bound = instance.lower_bound()
+        return clustering, total_disagreement(matrix, clustering, p=p), bound, instance.backend.dtype
+
+    @pytest.mark.parametrize(
+        "rows, p, collapse",
+        [
+            (700, 0.5, False),
+            (700, 0.5, True),
+            (700, 0.3, False),
+            (700, 0.3, True),
+            (4200, 0.5, False),  # float32
+            (4200, 0.3, False),
+            (4200, 0.3, True),  # 4179 atoms: float32 too
+        ],
+    )
+    def test_same_labels_objective_and_bound_bits(self, rows, p, collapse):
+        matrix = self.mushrooms(rows)
+        clustering, disagreements, bound, dtype = self.reference(matrix, p, collapse)
+        assert dtype == (np.float32 if rows > 4096 else np.float64)
+        result = aggregate(matrix, p=p, collapse=collapse, backend="dense")
+        assert result.clustering == clustering
+        assert result.disagreements == disagreements
+        assert result.lower_bound.hex() == bound.hex()
+
+    @pytest.mark.no_contracts  # the debug contracts take temporaries of X's size
+    def test_peak_memory_is_one_matrix(self):
+        import tracemalloc
+
+        matrix = self.mushrooms(2000)
+        aggregate(matrix[:50])  # load the registry and the compiled loop first
+        tracemalloc.start()
+        try:
+            aggregate(matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 2000 * 2000 * 8
+
+    @staticmethod
+    def count_hand_overs(monkeypatch):
+        from repro.core.backend import DenseBackend
+
+        calls = []
+        hand_over = DenseBackend.hand_over
+
+        def counting(self):
+            calls.append(self)
+            hand_over(self)
+
+        monkeypatch.setattr(DenseBackend, "hand_over", counting)
+        return calls
+
+    def test_user_instance_keeps_X_and_spent_backend_raises(self, monkeypatch):
+        from repro.core.instance import CorrelationInstance
+
+        matrix = self.mushrooms(300)
+        instance = CorrelationInstance.from_label_matrix(matrix)
+        before = instance.X.copy()
+        calls = self.count_hand_overs(monkeypatch)
+        from_instance = aggregate(instance)
+        assert calls == []
+        assert instance.X.tobytes() == before.tobytes()
+        from_labels = aggregate(matrix)
+        (spent,) = calls
+        assert from_labels.clustering == from_instance.clustering
+        assert from_labels.lower_bound == from_instance.lower_bound
+        with pytest.raises(RuntimeError, match="handed its matrix over"):
+            spent.dense()
+
+    def test_readers_after_agglomerative_still_work(self, monkeypatch):
+        from repro.algorithms.agglomerative import agglomerative
+
+        calls = self.count_hand_overs(monkeypatch)
+        small = self.mushrooms(12)
+        # exact runs agglomerative(instance), then reads X: never handed over.
+        exact = aggregate(small, method="exact")
+        assert exact.disagreements <= aggregate(small).disagreements
+        assert len(calls) == 1  # the default call's own instance only
+
+        def reads_after(sub):
+            clustering = agglomerative(sub)
+            assert sub.backend.lower_bound() >= 0.0
+            return clustering
+
+        matrix = self.mushrooms(600)
+        del calls[:]
+        wrapped = aggregate(matrix, method="sampling", inner=reads_after, sample_size=200, rng=4)
+        assert calls == []
+        named = aggregate(matrix, method="sampling", sample_size=200, rng=4)
+        assert len(calls) >= 1  # phase 1, and phase 3 when singletons are left
+        assert wrapped.clustering == named.clustering
+        del calls[:]
+        aggregate(matrix, method="portfolio")  # the members share one instance
+        assert calls == []

@@ -382,6 +382,107 @@ def test_label_native_reductions_compute_no_grid_block(monkeypatch) -> None:
     assert atom_pass.attrs["rows"] == distinct < 64
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_lower_bound_leaves_sum_to_the_block_sum(monkeypatch, dtype) -> None:
+    """Small leaves split a block many times, mixed magnitudes make the order show."""
+    monkeypatch.setattr(backend_module, "_LEAF_ENTRIES", 200)
+    rng = np.random.default_rng(3)
+    for n in (37, 130, 411):
+        X = rng.random((n, n)) * 10.0 ** rng.integers(-6, 1, size=(n, n))
+        X = ((X + X.T) / 2).astype(dtype)
+        np.fill_diagonal(X, 0)
+        backend = DenseBackend(X)
+        assert same_bits(backend.lower_bound(), two_temporary_lower_bound(backend))
+        # Not C-contiguous: the sum runs over the memory order, as numpy's does.
+        fortran = DenseBackend(np.asfortranarray(X))
+        assert same_bits(fortran.lower_bound(), two_temporary_lower_bound(fortran))
+
+
+def test_lower_bound_holds_no_reference_to_X() -> None:
+    """The leaf walk leaves no reference cycle: X goes with its last reference."""
+    import gc
+    import weakref
+
+    gc.disable()  # a cycle would keep X until the next collection
+    try:
+        X = disagreement_fractions(label_matrix(300, seed=54))
+        alive = weakref.ref(X)
+        assert DenseBackend(X).lower_bound() > 0.0
+        del X
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# materialize: the lazy build, the dense hand-over and the memory guard
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_lazy_materialize_is_the_build_and_leaves_the_cache_alone(monkeypatch, dtype) -> None:
+    shrink_grid(monkeypatch)
+    matrix = label_matrix(200, missing_frac=0.2, seed=51)
+    dense, lazy = backend_pair(matrix, p=0.3, dtype=dtype)
+    with tracing() as trace:
+        X = lazy.materialize()
+    assert lazy.cached_block_indices() == ()
+    assert trace.find("instance.block") == []
+    assert X.dtype == dtype and X.tobytes() == dense.dense().tobytes()
+    wide = lazy.materialize(np.float64)
+    assert wide.tobytes() == dense.materialize(np.float64).tobytes()
+
+
+def test_dense_hand_over_gives_X_once_then_raises() -> None:
+    matrix = label_matrix(80, seed=52)
+    backend = CorrelationInstance.from_label_matrix(matrix).backend
+    X = backend.dense()
+    # Without the hand-over a copy is a copy.
+    assert backend.materialize(copy=True) is not X
+    backend.hand_over()
+    assert backend.materialize(np.float32, copy=True) is not X  # another dtype copies
+    assert backend.materialize() is X  # a read, not a take
+    assert backend.materialize(copy=True) is X
+    assert (backend.n, backend.dtype) == (80, np.float64)
+    reads = (
+        backend.dense,
+        backend.materialize,
+        lambda: backend.row(0),
+        lambda: backend.row_block(0, 5),
+        lambda: backend.gather_block([0], [1]),
+        lambda: backend.columns([0]),
+        lambda: backend.take([0, 1]),
+        backend.lower_bound,
+        lambda: backend.matvec(np.ones(80)),
+    )
+    for read in reads:
+        with pytest.raises(RuntimeError, match="handed its matrix over"):
+            read()
+
+
+def test_memory_guard_raises_before_allocating(monkeypatch) -> None:
+    """An (n, n) X larger than physical memory is a ValueError, not an OOM kill."""
+    matrix = label_matrix(50, seed=53)
+    monkeypatch.setattr(backend_module, "_physical_memory", lambda: 50 * 50 * 8 - 1)
+    message = r"\(50, 50\) float64 distance matrix needs 20,000 bytes.*'sampling', 'pivot' and 'sharded'"
+    with pytest.raises(ValueError, match=message):
+        disagreement_fractions(matrix)
+    with pytest.raises(ValueError, match=message):
+        LazyLabelBackend(matrix).materialize()
+    with pytest.raises(ValueError, match=message):
+        aggregate(matrix, backend="lazy")
+    # A float32 X of the same n fits, and so does the default path's hand-over.
+    assert disagreement_fractions(matrix, dtype=np.float32).dtype == np.float32
+    monkeypatch.setattr(backend_module, "_physical_memory", lambda: 50 * 50 * 8)
+    assert aggregate(matrix).clustering.n == 50
+    monkeypatch.setattr(backend_module, "_physical_memory", lambda: 50 * 50 * 4)
+    dense = CorrelationInstance.from_label_matrix(matrix, dtype=np.float32).backend
+    with pytest.raises(ValueError, match="float64 distance matrix needs 20,000 bytes"):
+        dense.materialize(np.float64, copy=True)
+    monkeypatch.setattr(backend_module, "_physical_memory", lambda: None)
+    assert disagreement_fractions(matrix).shape == (50, 50)
+
+
 # ---------------------------------------------------------------------------
 # LRU block cache
 # ---------------------------------------------------------------------------

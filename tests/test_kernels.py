@@ -212,3 +212,41 @@ def test_label_histogram_matches_the_masked_count(missing_frac, weighted, groups
     table = kernels.label_histogram(groups, values, k, arity, weights)
     assert table.shape == (k, arity) and table.dtype == np.float64
     assert table.tobytes() == expected.reshape(k, arity).tobytes()
+
+
+class TestWritesInPlace:
+    """``distance_block(out=...)`` writes the fresh block's bits into a view."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        matrix=label_matrices(),
+        p=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        missing=st.sampled_from(["coin-flip", "average"]),
+        product=st.booleans(),
+        strided=st.booleans(),
+    )
+    def test_view_gets_the_fresh_bits(
+        self, data, matrix, p, dtype, missing, product, strided
+    ):
+        rows = data.draw(index_sets(len(matrix)))
+        cols = data.draw(index_sets(len(matrix)))
+        shape = (len(matrix[rows]), len(matrix[cols]))
+        with pytest.MonkeyPatch.context() as patch:
+            if not product:  # no block has enough rows per code: the compare loop
+                patch.setattr(kernels, "_PRODUCT_ROWS_PER_CODE", 10**9)
+            takes_product = kernels._product_sums(
+                matrix[rows], matrix[cols], p, np.dtype(dtype), missing
+            )
+            assert (takes_product is not None) == product
+            fresh = distance_block(matrix, rows, cols, p, dtype, missing)
+            # A view inside a larger array, strided or a run of whole rows.
+            big = np.full((shape[0] + 3, shape[1] + (5 if strided else 0)), np.nan, dtype=dtype)
+            out = big[1 : 1 + shape[0], 2 : 2 + shape[1]] if strided else big[1 : 1 + shape[0]]
+            got = distance_block(matrix, rows, cols, p, dtype, missing, out=out)
+        assert got is out
+        assert out.tobytes() == fresh.tobytes()
+        outside = np.ones(big.shape, dtype=bool)
+        outside[1 : 1 + shape[0], (2 if strided else 0) : (2 if strided else 0) + shape[1]] = False
+        assert np.isnan(big[outside]).all()

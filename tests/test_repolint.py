@@ -749,6 +749,28 @@ def test_cli_list_rules(capsys) -> None:
     assert not rules & {"RPR010", "RPR011", "RPR013"}  # retired rules
 
 
+def test_rule_docs_match_the_rules(capsys) -> None:
+    """docs/API.md's rule table and the lint module docstring list the live rules."""
+    import re
+    from pathlib import Path
+
+    from repro.analysis import lint
+
+    assert main(["--list-rules"]) == 0
+    listed = {line.split()[0] for line in capsys.readouterr().out.splitlines()}
+    api = (Path(__file__).resolve().parents[1] / "docs/API.md").read_text(encoding="utf-8")
+    table_rows = re.findall(r"^\| (RPR\d{3}) \|(.*)$", api, flags=re.MULTILINE)
+    assert {code for code, _ in table_rows} == listed
+    docstring_codes = set(re.findall(r"^(RPR\d{3}) ", lint.__doc__, flags=re.MULTILINE))
+    assert docstring_codes == listed
+    # RPR003's package list, in both places, is KERNEL_PACKAGES.
+    api_rpr003 = dict(table_rows)["RPR003"]
+    doc_rpr003 = lint.__doc__.split("RPR003", 1)[1].split("RPR004", 1)[0]
+    for package in lint.KERNEL_PACKAGES:
+        assert f"`{package}`" in api_rpr003
+        assert f"``{package}``" in doc_rpr003
+
+
 def test_repository_is_lint_clean() -> None:
     """The shipped tree satisfies its own linter within 30 s (the CI gate)."""
     from pathlib import Path

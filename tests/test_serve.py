@@ -558,6 +558,33 @@ _BLOCKING_SHAPES = {
 
 
 class TestEventLoopGuard:
+    def test_registry_loads_off_the_loop_at_start(self, monkeypatch):
+        """The registry's built-in modules load in start(), in the executor."""
+        from repro.registry import store
+
+        ensure_loaded = store._ensure_loaded
+        loading_threads = []
+
+        def recording_ensure_loaded():
+            if not store._loaded:
+                loading_threads.append(threading.get_ident())
+            ensure_loaded()
+
+        monkeypatch.setattr(store, "_loaded", False)
+        monkeypatch.setattr(store, "_ensure_loaded", recording_ensure_loaded)
+        server = ServerHarness(batch_window=0.001)
+        try:
+            assert len(loading_threads) == 1
+            loop_thread = server._thread.ident
+            assert loading_threads[0] not in (loop_thread, threading.get_ident())
+            status, _, _ = server.request(
+                "POST", "/aggregate", {"clusterings": [[0, 0, 1], [0, 1, 1]]}
+            )
+            assert status == 200
+            assert len(loading_threads) == 1
+        finally:
+            server.close()
+
     @pytest.fixture
     def files(self, tmp_path):
         (tmp_path / "note.txt").write_text("x", encoding="utf-8")
